@@ -33,7 +33,7 @@ from .io import (
 )
 from .known_omega import brute_force_known_omega, check_proposition1
 from .rationalize import (
-    Model,
+    cell_table,
     check_condition1,
     construct_rationalization,
     induced_observables,
@@ -72,42 +72,26 @@ def _dist_strings(dist) -> dict:
     return {s: format_number(dist[s]) for s in dist.space}
 
 
-def _model_table(model: Model, dist) -> dict:
-    """Per-(state, signal) mass table of a distribution over omega."""
-    table = {}
-    for label, cell in model.signal_partition.items():
-        cell = set(cell)
-        for s in model.states:
-            sub = [
-                w for w in cell if model.projection[w] == s
-            ]
-            table[(s, label)] = dist.mass(sub) if sub else 0
-    return table
-
-
-def _render_table(model: Model, dist, title: str) -> list:
-    cols = list(model.signal_partition)
-    table = _model_table(model, dist)
-    widths = {
-        c: max(
-            len(c),
-            max(len(format_number(table[(s, c)])) for s in model.states),
-        )
-        for c in cols
-    }
-    row_w = max(len(str(s)) for s in model.states)
+def _render_table(states, columns, title: str) -> list:
+    """A state x signal table from (signal label, row over states) columns."""
+    widths = [
+        max(len(label), max(len(format_number(x)) for x in row))
+        for label, row in columns
+    ]
+    row_w = max(len(str(s)) for s in states)
     lines = [title]
     lines.append(
         " " * row_w
         + "  "
-        + "  ".join(c.rjust(widths[c]) for c in cols)
+        + "  ".join(label.rjust(w) for (label, _), w in zip(columns, widths))
     )
-    for s in model.states:
+    for j, s in enumerate(states):
         lines.append(
             str(s).rjust(row_w)
             + "  "
             + "  ".join(
-                format_number(table[(s, c)]).rjust(widths[c]) for c in cols
+                format_number(row[j]).rjust(w)
+                for (_, row), w in zip(columns, widths)
             )
         )
     return lines
@@ -208,14 +192,15 @@ def cmd_rationalize(args) -> int:
     if args.json:
         print(json.dumps(model_to_dict(model, mode), indent=2))
     else:
-        for line in _render_table(model, model.mu0, "subjective prior mu0:"):
-            print(line)
-        print()
-        for line in _render_table(
-            model, model.pObj, "objective distribution P:"
+        cells = cell_table(model)
+        for title, rows in (
+            ("subjective prior mu0:", [c.mu_row for c in cells]),
+            ("objective distribution P:", [c.obj_row for c in cells]),
         ):
-            print(line)
-        print()
+            columns = [(c.label, row) for c, row in zip(cells, rows)]
+            for line in _render_table(model.states, columns, title):
+                print(line)
+            print()
         for i, (w, b) in enumerate(obs.posteriors.items):
             print(
                 "nu%d = (%s), observed weight %s"
@@ -276,6 +261,8 @@ def cmd_known_omega(args) -> int:
         "condition (ii) prior conditionals: %s"
         % ("PASS" if report.condition_ii else "FAIL")
     )
+    for i, d in enumerate(payload["worst_deviations"]):
+        lines.append("  posterior %d: worst deviation %s" % (i, d))
     if args.brute_force:
         oracle = brute_force_known_omega(obs)
         payload["brute_force"] = oracle
@@ -302,22 +289,9 @@ def cmd_martingale(args) -> int:
                 "--weights subjective-from requires --model MODEL.json"
             )
         model, _ = load_model(args.model)
-        weights = []
-        posteriors = []
-        from .dist import condition, pushforward
-
-        for label, cell in model.signal_partition.items():
-            mass = model.mu0.mass(cell)
-            if not num_pos(mass):
-                continue
-            weights.append(mass)
-            posteriors.append(
-                pushforward(
-                    condition(model.mu0, cell),
-                    model.projection,
-                    model.states,
-                )
-            )
+        active = [c for c in cell_table(model) if num_pos(c.mu_mass)]
+        weights = [c.mu_mass for c in active]
+        posteriors = [c.posterior for c in active]
         source = "subjective signal-cell weights from %s" % args.model
     holds, mean = martingale_check(weights, posteriors, obs.prior)
     payload = {

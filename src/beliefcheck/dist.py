@@ -78,8 +78,9 @@ class Dist:
                 raise StructuralError(
                     "negative weight %s at outcome %r" % (w, label)
                 )
+        exact = all(is_exact(w) for w in weights)
         total = sum(weights)
-        if all(is_exact(w) for w in weights):
+        if exact:
             if total != 1:
                 raise StructuralError("weights sum to %s, expected 1" % total)
         elif abs(total - 1) > TOL:
@@ -88,6 +89,7 @@ class Dist:
             )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_exact", exact)
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(space)}
         )
@@ -120,7 +122,7 @@ class Dist:
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact(w) for w in self.weights)
+        return self._exact
 
     def __getitem__(self, label) -> Number:
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .dist import Dist, Number, Observation, WeightedPosteriors, is_exact
 from .errors import FormatError, StructuralError
@@ -30,7 +30,14 @@ def parse_number(raw, mode: str, where: str) -> Number:
             "%s: %r is not a valid number (use 'p/q' or a decimal)"
             % (where, raw)
         ) from None
-    return value if mode == "rational" else float(value)
+    if mode == "rational":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(
+            "%s: %r is out of range for float mode" % (where, raw)
+        ) from None
 
 
 def format_number(x: Number) -> str:
@@ -223,9 +230,14 @@ def load_model(path) -> Tuple[Model, str]:
         at = "%s:omega[%d]" % (where, i)
         if not isinstance(entry, dict):
             raise FormatError("%s: expected an object" % at)
-        label = _require(entry, "label", at)
-        s = _require(entry, "s", at)
-        signal = _require(entry, "signal", at)
+        label, s, signal = (
+            _require(entry, key, at) for key in ("label", "s", "signal")
+        )
+        for key, value in (("label", label), ("s", s), ("signal", signal)):
+            if not isinstance(value, str) or not value:
+                raise FormatError(
+                    "%s: field %r must be a non-empty string" % (at, key)
+                )
         if s not in states:
             raise FormatError(
                 "%s: state %r is not in 'states'" % (at, s)
@@ -240,11 +252,12 @@ def load_model(path) -> Tuple[Model, str]:
         declared = data["partition"]
         if not isinstance(declared, dict):
             raise FormatError("%s: field 'partition' must be an object" % where)
+        index = {w: i for i, w in enumerate(omega)}
         rebuilt = {
-            label: [omega.index(w) for w in cell]
+            label: [index[w] for w in cell]
             for label, cell in partition.items()
         }
-        if {k: list(v) for k, v in declared.items()} != rebuilt:
+        if declared != rebuilt:
             raise FormatError(
                 "%s: field 'partition' disagrees with the omega entries'"
                 " signal labels" % where

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 from .dist import (
     TOL,
@@ -23,8 +23,8 @@ from .dist import (
     RnEntry,
     RnReport,
     WeightedPosteriors,
-    condition,
     is_exact,
+    martingale_check,
     num_eq,
     num_pos,
     pushforward,
@@ -170,68 +170,110 @@ def construct_rationalization(
         )
 
     states = obs.space
+    zero = Fraction(0) if obs.is_exact else 0.0
+    prior = obs.prior.weights
     epsilons = report.epsilons()
-    mu0 = {}
-    p_obj = {}
+    # Rows in omega order: the k "+" cells, then the k "-" cells.
+    plus, minus, p_obj = [], [], []
     for i, (pw, belief) in enumerate(obs.posteriors.items):
         eps = epsilons[i]
-        lam = lambda_mix[mix_label(i)]
-        for s in states:
-            mu0[omega_label(s, i, PLUS)] = belief[s] * eps * lam
+        lam = lambda_mix.weights[i]
+        for s, p, b in zip(states, prior, belief.weights):
+            plus.append(b * eps * lam)
             # (prior - eps*belief) is the phantom cell's unnormalized
             # conditional; nonnegative since eps <= prior(s)/belief(s).
-            minus = (obs.prior[s] - eps * belief[s]) * lam
-            if not is_exact(minus):
-                if minus < -TOL:
+            phantom = (p - eps * b) * lam
+            if not is_exact(phantom):
+                if phantom < -TOL:
                     raise StructuralError(
                         "phantom-signal weight %r is negative beyond "
-                        "tolerance at %r" % (minus, s)
+                        "tolerance at %r" % (phantom, s)
                     )
-                minus = max(minus, 0.0)
-            mu0[omega_label(s, i, MINUS)] = minus
-            p_obj[omega_label(s, i, PLUS)] = obs.prior[s] * pw
-            p_obj[omega_label(s, i, MINUS)] = (
-                Fraction(0) if obs.is_exact else 0.0
-            )
+                phantom = max(phantom, 0.0)
+            minus.append(phantom)
+            p_obj.append(p * pw)
 
-    omega = tuple(
-        omega_label(s, i, sign)
-        for sign in (PLUS, MINUS)
-        for i in range(k)
-        for s in states
-    )
-    projection = {
-        omega_label(s, i, sign): s
-        for sign in (PLUS, MINUS)
-        for i in range(k)
-        for s in states
-    }
-    partition = {
-        signal_label(i, sign): tuple(
-            omega_label(s, i, sign) for s in states
-        )
-        for sign in (PLUS, MINUS)
-        for i in range(k)
-    }
+    n = len(states)
+    cells = [(i, sign) for sign in (PLUS, MINUS) for i in range(k)]
+    omega = tuple(omega_label(s, i, sign) for i, sign in cells for s in states)
     return Model(
         states=states,
         omega=omega,
-        projection=projection,
-        signal_partition=partition,
-        mu0=Dist(omega, tuple(mu0[w] for w in omega)),
-        pObj=Dist(omega, tuple(p_obj[w] for w in omega)),
+        projection=dict(zip(omega, states * len(cells))),
+        signal_partition={
+            signal_label(i, sign): omega[j * n : (j + 1) * n]
+            for j, (i, sign) in enumerate(cells)
+        },
+        mu0=Dist(omega, tuple(plus + minus)),
+        pObj=Dist(omega, tuple(p_obj) + (zero,) * len(minus)),
         lambda_mix=lambda_mix,
     )
 
 
 @dataclass(frozen=True)
 class CellDiagnostic:
-    """What a single signal cell contributes to the verification."""
+    """One signal cell of the model: its mu0 and pObj rows over the
+    payoff-relevant states, their totals, and its Bayes posterior."""
 
     label: str
     mu_mass: Number
     obj_mass: Number
     posterior: Optional[Dist]  # None when the cell has zero mu0 mass
+    mu_row: tuple
+    obj_row: tuple
+
+
+def cell_table(model: Model) -> list:
+    """The model's signal cell x state mass tables of mu0 and pObj, read in
+    one pass over omega, one CellDiagnostic per cell in partition order.
+
+    Everything observable about the model's signals derives from these
+    rows: a cell's Bayes posterior is its mu0 row over the row's total.
+    """
+    labels = list(model.signal_partition)
+    row_of = {
+        w: i for i, cell in enumerate(model.signal_partition.values())
+        for w in cell
+    }
+    col = {s: j for j, s in enumerate(model.states)}
+    mu_zero = Fraction(0) if model.mu0.is_exact else 0.0
+    obj_zero = Fraction(0) if model.pObj.is_exact else 0.0
+    mu_rows = [[mu_zero] * len(col) for _ in labels]
+    obj_rows = [[obj_zero] * len(col) for _ in labels]
+    mu_mass = [mu_zero] * len(labels)
+    obj_mass = [obj_zero] * len(labels)
+    for w, mw, pw in zip(model.omega, model.mu0.weights, model.pObj.weights):
+        i, j = row_of[w], col[model.projection[w]]
+        mu_rows[i][j] += mw
+        obj_rows[i][j] += pw
+        mu_mass[i] += mw
+        obj_mass[i] += pw
+    return [
+        CellDiagnostic(
+            label,
+            mu_mass[i],
+            obj_mass[i],
+            Dist(model.states, tuple(x / mu_mass[i] for x in mu_rows[i]))
+            if num_pos(mu_mass[i])
+            else None,
+            tuple(mu_rows[i]),
+            tuple(obj_rows[i]),
+        )
+        for i, label in enumerate(labels)
+    ]
+
+
+def reachable_cells(model: Model) -> list:
+    """The cells of positive objective mass. Raises UndefinedUpdateError if
+    one of them has zero subjective probability."""
+    reached = [c for c in cell_table(model) if num_pos(c.obj_mass)]
+    for c in reached:
+        if c.posterior is None:
+            raise UndefinedUpdateError(
+                "signal %r is objectively reachable but has zero "
+                "subjective probability" % c.label
+            )
+    return reached
 
 
 @dataclass(frozen=True)
@@ -279,20 +321,6 @@ class VerifyReport:
         }
 
 
-def _cell_diagnostics(model: Model) -> list:
-    out = []
-    for label, cell in model.signal_partition.items():
-        mu_mass = model.mu0.mass(cell)
-        obj_mass = model.pObj.mass(cell)
-        posterior = None
-        if num_pos(mu_mass):
-            posterior = pushforward(
-                condition(model.mu0, cell), model.projection, model.states
-            )
-        out.append(CellDiagnostic(label, mu_mass, obj_mass, posterior))
-    return out
-
-
 def verify_model(model: Model, obs: Observation) -> VerifyReport:
     """Check, from scratch, whether the model reproduces the observation.
 
@@ -308,30 +336,25 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
         raise StructuralError(
             "model and observation disagree on the payoff-relevant states"
         )
-    cells = _cell_diagnostics(model)
+    cells = cell_table(model)
 
     induced_prior = pushforward(model.mu0, model.projection, obs.space)
     prior_matches = induced_prior.matches(obs.prior)
 
+    # An objectively reachable cell with zero subjective probability has no
+    # Bayes update (posterior None); that fails (b) and (c).
+    reached = [c for c in cells if num_pos(c.obj_mass)]
     targets = obs.posteriors.beliefs
-    posteriors_match = True
-    for c in cells:
-        if not num_pos(c.obj_mass):
-            continue
-        if c.posterior is None:
-            # Objectively reachable signal with zero subjective
-            # probability: the Bayes update is undefined there.
-            posteriors_match = False
-        elif not any(c.posterior.matches(t) for t in targets):
-            posteriors_match = False
+    posteriors_match = all(
+        c.posterior is not None
+        and any(c.posterior.matches(t) for t in targets)
+        for c in reached
+    )
 
     groups = []  # (posterior, accumulated objective mass)
-    distribution_matches = True
-    for c in cells:
-        if not num_pos(c.obj_mass):
-            continue
+    distribution_matches = all(c.posterior is not None for c in reached)
+    for c in reached:
         if c.posterior is None:
-            distribution_matches = False
             continue
         for i, (post, mass) in enumerate(groups):
             if post.matches(c.posterior):
@@ -358,10 +381,9 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     objective_agrees = objective_prior.matches(obs.prior)
 
     active = [c for c in cells if num_pos(c.mu_mass)]
-    _, mean = _weighted_mean(
-        [c.mu_mass for c in active], [c.posterior for c in active], obs
+    martingale_holds, mean = martingale_check(
+        [c.mu_mass for c in active], [c.posterior for c in active], obs.prior
     )
-    martingale_holds = mean.matches(obs.prior)
 
     return VerifyReport(
         prior_matches=prior_matches,
@@ -379,32 +401,12 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     )
 
 
-def _weighted_mean(weights, posteriors, obs):
-    exact = all(is_exact(w) for w in weights) and all(
-        p.is_exact for p in posteriors
-    )
-    acc = [Fraction(0) if exact else 0.0] * len(obs.space)
-    for w, post in zip(weights, posteriors):
-        for i, pw in enumerate(post.weights):
-            acc[i] += w * pw
-    mean = Dist(obs.space, tuple(acc))
-    return weights, mean
-
-
 def induced_observables(model: Model):
     """The observables the model generates: its induced prior over the
     payoff-relevant states and the objective distribution of Bayes
     posteriors. Raises UndefinedUpdateError if an objectively reachable
     signal has zero subjective probability."""
     prior = pushforward(model.mu0, model.projection, model.states)
-    items = []
-    for c in _cell_diagnostics(model):
-        if not num_pos(c.obj_mass):
-            continue
-        if c.posterior is None:
-            raise UndefinedUpdateError(
-                "signal %r is objectively reachable but has zero "
-                "subjective probability" % c.label
-            )
-        items.append((c.obj_mass, c.posterior))
-    return prior, WeightedPosteriors(tuple(items))
+    return prior, WeightedPosteriors(
+        tuple((c.obj_mass, c.posterior) for c in reachable_cells(model))
+    )

@@ -14,17 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import (
-    Dist,
-    Number,
-    WeightedPosteriors,
-    condition,
-    is_exact,
-    num_pos,
-    pushforward,
-)
-from .errors import StructuralError, UndefinedUpdateError
-from .rationalize import Model
+from .dist import Dist, Number, WeightedPosteriors, is_exact
+from .errors import StructuralError
+from .rationalize import Model, reachable_cells
 
 _MASK64 = (1 << 64) - 1
 _SCALE = 1 << 64
@@ -66,32 +58,15 @@ def simulate_panel(
     if n_agents <= 0:
         raise StructuralError("n_agents must be positive")
 
-    labels = []
-    posteriors = []
-    masses = []
-    for label, cell in model.signal_partition.items():
-        obj_mass = model.pObj.mass(cell)
-        if not num_pos(obj_mass):
-            continue
-        mu_mass = model.mu0.mass(cell)
-        if not num_pos(mu_mass):
-            raise UndefinedUpdateError(
-                "signal %r is objectively reachable but has zero "
-                "subjective probability" % label
-            )
-        labels.append(label)
-        posteriors.append(
-            pushforward(
-                condition(model.mu0, cell), model.projection, model.states
-            )
-        )
-        masses.append(obj_mass)
+    cells = reachable_cells(model)
+    labels = [c.label for c in cells]
+    masses = [c.obj_mass for c in cells]
 
     # Distinct induced posteriors, in first-appearance order; cells that
     # induce the same posterior share an index.
     support: list[Dist] = []
     cell_post_index = []
-    for post in posteriors:
+    for post in (c.posterior for c in cells):
         for i, seen in enumerate(support):
             if seen.matches(post):
                 cell_post_index.append(i)

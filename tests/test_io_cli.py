@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import beliefcheck
 from beliefcheck import (
     Dist,
     FormatError,
@@ -103,6 +108,57 @@ class TestModelFiles:
         with pytest.raises(FormatError):
             load_model(path)
 
+    def test_non_list_partition_cell_is_a_format_error(
+        self, tmp_path, worked_example
+    ):
+        path = tmp_path / "m.json"
+        save_model(construct_rationalization(worked_example), path)
+        data = json.loads(path.read_text())
+        data["partition"]["nu0+"] = 0
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert "partition" in str(err.value)
+
+
+def run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught exception shows up
+    as a traceback on stderr."""
+    src = str(Path(beliefcheck.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "beliefcheck.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+class TestCliMalformedInput:
+    def test_float_overflow_is_a_format_error(self, tmp_path):
+        raw = dict(WORKED_RAW, mode="float", prior={"H": "1e400", "L": "0"})
+        proc = run_cli("check", write_json(tmp_path / "o.json", raw))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "prior.H" in proc.stderr
+
+    def test_non_string_omega_label_is_a_format_error(
+        self, tmp_path, worked_example
+    ):
+        path = tmp_path / "m.json"
+        save_model(construct_rationalization(worked_example), path)
+        data = json.loads(path.read_text())
+        data["omega"][0]["label"] = ["H", "nu0+"]
+        path.write_text(json.dumps(data))
+        obs = tmp_path / "o.json"
+        save_observation(worked_example, obs)
+        proc = run_cli("verify", str(path), str(obs))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "omega[0]" in proc.stderr and "'label'" in proc.stderr
+
 
 class TestCliExitCodes:
     def test_check_passes(self, tmp_path):
@@ -172,6 +228,14 @@ class TestCliExitCodes:
         ]
         assert payload["brute_force"] is False
         assert payload["oracle_agrees"] is True
+
+    def test_known_omega_text_prints_deviations(self, tmp_path, capsys):
+        obs = write_json(tmp_path / "o.json", WORKED_RAW)
+        assert main(["known-omega", obs]) == 2
+        out = capsys.readouterr().out
+        # nu0 = (4/5, 1/5) against the prior conditioned on {H, L}
+        assert "  posterior 0: worst deviation 3/10" in out
+        assert "  posterior 1: worst deviation 0" in out
 
     def test_martingale_objective_fails(self, tmp_path, capsys):
         obs = write_json(tmp_path / "o.json", WORKED_RAW)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,17 +11,27 @@ from beliefcheck import (
     Model,
     Observation,
     WeightedPosteriors,
+    ZeroProbabilityCell,
     check_condition1,
     condition,
+    construct_known_omega_model,
     construct_rationalization,
     induced_observables,
+    load_model,
     pushforward,
+    save_model,
     set_partitions,
     target_mix,
     uniform_mix,
     verify_model,
 )
-from genobs import random_observation, random_violating_observation
+from beliefcheck.rationalize import cell_table
+from genobs import (
+    random_dist,
+    random_observation,
+    random_violating_observation,
+    state_labels,
+)
 
 S2 = ("H", "L")
 
@@ -204,6 +215,112 @@ class TestVerify:
             obs = random_observation(rng, rng.randint(2, 6), rng.randint(1, 5))
             model = construct_rationalization(obs)
             assert verify_model(model, obs).all_pass
+
+
+def assert_table_matches_conditioning(model):
+    """Every cell-table entry equals its definition from the omega-level
+    distributions: masses, per-state rows, and condition-then-pushforward."""
+    cells = cell_table(model)
+    assert [c.label for c in cells] == list(model.signal_partition)
+    for c in cells:
+        cell = model.signal_partition[c.label]
+        assert c.mu_mass == model.mu0.mass(cell)
+        assert c.obj_mass == model.pObj.mass(cell)
+        for s, mu, obj in zip(model.states, c.mu_row, c.obj_row):
+            sub = [w for w in cell if model.projection[w] == s]
+            assert mu == model.mu0.mass(sub)
+            assert obj == model.pObj.mass(sub)
+        if c.mu_mass == 0:
+            assert c.posterior is None
+            with pytest.raises(ZeroProbabilityCell):
+                condition(model.mu0, cell)
+        else:
+            assert c.posterior == pushforward(
+                condition(model.mu0, cell), model.projection, model.states
+            )
+
+
+class TestCellTable:
+    def test_constructed_models(self, worked_example):
+        rng = random.Random(31)
+        observations = [worked_example] + [
+            random_observation(rng, rng.randint(2, 6), rng.randint(1, 6))
+            for _ in range(20)
+        ]
+        for obs in observations:
+            for mix in (uniform_mix(obs), target_mix(obs)):
+                assert_table_matches_conditioning(
+                    construct_rationalization(obs, mix)
+                )
+
+    def test_known_omega_models(self):
+        # correct-prior Bayesians on a random partition; leaving some
+        # blocks uncharged adds a residual cell with zero objective mass
+        rng = random.Random(37)
+        for _ in range(20):
+            space = state_labels(rng.randint(2, 6))
+            prior = random_dist(rng, space, full_support=True)
+            blocks = rng.choice(list(set_partitions(space)))
+            charged = rng.sample(blocks, rng.randint(1, len(blocks)))
+            weights = [Fraction(rng.randint(1, 9)) for _ in charged]
+            obs = Observation(
+                prior,
+                WeightedPosteriors(
+                    tuple(
+                        (w / sum(weights), condition(prior, block))
+                        for w, block in zip(weights, charged)
+                    )
+                ),
+            )
+            model = construct_known_omega_model(obs)
+            assert_table_matches_conditioning(model)
+            assert verify_model(model, obs).consistent
+
+    def test_hand_built_model(self):
+        # several outcomes per (cell, state), partition cells listed out of
+        # omega order, and a cell with zero subjective mass
+        omega = ("a1", "b1", "a2", "a3", "b2", "c1", "b3")
+        projection = {
+            "a1": "H", "a2": "H", "a3": "L",
+            "b1": "L", "b2": "L", "b3": "H",
+            "c1": "H",
+        }
+        model = Model(
+            states=S2,
+            omega=omega,
+            projection=projection,
+            signal_partition={
+                "x": ("a3", "a1", "a2"),
+                "y": ("b2", "b3", "b1"),
+                "z": ("c1",),
+            },
+            mu0=dist(omega, "1/8", "1/4", "1/8", "1/8", "1/8", 0, "1/4"),
+            pObj=dist(omega, "1/6", "1/6", "1/6", 0, "1/6", "1/6", "1/6"),
+        )
+        assert_table_matches_conditioning(model)
+        x, y, z = cell_table(model)
+        assert x.mu_row == (Fraction(1, 4), Fraction(1, 8))
+        assert x.posterior == dist(S2, "2/3", "1/3")
+        assert y.obj_row == (Fraction(1, 6), Fraction(1, 3))
+        assert z.posterior is None and z.obj_mass == Fraction(1, 6)
+
+    def test_tampered_saved_model_fails_verify(self, tmp_path, worked_example):
+        path = tmp_path / "m.json"
+        save_model(construct_rationalization(worked_example), path)
+        loaded, _ = load_model(path)
+        assert verify_model(loaded, worked_example).all_pass
+        # shift the L point's mass in cell nu0+ onto the H point: mu0 still
+        # sums to 1, but the cell's posterior moves from (4/5, 1/5) to (1, 0)
+        data = json.loads(path.read_text())
+        mu0 = data["mu0"]
+        mu0["H|nu0+"] = str(Fraction(mu0["H|nu0+"]) + Fraction(mu0["L|nu0+"]))
+        mu0["L|nu0+"] = "0"
+        path.write_text(json.dumps(data))
+        tampered, _ = load_model(path)
+        report = verify_model(tampered, worked_example)
+        assert not report.consistent
+        assert not report.posterior_distribution_matches
+        assert not report.subjective_martingale_holds
 
 
 class TestLambdaAndUniversality:
