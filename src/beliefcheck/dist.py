@@ -6,6 +6,11 @@ Weights come in two flavours. Exact mode stores `fractions.Fraction` values
 and every comparison is exact; float mode stores floats and comparisons are
 made coordinate-wise within ``TOL``. A distribution is treated as exact when
 all of its weights are rational objects.
+
+`group_beliefs` alone decides which beliefs are the same: exact beliefs
+when their weight tuples are equal; otherwise a belief joins the first
+group whose representative it matches within ``TOL``, a rule that is not
+transitive, so beliefs chaining within tolerance group by input order.
 """
 
 from __future__ import annotations
@@ -162,6 +167,23 @@ class Dist:
         )
 
 
+def group_beliefs(beliefs: Sequence[Dist]) -> tuple:
+    """Group beliefs over one shared space by identity. Returns the distinct
+    beliefs in first-appearance order and, per input, its group's index."""
+    exact = all(b.is_exact for b in beliefs)
+    reps, groups, index = [], [], {}
+    for b in beliefs:
+        new = len(reps)
+        if exact:
+            g = index.setdefault(b.weights, new)
+        else:
+            g = next((i for i, r in enumerate(reps) if r.matches(b)), new)
+        if g == new:
+            reps.append(b)
+        groups.append(g)
+    return reps, groups
+
+
 def _projector(proj) -> Callable:
     if isinstance(proj, Mapping):
         mapping = proj
@@ -308,7 +330,6 @@ class WeightedPosteriors:
         if not items:
             raise StructuralError("at least one posterior is required")
         space = items[0][1].space
-        merged = []
         for w, belief in items:
             if not isinstance(belief, Dist):
                 raise StructuralError("posterior beliefs must be Dists")
@@ -316,19 +337,17 @@ class WeightedPosteriors:
                 raise StructuralError(
                     "all posteriors must share one outcome space"
                 )
-            if not w > 0:
+            if not num_pos(w):
                 raise StructuralError(
-                    "posterior weights must be strictly positive, got %s" % w
+                    "posterior weights must be strictly positive, above the "
+                    "zero threshold %g for floats; got %s" % (TOL, w)
                 )
-            w = Fraction(w) if is_exact(w) else float(w)
-            for i, (w0, b0) in enumerate(merged):
-                if b0.matches(belief):
-                    merged[i] = (w0 + w, b0)
-                    break
-            else:
-                merged.append((w, belief))
-        total = sum(w for w, _ in merged)
-        if all(is_exact(w) for w, _ in merged):
+        reps, groups = group_beliefs([b for _, b in items])
+        sums = [Fraction(0)] * len(reps)
+        for (w, _), g in zip(items, groups):
+            sums[g] += Fraction(w) if is_exact(w) else float(w)
+        total = sum(sums)
+        if all(is_exact(w) for w in sums):
             if total != 1:
                 raise StructuralError(
                     "posterior weights sum to %s, expected 1" % total
@@ -338,7 +357,7 @@ class WeightedPosteriors:
                 "posterior weights sum to %r, expected 1 within %g"
                 % (total, TOL)
             )
-        object.__setattr__(self, "items", tuple(merged))
+        object.__setattr__(self, "items", tuple(zip(sums, reps)))
 
     @property
     def space(self) -> tuple:

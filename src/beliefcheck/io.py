@@ -9,6 +9,7 @@ for the schemas.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Tuple
 
@@ -18,13 +19,26 @@ from .rationalize import Model
 
 MODES = ("rational", "float")
 
+#: Largest decimal exponent magnitude accepted: Python's default limit on
+#: int digits, which already bounds the "p/q" form.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]*)\s*\Z", re.IGNORECASE)
+
 
 def parse_number(raw, mode: str, where: str) -> Number:
     """Parse a number string ("p/q" or decimal) or a bare JSON number."""
     if isinstance(raw, bool):
         raise FormatError("%s: expected a number, got a boolean" % where)
+    text = str(raw)
+    exponent = _EXPONENT.search(text)
+    digits = exponent.group(1).replace("_", "") if exponent else ""
+    # Five or more digits exceed the cap, and int() refuses over 4300.
+    if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:
+        raise FormatError(
+            "%s: decimal exponent above %d in magnitude" % (where, MAX_EXPONENT)
+        )
     try:
-        value = Fraction(str(raw))
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise FormatError(
             "%s: %r is not a valid number (use 'p/q' or a decimal)"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .dist import Dist, Number, Observation, condition, num_eq, num_pos
+from .dist import Dist, Observation, condition, num_pos
 from .errors import (
     NotRationalizableError,
     PreconditionError,
@@ -147,7 +147,7 @@ def construct_known_omega_model(obs: Observation) -> Model:
     obj = {}
     exact = obs.is_exact
     for k, (weight, belief) in enumerate(obs.posteriors.items):
-        cell = tuple(s for s in states if s in set(belief.support()))
+        cell = belief.support()
         partition["nu%d" % k] = cell
         # Only the cell totals are pinned down; spread uniformly within.
         share = (

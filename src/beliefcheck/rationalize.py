@@ -23,6 +23,7 @@ from .dist import (
     RnEntry,
     RnReport,
     WeightedPosteriors,
+    group_beliefs,
     is_exact,
     martingale_check,
     num_eq,
@@ -344,38 +345,24 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     # An objectively reachable cell with zero subjective probability has no
     # Bayes update (posterior None); that fails (b) and (c).
     reached = [c for c in cells if num_pos(c.obj_mass)]
-    targets = obs.posteriors.beliefs
-    posteriors_match = all(
-        c.posterior is not None
-        and any(c.posterior.matches(t) for t in targets)
-        for c in reached
+    live = [c for c in reached if c.posterior is not None]
+    observed = obs.posteriors.items
+    # The observed beliefs are distinct, so they take groups 0..k-1; a cell
+    # posterior lands in an observed group or opens a new one.
+    _, groups = group_beliefs(
+        [b for _, b in observed] + [c.posterior for c in live]
     )
-
-    groups = []  # (posterior, accumulated objective mass)
-    distribution_matches = all(c.posterior is not None for c in reached)
-    for c in reached:
-        if c.posterior is None:
-            continue
-        for i, (post, mass) in enumerate(groups):
-            if post.matches(c.posterior):
-                groups[i] = (post, mass + c.obj_mass)
-                break
-        else:
-            groups.append((c.posterior, c.obj_mass))
-    if distribution_matches:
-        matched = [False] * len(groups)
-        for weight, belief in obs.posteriors.items:
-            hit = None
-            for i, (post, mass) in enumerate(groups):
-                if not matched[i] and post.matches(belief):
-                    hit = i
-                    break
-            if hit is None or not num_eq(groups[hit][1], weight):
-                distribution_matches = False
-                break
-            matched[hit] = True
-        if distribution_matches and not all(matched):
-            distribution_matches = False
+    induced = {}  # group -> (first cell posterior, summed objective mass)
+    for c, g in zip(live, groups[len(observed):]):
+        post, mass = induced.get(g, (c.posterior, Fraction(0)))
+        induced[g] = (post, mass + c.obj_mass)
+    posteriors_match = len(live) == len(reached) and all(
+        g < len(observed) for g in induced
+    )
+    distribution_matches = posteriors_match and all(
+        g in induced and num_eq(induced[g][1], w)
+        for g, (w, _) in enumerate(observed)
+    )
 
     objective_prior = pushforward(model.pObj, model.projection, obs.space)
     objective_agrees = objective_prior.matches(obs.prior)
@@ -395,7 +382,7 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
             "induced_prior": induced_prior,
             "objective_prior": objective_prior,
             "cells": cells,
-            "induced_distribution": groups,
+            "induced_distribution": list(induced.values()),
             "mean_posterior": mean,
         },
     )

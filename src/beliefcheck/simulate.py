@@ -10,15 +10,16 @@ regardless of how the agent range is split across workers.
 from __future__ import annotations
 
 import hashlib
+import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import Dist, Number, WeightedPosteriors, is_exact
+from .dist import Number, WeightedPosteriors, group_beliefs
 from .errors import StructuralError
 from .rationalize import Model, reachable_cells
 
-_MASK64 = (1 << 64) - 1
 _SCALE = 1 << 64
 
 
@@ -27,7 +28,7 @@ def _agent_bits(seed: int, index: int) -> int:
     digest = hashlib.blake2b(
         index.to_bytes(8, "big"),
         digest_size=8,
-        key=(seed & _MASK64).to_bytes(8, "big"),
+        key=seed.to_bytes(8, "big"),
     ).digest()
     return int.from_bytes(digest, "big")
 
@@ -53,45 +54,31 @@ def simulate_panel(
     rational in [0, 1), against exact cumulative cell weights, so exact-mode
     models are sampled without float-boundary bias. Raises
     UndefinedUpdateError when an objectively reachable signal has zero
-    subjective probability.
+    subjective probability, and StructuralError unless 0 <= seed < 2^64.
     """
     if n_agents <= 0:
         raise StructuralError("n_agents must be positive")
+    if not 0 <= seed < _SCALE:
+        raise StructuralError("seed must lie in [0, 2^64), got %d" % seed)
 
     cells = reachable_cells(model)
     labels = [c.label for c in cells]
-    masses = [c.obj_mass for c in cells]
+    # Cells that induce the same posterior share an index into the support.
+    support, cell_post_index = group_beliefs([c.posterior for c in cells])
 
-    # Distinct induced posteriors, in first-appearance order; cells that
-    # induce the same posterior share an index.
-    support: list[Dist] = []
-    cell_post_index = []
-    for post in (c.posterior for c in cells):
-        for i, seen in enumerate(support):
-            if seen.matches(post):
-                cell_post_index.append(i)
-                break
-        else:
-            support.append(post)
-            cell_post_index.append(len(support) - 1)
-
-    # bits/2^64 < p/q  <=>  bits*q < p*2^64; precompute the right side.
-    cums = []
-    running = Fraction(0)
-    for m in masses:
-        running += Fraction(m)
-        cums.append(running)
-    cums[-1] = Fraction(1)  # guard against float rounding in the total
-    thresholds = [(c.numerator * _SCALE, c.denominator) for c in cums]
-
-    def classify(bits: int) -> int:
-        for j, (num, den) in enumerate(thresholds):
-            if bits * den < num:
-                return j
-        return len(thresholds) - 1
+    # bits/2^64 < p/q  <=>  bits*q < p*2^64  <=>  bits < ceil(p*2^64/q) for
+    # integer bits, so the first cell whose threshold exceeds bits is drawn.
+    thresholds, running = [], Fraction(0)
+    for c in cells:
+        running += Fraction(c.obj_mass)
+        thresholds.append(math.ceil(running * _SCALE))
+    thresholds[-1] = _SCALE  # guard against float rounding in the total
 
     def draw_range(lo: int, hi: int) -> list:
-        return [classify(_agent_bits(seed, i)) for i in range(lo, hi)]
+        return [
+            bisect_right(thresholds, _agent_bits(seed, i))
+            for i in range(lo, hi)
+        ]
 
     if workers <= 1:
         chosen = draw_range(0, n_agents)
@@ -123,23 +110,14 @@ def simulate_panel(
 
 def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Number:
     """Total variation distance between two posterior distributions: half
-    the L1 distance over the union of supports, matching posteriors by
-    coordinate-wise equality."""
+    the L1 distance over the union of supports, with posteriors identified
+    by `group_beliefs`."""
     if p.space != q.space:
         raise StructuralError(
             "posterior distributions must share an outcome space"
         )
-    matched_q = [False] * len(q)
-    total = Fraction(0) if p.is_exact and q.is_exact else 0.0
-    for wp, belief in p.items:
-        wq = Fraction(0) if is_exact(wp) else 0.0
-        for i, (w, other) in enumerate(q.items):
-            if not matched_q[i] and other.matches(belief):
-                wq = w
-                matched_q[i] = True
-                break
-        total += abs(wp - wq)
-    for i, (w, _) in enumerate(q.items):
-        if not matched_q[i]:
-            total += w
-    return total / 2
+    reps, groups = group_beliefs(p.beliefs + q.beliefs)
+    diff = [Fraction(0) if p.is_exact and q.is_exact else 0.0] * len(reps)
+    for w, g in zip(p.weights + tuple(-w for w in q.weights), groups):
+        diff[g] += w
+    return sum(abs(d) for d in diff) / 2

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 from beliefcheck import (
     AbsoluteContinuityViolation,
     Dist,
+    Observation,
     StructuralError,
     WeightedPosteriors,
     ZeroProbabilityCell,
     condition,
+    construct_rationalization,
     martingale_check,
     pushforward,
     rn_derivative,
+    tv_distance,
+    verify_model,
 )
+from beliefcheck.dist import group_beliefs
 
 S2 = ("H", "L")
 COLS = ("0.8+", "1.0+", "0.8-", "1.0-")
@@ -188,6 +193,14 @@ class TestWeightedPosteriors:
         with pytest.raises(StructuralError):
             WeightedPosteriors(((Fraction(0), a), (Fraction(1), a)))
 
+    def test_weight_at_or_below_the_zero_threshold_rejected(self):
+        # verify treats such a cell as unreachable, so the observation
+        # could never be reproduced by its own constructed model
+        a = Dist(S2, (0.8, 0.2))
+        b = Dist(S2, (1.0, 0.0))
+        with pytest.raises(StructuralError, match="zero threshold"):
+            WeightedPosteriors(((1e-12, a), (1 - 1e-12, b)))
+
     def test_mixed_spaces_rejected(self):
         a = Dist(S2, (Fraction(1, 2), Fraction(1, 2)))
         b = Dist(("x", "y"), (Fraction(1, 2), Fraction(1, 2)))
@@ -266,3 +279,57 @@ def test_martingale_holds_for_prior_conditionals(case):
     posteriors = [condition(mu, cell) for cell in cells]
     holds, _ = martingale_check(weights, posteriors, mu)
     assert holds
+
+
+@st.composite
+def weighted_beliefs_with_duplicates(draw, n):
+    """Weighted items drawn from a small pool of exact beliefs, so equal
+    beliefs recur both as one object and as equal values built from other
+    integers."""
+    pool = draw(st.lists(rational_dists(n=n), min_size=1, max_size=4))
+    picks = draw(
+        st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8)
+    )
+    raw = draw(
+        st.lists(st.integers(1, 9), min_size=len(picks), max_size=len(picks))
+    )
+    return [(Fraction(r, sum(raw)), pool[i]) for r, i in zip(raw, picks)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_group_beliefs_and_order_invariance(data):
+    n = data.draw(st.integers(2, 4))
+    items = data.draw(weighted_beliefs_with_duplicates(n))
+    beliefs = [b for _, b in items]
+    reps, groups = group_beliefs(beliefs)
+    # pairwise matches is the reference for identity
+    for i, bi in enumerate(beliefs):
+        for j, bj in enumerate(beliefs):
+            assert (groups[i] == groups[j]) == bi.matches(bj)
+    # representatives are the first appearances, in order
+    firsts = [groups.index(g) for g in range(len(reps))]
+    assert firsts == sorted(firsts)
+    assert all(reps[groups[i]] is beliefs[i] for i in firsts)
+
+    # input order changes neither the merge, tv_distance nor verify
+    permuted = data.draw(st.permutations(items))
+    wp = WeightedPosteriors(tuple(items))
+    wp_perm = WeightedPosteriors(tuple(permuted))
+    assert set(wp.items) == set(wp_perm.items)
+    other = WeightedPosteriors(
+        tuple(data.draw(weighted_beliefs_with_duplicates(n)))
+    )
+    assert tv_distance(wp, wp_perm) == 0
+    assert tv_distance(wp, other) == tv_distance(wp_perm, other)
+    assert tv_distance(other, wp) == tv_distance(other, wp_perm)
+
+    prior = data.draw(rational_dists(n=n, allow_zero=False))
+    obs, obs_perm = Observation(prior, wp), Observation(prior, wp_perm)
+    for witness in (obs, Observation(prior, other)):
+        model = construct_rationalization(witness)
+        assert (
+            verify_model(model, obs).as_dict()
+            == verify_model(model, obs_perm).as_dict()
+        )
+    assert verify_model(construct_rationalization(obs), obs_perm).all_pass

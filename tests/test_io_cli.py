@@ -21,6 +21,7 @@ from beliefcheck import (
     verify_model,
 )
 from beliefcheck.cli import main
+from beliefcheck.io import parse_number
 
 S2 = ("H", "L")
 
@@ -77,6 +78,13 @@ class TestObservationFiles:
         raw = dict(WORKED_RAW, prior={"H": "one half", "L": "1/2"})
         with pytest.raises(FormatError):
             load_observation(write_json(tmp_path / "o.json", raw))
+
+    def test_exponent_beyond_the_cap_names_the_field(self):
+        # Fraction("1e5000") would build a 5000-digit integer
+        assert parse_number("1e4300", "rational", "prior.H") == 10**4300
+        for raw in ("1e5000", "1E-4301", "2.5e" + "9" * 5000):
+            with pytest.raises(FormatError, match="prior.H"):
+                parse_number(raw, "rational", "prior.H")
 
     def test_invalid_json_names_the_line(self, tmp_path):
         path = tmp_path / "o.json"
@@ -158,6 +166,27 @@ class TestCliMalformedInput:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "omega[0]" in proc.stderr and "'label'" in proc.stderr
+
+    def test_weight_below_the_zero_threshold_is_rejected(self, tmp_path):
+        raw = dict(WORKED_RAW, mode="float")
+        raw["posteriors"] = [
+            dict(WORKED_RAW["posteriors"][0], weight="1e-12"),
+            dict(WORKED_RAW["posteriors"][1], weight="1"),
+        ]
+        proc = run_cli("rationalize", write_json(tmp_path / "o.json", raw))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_negative_seed_is_rejected(self, tmp_path):
+        obs = write_json(tmp_path / "o.json", WORKED_RAW)
+        model = str(tmp_path / "m.json")
+        assert main(["rationalize", obs, "--out", model]) == 0
+        proc = run_cli("simulate", model, "--n", "10", "--seed", "-1")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "seed" in proc.stderr
 
 
 class TestCliExitCodes:

@@ -6,6 +6,7 @@ import pytest
 from beliefcheck import (
     Dist,
     Model,
+    StructuralError,
     UndefinedUpdateError,
     WeightedPosteriors,
     construct_rationalization,
@@ -69,6 +70,14 @@ class TestSimulatePanel:
         serial = simulate_panel(worked_model, 3000, seed=77, workers=1)
         parallel = simulate_panel(worked_model, 3000, seed=77, workers=4)
         assert serial == parallel
+
+    def test_seed_outside_64_bits_rejected(self, worked_model):
+        # the seed keys the hash; wrapping would alias -1 and 2^64 onto
+        # other seeds
+        for seed in (-1, 1 << 64):
+            with pytest.raises(StructuralError, match="seed"):
+                simulate_panel(worked_model, 10, seed=seed)
+        simulate_panel(worked_model, 10, seed=(1 << 64) - 1)
 
     def test_convergence_single_seed(self, worked_model):
         start = time.monotonic()
