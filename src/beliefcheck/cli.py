@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .dist import Observation, martingale_check, num_pos
+from .dist import Observation, martingale_mean, num_pos
 from .errors import (
     AbsoluteContinuityViolation,
     FormatError,
@@ -293,19 +293,18 @@ def cmd_martingale(args) -> int:
         weights = [c.mu_mass for c in active]
         posteriors = [c.posterior for c in active]
         source = "subjective signal-cell weights from %s" % args.model
-    holds, mean = martingale_check(weights, posteriors, obs.prior)
+    holds, mean = martingale_mean(weights, posteriors, obs.prior)
+    mean = dict(zip(obs.space, map(format_number, mean)))
     payload = {
         "weights": args.weights,
         "holds": holds,
-        "mean_posterior": _dist_strings(mean),
+        "mean_posterior": mean,
         "prior": _dist_strings(obs.prior),
     }
     lines = [
         "weighting: %s" % source,
         "mean posterior: (%s)"
-        % ", ".join(
-            "%s: %s" % (s, format_number(mean[s])) for s in mean.space
-        ),
+        % ", ".join("%s: %s" % item for item in mean.items()),
         "martingale: %s" % ("holds" if holds else "FAILS"),
     ]
     _emit(payload, args.json, lines)
@@ -433,7 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--n", type=int, required=True, help="number of agents")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="draw the agents as this many contiguous ranges, one after "
+        "another (no threads; the panel is the same for any value >= 1)",
+    )
     p.add_argument(
         "--threshold",
         type=float,

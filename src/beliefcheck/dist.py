@@ -291,11 +291,13 @@ def rn_derivative(prior: Dist, belief: Dist) -> RnDerivative:
     return RnDerivative(f, max_f, epsilon)
 
 
-def martingale_check(
+def martingale_mean(
     weights: Sequence[Number], posteriors: Sequence[Dist], prior: Dist
 ):
-    """Mean of the posteriors under `weights`, and whether it equals the
-    prior. Returns (holds, mean_posterior)."""
+    """Mean of the posteriors under `weights`, coordinate by coordinate
+    over the prior's space, and whether every coordinate equals the
+    prior's (`num_eq`). Returns (holds, mean weights). The mean is not
+    required to sum to 1, so float rounding in its total cannot raise."""
     if len(weights) != len(posteriors):
         raise StructuralError(
             "got %d weights for %d posteriors"
@@ -310,8 +312,18 @@ def martingale_check(
             raise StructuralError("posterior space differs from the prior's")
         for i, pw in enumerate(post.weights):
             acc[i] += w * pw
-    mean = Dist(prior.space, tuple(acc))
-    return mean.matches(prior), mean
+    return all(map(num_eq, acc, prior.weights)), tuple(acc)
+
+
+def martingale_check(
+    weights: Sequence[Number], posteriors: Sequence[Dist], prior: Dist
+):
+    """Mean of the posteriors under `weights`, and whether it equals the
+    prior. Returns (holds, mean_posterior); raises StructuralError when
+    float rounding takes the mean's total more than TOL from 1, which
+    `martingale_mean` does not."""
+    holds, mean = martingale_mean(weights, posteriors, prior)
+    return holds, Dist(prior.space, mean)
 
 
 @dataclass(frozen=True)

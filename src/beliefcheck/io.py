@@ -75,6 +75,10 @@ def _load_json(path) -> dict:
             "%s: invalid JSON at line %d column %d: %s"
             % (path, err.lineno, err.colno, err.msg)
         ) from None
+    except ValueError as err:
+        # Plain ValueError: an integer literal longer than Python's int
+        # digit limit; UnicodeDecodeError: a file that is not UTF-8.
+        raise FormatError("%s: unreadable JSON: %s" % (path, err)) from None
     if not isinstance(data, dict):
         raise FormatError("%s: top-level value must be an object" % path)
     return data

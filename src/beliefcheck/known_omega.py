@@ -43,18 +43,23 @@ def set_partitions(items: Sequence) -> Iterator[list]:
         yield []
         return
     a = [0] * n
+    # m[i] = max(a[:i]), updated as a[i] changes (Knuth, TAOCP 4A,
+    # 7.2.1.5, Algorithm H).
+    m = [0] * n
     while True:
-        blocks = [[] for _ in range(max(a) + 1)]
+        blocks = [[] for _ in range(max(m[-1], a[-1]) + 1)]
         for i, b in enumerate(a):
             blocks[b].append(items[i])
         yield blocks
         # Advance the restricted growth string: a[i] may be incremented
         # when it does not exceed the running maximum of the prefix.
         for i in range(n - 1, 0, -1):
-            if a[i] <= max(a[:i]):
+            if a[i] <= m[i]:
                 a[i] += 1
+                top = max(m[i], a[i])
                 for j in range(i + 1, n):
                     a[j] = 0
+                    m[j] = top
                 break
         else:
             return
@@ -187,16 +192,19 @@ def brute_force_known_omega(obs: Observation) -> bool:
             % (MAX_BRUTE_FORCE_STATES, len(obs.space))
         )
     beliefs = obs.posteriors.beliefs
+    supports = [frozenset(belief.support()) for belief in beliefs]
+    conditioned = {}  # cell -> the prior conditioned on it
     for blocks in set_partitions(obs.space):
         cells = [frozenset(b) for b in blocks]
         used = [False] * len(cells)
-        for belief in beliefs:
-            supp = frozenset(belief.support())
+        for belief, supp in zip(beliefs, supports):
             hit = None
             for i, cell in enumerate(cells):
                 if used[i] or cell != supp:
                     continue
-                if belief.matches(condition(obs.prior, cell)):
+                if cell not in conditioned:
+                    conditioned[cell] = condition(obs.prior, cell)
+                if belief.matches(conditioned[cell]):
                     hit = i
                 break
             if hit is None:

@@ -25,7 +25,7 @@ from .dist import (
     WeightedPosteriors,
     group_beliefs,
     is_exact,
-    martingale_check,
+    martingale_mean,
     num_eq,
     num_pos,
     pushforward,
@@ -368,7 +368,7 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     objective_agrees = objective_prior.matches(obs.prior)
 
     active = [c for c in cells if num_pos(c.mu_mass)]
-    martingale_holds, mean = martingale_check(
+    martingale_holds, mean = martingale_mean(
         [c.mu_mass for c in active], [c.posterior for c in active], obs.prior
     )
 
@@ -383,7 +383,7 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
             "objective_prior": objective_prior,
             "cells": cells,
             "induced_distribution": list(induced.values()),
-            "mean_posterior": mean,
+            "mean_posterior": mean,  # weights over obs.space
         },
     )
 

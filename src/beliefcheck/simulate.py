@@ -2,35 +2,56 @@
 
 Each agent draws a signal cell from the objective distribution, updates by
 Bayes to the cell's induced posterior, and the empirical distribution of
-posteriors is compared to the model-implied one. Draws are keyed by
-(seed, agent index) through a keyed hash, so the panel is bit-identical
-regardless of how the agent range is split across workers.
+posteriors is compared to the model-implied one.
+
+Agent i's 64 uniform bits are the big-endian word i mod 8 of the keyed
+digest ``blake2b((i // 8).to_bytes(8, "big"), digest_size=64,
+key=seed.to_bytes(8, "big"))``, so they depend only on (seed, i) and any
+split of the agent range gives the same panel. One digest serves a block
+of eight agents. This stream replaced a per-agent 8-byte digest once, so a
+given seed draws a different panel than it did before that change.
+`workers` splits the agent range into contiguous ranges drawn one after
+another in the calling thread; it starts no threads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
+from array import array
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
+from operator import methodcaller
 
 from .dist import Number, WeightedPosteriors, group_beliefs
 from .errors import StructuralError
 from .rationalize import Model, reachable_cells
 
 _SCALE = 1 << 64
+_BLOCK = 8  # agents per digest: 64 digest bytes hold eight 64-bit words
 
 
-def _agent_bits(seed: int, index: int) -> int:
-    """64 uniform bits for one agent, as a pure function of (seed, index)."""
-    digest = hashlib.blake2b(
-        index.to_bytes(8, "big"),
-        digest_size=8,
-        key=seed.to_bytes(8, "big"),
-    ).digest()
-    return int.from_bytes(digest, "big")
+def _agent_bits(seed: int, lo: int, hi: int) -> array:
+    """64 uniform bits for each agent in [lo, hi), as a pure function of
+    (seed, agent index)."""
+    first = lo // _BLOCK
+    blocks = map(
+        methodcaller("to_bytes", 8, "big"), range(first, -(-hi // _BLOCK))
+    )
+    keyed = partial(
+        hashlib.blake2b, digest_size=64, key=seed.to_bytes(8, "big")
+    )
+    digests = map(methodcaller("digest"), map(keyed, blocks))
+    words = array("Q", b"".join(digests))
+    if sys.byteorder == "little":
+        words.byteswap()
+    offset = first * _BLOCK
+    return words[lo - offset : hi - offset]
 
 
 @dataclass(frozen=True)
@@ -52,19 +73,23 @@ def simulate_panel(
 
     Cell selection compares the agent's 64 uniform bits, read as an exact
     rational in [0, 1), against exact cumulative cell weights, so exact-mode
-    models are sampled without float-boundary bias. Raises
-    UndefinedUpdateError when an objectively reachable signal has zero
-    subjective probability, and StructuralError unless 0 <= seed < 2^64.
+    models are sampled without float-boundary bias. The agent range is
+    drawn as `workers` contiguous ranges, one after another; every split
+    gives the same panel. Raises UndefinedUpdateError when an objectively
+    reachable signal has zero subjective probability, and StructuralError
+    unless 0 <= seed < 2^64 and workers >= 1.
     """
     if n_agents <= 0:
         raise StructuralError("n_agents must be positive")
     if not 0 <= seed < _SCALE:
         raise StructuralError("seed must lie in [0, 2^64), got %d" % seed)
+    if workers < 1:
+        raise StructuralError("workers must be at least 1, got %d" % workers)
 
     cells = reachable_cells(model)
-    labels = [c.label for c in cells]
     # Cells that induce the same posterior share an index into the support.
     support, cell_post_index = group_beliefs([c.posterior for c in cells])
+    pairs = [(c.label, idx) for c, idx in zip(cells, cell_post_index)]
 
     # bits/2^64 < p/q  <=>  bits*q < p*2^64  <=>  bits < ceil(p*2^64/q) for
     # integer bits, so the first cell whose threshold exceeds bits is drawn.
@@ -74,30 +99,16 @@ def simulate_panel(
         thresholds.append(math.ceil(running * _SCALE))
     thresholds[-1] = _SCALE  # guard against float rounding in the total
 
-    def draw_range(lo: int, hi: int) -> list:
-        return [
-            bisect_right(thresholds, _agent_bits(seed, i))
-            for i in range(lo, hi)
-        ]
-
-    if workers <= 1:
-        chosen = draw_range(0, n_agents)
-    else:
-        step = -(-n_agents // workers)
-        ranges = [
-            (lo, min(lo + step, n_agents))
-            for lo in range(0, n_agents, step)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(lambda r: draw_range(*r), ranges)
-        chosen = [c for part in parts for c in part]
+    step = -(-n_agents // workers)
+    bits = chain.from_iterable(
+        _agent_bits(seed, lo, min(lo + step, n_agents))
+        for lo in range(0, n_agents, step)
+    )
+    chosen = list(map(partial(bisect_right, thresholds), bits))
 
     counts = [0] * len(support)
-    draws = []
-    for j in chosen:
-        idx = cell_post_index[j]
-        counts[idx] += 1
-        draws.append((labels[j], idx))
+    for j, count in Counter(chosen).items():
+        counts[cell_post_index[j]] += count
     empirical = WeightedPosteriors(
         tuple(
             (Fraction(count, n_agents), post)
@@ -105,7 +116,8 @@ def simulate_panel(
             if count > 0
         )
     )
-    return PanelSample(n_agents, seed, tuple(draws), empirical)
+    draws = tuple(map(pairs.__getitem__, chosen))
+    return PanelSample(n_agents, seed, draws, empirical)
 
 
 def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Number:

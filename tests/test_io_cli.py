@@ -189,6 +189,41 @@ class TestCliMalformedInput:
         assert "seed" in proc.stderr
 
 
+    def test_oversized_json_integer_is_a_format_error(self, tmp_path):
+        # json.load refuses an integer literal beyond Python's 4300-digit
+        # limit with a plain ValueError, not a JSONDecodeError
+        path = tmp_path / "o.json"
+        text = json.dumps(dict(WORKED_RAW, prior={"H": 0, "L": "1/2"}))
+        path.write_text(text.replace('"H": 0', '"H": 1' + "0" * 4999))
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert str(path) in proc.stderr
+
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "o.json"
+        path.write_bytes(b"\xff\xfe{}")
+        proc = run_cli("check", str(path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert str(path) in proc.stderr
+
+    def test_zero_workers_is_rejected(self, tmp_path):
+        obs = write_json(tmp_path / "o.json", WORKED_RAW)
+        model = str(tmp_path / "m.json")
+        assert main(["rationalize", obs, "--out", model]) == 0
+        proc = run_cli(
+            "simulate", model, "--n", "10", "--seed", "1", "--workers", "0"
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "workers" in proc.stderr
+
+
 class TestCliExitCodes:
     def test_check_passes(self, tmp_path):
         path = write_json(tmp_path / "o.json", WORKED_RAW)

@@ -55,6 +55,35 @@ class TestSetPartitions:
         first = next(set_partitions(("x", "y", "z")))
         assert first == [["x", "y", "z"]]
 
+    def test_order_matches_the_direct_enumerator(self):
+        # the enumerator before prefix maxima were kept, recomputing
+        # max(a[:i]) at every step
+        def direct(items):
+            n = len(items)
+            if n == 0:
+                yield []
+                return
+            a = [0] * n
+            while True:
+                blocks = [[] for _ in range(max(a) + 1)]
+                for i, b in enumerate(a):
+                    blocks[b].append(items[i])
+                yield blocks
+                for i in range(n - 1, 0, -1):
+                    if a[i] <= max(a[:i]):
+                        a[i] += 1
+                        for j in range(i + 1, n):
+                            a[j] = 0
+                        break
+                else:
+                    return
+
+        bell = [1, 1, 2, 5, 15, 52, 203, 877]
+        for n in range(8):
+            parts = list(set_partitions(state_labels(n)))
+            assert parts == list(direct(state_labels(n)))
+            assert len(parts) == bell[n]
+
     def test_blocks_cover_and_are_disjoint(self):
         for p in set_partitions(state_labels(4)):
             flat = [s for block in p for s in block]

@@ -20,11 +20,13 @@ from beliefcheck import (
     load_model,
     pushforward,
     save_model,
+    save_observation,
     set_partitions,
     target_mix,
     uniform_mix,
     verify_model,
 )
+from beliefcheck.cli import main
 from beliefcheck.rationalize import cell_table
 from genobs import (
     random_dist,
@@ -208,6 +210,38 @@ class TestVerify:
         )
         report = verify_model(model, obs)
         assert report.all_pass
+
+    def test_float_rounding_in_the_martingale_mean_is_reported(self, tmp_path):
+        # One of the skewed float observations (random()**{1,4,12} weights)
+        # whose subjective mean posterior sums to 1 - 1.2e-9: too far from 1
+        # to be a Dist, yet each coordinate is within TOL of the prior's.
+        space = ("s0", "s1", "s2")
+        prior = Dist(
+            space, (0.00304330659992183, 1.22525912437178e-09, 0.996956692174819)
+        )
+        items = (
+            (0.9838053096100999, (0.9982696019520845, 0.0017303106588396051, 8.738907590781452e-08)),
+            (9.27927069456794e-06, (0.4289863111285669, 0.49564025576815507, 0.07537343310327824)),
+            (0.01618541111920538, (5.310561079601598e-26, 0.9999999284110529, 7.158894711152803e-08)),
+        )
+        obs = Observation(
+            prior, WeightedPosteriors(tuple((w, Dist(space, b)) for w, b in items))
+        )
+        model = construct_rationalization(obs)
+        report = verify_model(model, obs)
+        mean = report.details["mean_posterior"]
+        assert abs(sum(mean) - 1) > 1e-9
+        assert report.subjective_martingale_holds == all(
+            abs(a - b) <= 1e-9 for a, b in zip(mean, prior.weights)
+        )
+        assert report.subjective_martingale_holds
+        # the CLI reports a verdict instead of refusing the model it built
+        obs_path, model_path = tmp_path / "o.json", tmp_path / "m.json"
+        save_observation(obs, obs_path, mode="float")
+        save_model(model, model_path, mode="float")
+        assert main(["verify", str(model_path), str(obs_path)]) == 2
+        argv = ["martingale", str(obs_path), "--weights", "subjective-from"]
+        assert main(argv + ["--model", str(model_path)]) == 0
 
     def test_soundness_over_random_observations(self):
         rng = random.Random(11)

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from fractions import Fraction
 
@@ -14,6 +15,9 @@ from beliefcheck import (
     simulate_panel,
     tv_distance,
 )
+from beliefcheck.dist import group_beliefs
+from beliefcheck.rationalize import reachable_cells
+from beliefcheck.simulate import _agent_bits
 
 S2 = ("H", "L")
 
@@ -71,6 +75,37 @@ class TestSimulatePanel:
         parallel = simulate_panel(worked_model, 3000, seed=77, workers=4)
         assert serial == parallel
 
+    def test_splits_inside_blocks_agree(self, worked_model):
+        # 1001 agents in 3, 7 or 13 ranges: ranges start and end inside
+        # the eight-agent blocks that share a digest
+        panels = [
+            simulate_panel(worked_model, 1001, seed=5, workers=w)
+            for w in (1, 3, 7, 13)
+        ]
+        assert all(p == panels[0] for p in panels)
+
+    def test_workers_below_one_rejected(self, worked_model):
+        for workers in (0, -1):
+            with pytest.raises(StructuralError, match="workers"):
+                simulate_panel(worked_model, 10, seed=0, workers=workers)
+
+    def test_draws_follow_the_bits(self, worked_model):
+        # each agent draws the first cell whose cumulative objective mass
+        # exceeds its bits / 2^64, and records that cell's (label, index)
+        n = 1001
+        panel = simulate_panel(worked_model, n, seed=3)
+        assert len(panel.draws) == n
+        cells = reachable_cells(worked_model)
+        _, index = group_beliefs([c.posterior for c in cells])
+        cumulative, running = [], Fraction(0)
+        for c in cells:
+            running += c.obj_mass
+            cumulative.append(running)
+        for draw, bits in zip(panel.draws, _agent_bits(3, 0, n)):
+            u = Fraction(bits, 1 << 64)
+            j = next(j for j, top in enumerate(cumulative) if u < top)
+            assert draw == (cells[j].label, index[j])
+
     def test_seed_outside_64_bits_rejected(self, worked_model):
         # the seed keys the hash; wrapping would alias -1 and 2^64 onto
         # other seeds
@@ -101,6 +136,22 @@ class TestSimulatePanel:
         )
         with pytest.raises(UndefinedUpdateError):
             simulate_panel(model, 10, seed=0)
+
+
+class TestAgentBits:
+    def test_golden_stream(self):
+        # agent i reads word i % 8 of the keyed 64-byte digest of block i // 8
+        for seed in (0, (1 << 64) - 1):
+            key = seed.to_bytes(8, "big")
+            expected = []
+            for i in range(10):
+                digest = hashlib.blake2b(
+                    (i // 8).to_bytes(8, "big"), digest_size=64, key=key
+                ).digest()
+                word = digest[8 * (i % 8) : 8 * (i % 8) + 8]
+                expected.append(int.from_bytes(word, "big"))
+            assert list(_agent_bits(seed, 0, 10)) == expected
+            assert list(_agent_bits(seed, 3, 9)) == expected[3:9]
 
 
 class TestTvDistance:
