@@ -42,7 +42,7 @@ from .rationalize import (
     uniform_mix,
     verify_model,
 )
-from .simulate import simulate_panel, tv_distance
+from .simulate import MAX_AGENTS, simulate_panel, tv_distance
 
 PASS, FAIL, USAGE = 0, 2, 1
 
@@ -430,7 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="sample a finite agent panel from a model"
     )
     p.add_argument("model")
-    p.add_argument("--n", type=int, required=True, help="number of agents")
+    p.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help="number of agents, at most %d" % MAX_AGENTS,
+    )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument(
         "--workers",

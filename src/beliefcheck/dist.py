@@ -2,10 +2,16 @@
 on them: pushforward, conditioning on partition cells, pointwise likelihood
 ratios (Radon-Nikodym derivatives on a finite space), and martingale checks.
 
-Weights come in two flavours. Exact mode stores `fractions.Fraction` values
-and every comparison is exact; float mode stores floats and comparisons are
-made coordinate-wise within ``TOL``. A distribution is treated as exact when
-all of its weights are rational objects.
+Weights come in two flavours. Exact mode stores plain `fractions.Fraction`
+values and every comparison is exact; float mode stores floats and
+comparisons are made coordinate-wise within ``TOL``. A distribution is
+treated as exact when all of its weights are rational objects; an `int`,
+`bool` or `Fraction` subclass is stored as a plain `Fraction`, and a plain
+`Fraction` is stored as given. Exact weights are summed by
+`common_denominator`: one integer pass over the lcm of their denominators,
+so a distribution's total is checked, and `mass`, `pushforward`,
+`martingale_mean` and the `WeightedPosteriors` total are computed, without
+a chain of `Fraction` additions.
 
 `group_beliefs` alone decides which beliefs are the same: exact beliefs
 when their weight tuples are equal; otherwise a belief joins the first
@@ -17,7 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
+from math import lcm
 from numbers import Rational
+from operator import add, attrgetter, floordiv, mul
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -32,9 +42,37 @@ Number = Union[int, Fraction, float]
 TOL = 1e-9
 
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
 def is_exact(x: Number) -> bool:
     """True when x supports exact arithmetic (int or Fraction)."""
-    return isinstance(x, Rational)
+    return type(x) is Fraction or isinstance(x, Rational)
+
+
+def _over_lcm(nums: Iterable, dens: list) -> tuple:
+    """The ratios nums[i] / dens[i] as (numerators over the lcm, lcm)."""
+    den = lcm(*dens)
+    return list(map(mul, nums, map(floordiv, repeat(den), dens))), den
+
+
+def common_denominator(weights: Sequence) -> tuple:
+    """Exact weights as integers over one denominator, the lcm of theirs:
+    returns (numerators, lcm), so that weights[i] == numerators[i] / lcm."""
+    dens = list(map(_denominator, weights))
+    return _over_lcm(map(_numerator, weights), dens)
+
+
+def exact_sum(weights: Sequence) -> Fraction:
+    """Sum of exact weights as a plain Fraction (0 for no weights)."""
+    nums, den = common_denominator(weights)
+    return Fraction(sum(nums), den)
+
+
+def _plain_fractions(weights: tuple) -> bool:
+    """True when every weight is a plain Fraction, not an int or subclass."""
+    return set(map(type, weights)) <= {Fraction}
 
 
 def num_eq(a: Number, b: Number, tol: float = TOL) -> bool:
@@ -47,6 +85,8 @@ def num_eq(a: Number, b: Number, tol: float = TOL) -> bool:
 
 def num_pos(x: Number, tol: float = TOL) -> bool:
     """Strict positivity, treating floats below tol as zero."""
+    if type(x) is Fraction:
+        return x.numerator > 0
     if is_exact(x):
         return x > 0
     return x > tol
@@ -66,38 +106,50 @@ class Dist:
 
     def __post_init__(self):
         space = tuple(self.space)
-        weights = tuple(
-            Fraction(w) if is_exact(w) else float(w) for w in self.weights
-        )
+        weights = tuple(self.weights)
+        exact = _plain_fractions(weights)
+        if not exact:
+            weights = tuple(
+                Fraction(w) if is_exact(w) else float(w) for w in weights
+            )
+            exact = _plain_fractions(weights)
         if len(space) != len(weights):
             raise StructuralError(
                 "space has %d outcomes but %d weights were given"
                 % (len(space), len(weights))
             )
-        if len(set(space)) != len(space):
+        index = {label: i for i, label in enumerate(space)}
+        if len(index) != len(space):
             raise StructuralError("outcome labels must be distinct")
-        if any(label in ("", None) for label in space):
+        if "" in index or None in index:
             raise StructuralError("outcome labels must be non-empty")
-        for label, w in zip(space, weights):
-            if w < 0:
-                raise StructuralError(
-                    "negative weight %s at outcome %r" % (w, label)
-                )
-        exact = all(is_exact(w) for w in weights)
-        total = sum(weights)
         if exact:
-            if total != 1:
-                raise StructuralError("weights sum to %s, expected 1" % total)
-        elif abs(total - 1) > TOL:
-            raise StructuralError(
-                "weights sum to %r, expected 1 within %g" % (total, TOL)
-            )
+            nums, den = common_denominator(weights)
+            if min(nums, default=0) < 0:
+                i = next(i for i, x in enumerate(nums) if x < 0)
+                raise StructuralError(
+                    "negative weight %s at outcome %r" % (weights[i], space[i])
+                )
+            total = sum(nums)
+            if total != den:
+                raise StructuralError(
+                    "weights sum to %s, expected 1" % Fraction(total, den)
+                )
+        else:
+            for label, w in zip(space, weights):
+                if w < 0:
+                    raise StructuralError(
+                        "negative weight %s at outcome %r" % (w, label)
+                    )
+            total = sum(weights)
+            if abs(total - 1) > TOL:
+                raise StructuralError(
+                    "weights sum to %r, expected 1 within %g" % (total, TOL)
+                )
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_exact", exact)
-        object.__setattr__(
-            self, "_index", {label: i for i, label in enumerate(space)}
-        )
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_mapping(cls, space: Sequence, mapping: Mapping) -> "Dist":
@@ -135,18 +187,23 @@ class Dist:
         except KeyError:
             raise StructuralError("unknown outcome %r" % (label,)) from None
 
+    def _unknown(self, labels) -> str:
+        """The labels outside the space, listed for an error message."""
+        unknown = [u for u in labels if u not in self._index]
+        return ", ".join(repr(u) for u in sorted(unknown, key=repr))
+
     def mass(self, labels: Iterable) -> Number:
         """Total weight of a subset of the space."""
         labels = set(labels)
-        unknown = labels - set(self.space)
+        unknown = self._unknown(labels)
         if unknown:
             raise StructuralError(
-                "subset contains labels outside the space: %s"
-                % ", ".join(repr(u) for u in sorted(unknown, key=repr))
+                "subset contains labels outside the space: %s" % unknown
             )
+        if self._exact:
+            return exact_sum([self.weights[self._index[s]] for s in labels])
         return sum(
-            (w for s, w in zip(self.space, self.weights) if s in labels),
-            Fraction(0) if self.is_exact else 0.0,
+            (w for s, w in zip(self.space, self.weights) if s in labels), 0.0
         )
 
     def support(self) -> tuple:
@@ -210,7 +267,7 @@ def pushforward(mu: Dist, proj, space: Sequence) -> Dist:
     lookup = _projector(proj)
     space = tuple(space)
     index = {s: i for i, s in enumerate(space)}
-    acc = [Fraction(0) if mu.is_exact else 0.0] * len(space)
+    parts = [[] for _ in space]
     for label, w in zip(mu.space, mu.weights):
         target = lookup(label)
         if target not in index:
@@ -218,8 +275,11 @@ def pushforward(mu: Dist, proj, space: Sequence) -> Dist:
                 "projection sends %r to %r, outside the declared space"
                 % (label, target)
             )
-        acc[index[target]] += w
-    return Dist(space, tuple(acc))
+        parts[index[target]].append(w)
+    if mu.is_exact:
+        return Dist(space, tuple(map(exact_sum, parts)))
+    # Float weights are added in order, as `+=` would.
+    return Dist(space, tuple(reduce(add, part, 0.0) for part in parts))
 
 
 def condition(mu: Dist, cell: Iterable) -> Dist:
@@ -229,11 +289,10 @@ def condition(mu: Dist, cell: Iterable) -> Dist:
     Raises ZeroProbabilityCell when the cell carries no mass.
     """
     cell = frozenset(cell)
-    unknown = cell - set(mu.space)
+    unknown = mu._unknown(cell)
     if unknown:
         raise StructuralError(
-            "cell contains labels outside the space: %s"
-            % ", ".join(repr(u) for u in sorted(unknown, key=repr))
+            "cell contains labels outside the space: %s" % unknown
         )
     total = mu.mass(cell)
     if not num_pos(total):
@@ -274,14 +333,11 @@ def rn_derivative(prior: Dist, belief: Dist) -> RnDerivative:
     """
     if prior.space != belief.space:
         raise StructuralError("prior and belief must share a space")
-    bad = [
-        s
-        for s in prior.space
-        if not num_pos(prior[s]) and num_pos(belief[s])
-    ]
+    rows = list(zip(prior.space, prior.weights, belief.weights))
+    bad = [s for s, p, b in rows if not num_pos(p) and num_pos(b)]
     if bad:
         raise AbsoluteContinuityViolation(bad)
-    f = {s: belief[s] / prior[s] for s in prior.support()}
+    f = {s: b / p for s, p, b in rows if num_pos(p)}
     max_f = max(f.values())
     if is_exact(max_f):
         epsilon = Fraction(1) / max_f
@@ -303,15 +359,29 @@ def martingale_mean(
             "got %d weights for %d posteriors"
             % (len(weights), len(posteriors))
         )
-    exact = all(is_exact(w) for w in weights) and all(
+    if any(post.space != prior.space for post in posteriors):
+        raise StructuralError("posterior space differs from the prior's")
+    exact = all(map(is_exact, weights)) and all(
         p.is_exact for p in posteriors
     )
-    acc = [Fraction(0) if exact else 0.0] * len(prior.space)
-    for w, post in zip(weights, posteriors):
-        if post.space != prior.space:
-            raise StructuralError("posterior space differs from the prior's")
-        for i, pw in enumerate(post.weights):
-            acc[i] += w * pw
+    if exact:
+        # Coordinate i sums the products w * p.weights[i], each kept as an
+        # unreduced numerator and denominator, over their lcm.
+        nums = list(map(_numerator, weights))
+        dens = list(map(_denominator, weights))
+        acc = []
+        for i in range(len(prior.space)):
+            col = [p.weights[i] for p in posteriors]
+            products, den = _over_lcm(
+                map(mul, nums, map(_numerator, col)),
+                list(map(mul, dens, map(_denominator, col))),
+            )
+            acc.append(Fraction(sum(products), den))
+    else:
+        acc = [0.0] * len(prior.space)
+        for w, post in zip(weights, posteriors):
+            for i, pw in enumerate(post.weights):
+                acc[i] += w * pw
     return all(map(num_eq, acc, prior.weights)), tuple(acc)
 
 
@@ -355,21 +425,31 @@ class WeightedPosteriors:
                     "zero threshold %g for floats; got %s" % (TOL, w)
                 )
         reps, groups = group_beliefs([b for _, b in items])
-        sums = [Fraction(0)] * len(reps)
-        for (w, _), g in zip(items, groups):
-            sums[g] += Fraction(w) if is_exact(w) else float(w)
-        total = sum(sums)
-        if all(is_exact(w) for w in sums):
+        exact = all(is_exact(w) for w, _ in items)
+        if exact:
+            parts = [[] for _ in reps]
+            for (w, _), g in zip(items, groups):
+                parts[g].append(w)
+            sums = list(map(exact_sum, parts))
+            total = exact_sum(sums)
             if total != 1:
                 raise StructuralError(
                     "posterior weights sum to %s, expected 1" % total
                 )
-        elif abs(total - 1) > TOL:
-            raise StructuralError(
-                "posterior weights sum to %r, expected 1 within %g"
-                % (total, TOL)
-            )
+        else:
+            sums = [Fraction(0)] * len(reps)
+            for (w, _), g in zip(items, groups):
+                sums[g] += Fraction(w) if is_exact(w) else float(w)
+            total = sum(sums)
+            if abs(total - 1) > TOL:
+                raise StructuralError(
+                    "posterior weights sum to %r, expected 1 within %g"
+                    % (total, TOL)
+                )
         object.__setattr__(self, "items", tuple(zip(sums, reps)))
+        object.__setattr__(
+            self, "_exact", exact and all(b.is_exact for b in reps)
+        )
 
     @property
     def space(self) -> tuple:
@@ -385,9 +465,7 @@ class WeightedPosteriors:
 
     @property
     def is_exact(self) -> bool:
-        return all(is_exact(w) for w in self.weights) and all(
-            b.is_exact for b in self.beliefs
-        )
+        return self._exact
 
     def __len__(self) -> int:
         return len(self.items)

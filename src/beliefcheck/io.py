@@ -30,15 +30,26 @@ def parse_number(raw, mode: str, where: str) -> Number:
     if isinstance(raw, bool):
         raise FormatError("%s: expected a number, got a boolean" % where)
     text = str(raw)
-    exponent = _EXPONENT.search(text)
-    digits = exponent.group(1).replace("_", "") if exponent else ""
-    # Five or more digits exceed the cap, and int() refuses over 4300.
-    if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:
-        raise FormatError(
-            "%s: decimal exponent above %d in magnitude" % (where, MAX_EXPONENT)
-        )
+    # "p/q" and "p" in ASCII digits, with a nonzero q, are read through
+    # int; a sign, space, underscore, exponent or any other digit takes
+    # Fraction's own parser, as does every other form.
+    num, slash, den = text.partition("/")
+    plain = (
+        num.isascii()
+        and num.isdigit()
+        and (not slash or den.isascii() and den.isdigit() and den.strip("0"))
+    )
+    if not plain:
+        exponent = _EXPONENT.search(text)
+        digits = exponent.group(1).replace("_", "") if exponent else ""
+        # Five or more digits exceed the cap, and int() refuses over 4300.
+        if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:
+            raise FormatError(
+                "%s: decimal exponent above %d in magnitude"
+                % (where, MAX_EXPONENT)
+            )
     try:
-        value = Fraction(text)
+        value = Fraction(int(num), int(den or 1)) if plain else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise FormatError(
             "%s: %r is not a valid number (use 'p/q' or a decimal)"
@@ -55,6 +66,8 @@ def parse_number(raw, mode: str, where: str) -> Number:
 
 
 def format_number(x: Number) -> str:
+    if type(x) is Fraction:
+        return str(x)
     if is_exact(x):
         return str(Fraction(x))
     return repr(float(x))
@@ -207,8 +220,8 @@ def model_to_dict(model: Model, mode: str) -> dict:
             }
             for w in model.omega
         ],
-        "mu0": {w: format_number(model.mu0[w]) for w in model.omega},
-        "pObj": {w: format_number(model.pObj[w]) for w in model.omega},
+        "mu0": dict(zip(model.omega, map(format_number, model.mu0.weights))),
+        "pObj": dict(zip(model.omega, map(format_number, model.pObj.weights))),
         "lambda": (
             None
             if model.lambda_mix is None

@@ -23,6 +23,7 @@ from .dist import (
     RnEntry,
     RnReport,
     WeightedPosteriors,
+    common_denominator,
     group_beliefs,
     is_exact,
     martingale_mean,
@@ -180,10 +181,11 @@ def construct_rationalization(
         eps = epsilons[i]
         lam = lambda_mix.weights[i]
         for s, p, b in zip(states, prior, belief.weights):
-            plus.append(b * eps * lam)
+            eb = b * eps
+            plus.append(eb * lam)
             # (prior - eps*belief) is the phantom cell's unnormalized
             # conditional; nonnegative since eps <= prior(s)/belief(s).
-            phantom = (p - eps * b) * lam
+            phantom = (p - eb) * lam
             if not is_exact(phantom):
                 if phantom < -TOL:
                     raise StructuralError(
@@ -224,6 +226,35 @@ class CellDiagnostic:
     obj_row: tuple
 
 
+def _tabulate(cols: list, weights: list, n: int, exact: bool) -> tuple:
+    """One signal cell's row over the n states and its total, from the
+    cell's omega points (state column, weight). An exact row is summed as
+    integer numerators over the lcm of the cell's denominators and those
+    numerators are returned as well; a float row is summed in omega order,
+    with None in their place."""
+    if exact:
+        nums, den = common_denominator(weights)
+        acc = [0] * n
+        for j, x in zip(cols, nums):
+            acc[j] += x
+        row = tuple(Fraction(a, den) for a in acc)
+        return row, Fraction(sum(acc), den), acc
+    acc, total = [0.0] * n, 0.0
+    for j, x in zip(cols, weights):
+        acc[j] += x
+        total += x
+    return tuple(acc), total, None
+
+
+def _bayes(row: tuple, mass: Number, nums) -> Optional[tuple]:
+    """A row divided by its total, or None when the total is zero; an exact
+    row is divided through its integer numerators `nums`."""
+    if nums is not None:
+        total = sum(nums)
+        return tuple(Fraction(a, total) for a in nums) if total else None
+    return tuple(x / mass for x in row) if num_pos(mass) else None
+
+
 def cell_table(model: Model) -> list:
     """The model's signal cell x state mass tables of mu0 and pObj, read in
     one pass over omega, one CellDiagnostic per cell in partition order.
@@ -237,31 +268,29 @@ def cell_table(model: Model) -> list:
         for w in cell
     }
     col = {s: j for j, s in enumerate(model.states)}
-    mu_zero = Fraction(0) if model.mu0.is_exact else 0.0
-    obj_zero = Fraction(0) if model.pObj.is_exact else 0.0
-    mu_rows = [[mu_zero] * len(col) for _ in labels]
-    obj_rows = [[obj_zero] * len(col) for _ in labels]
-    mu_mass = [mu_zero] * len(labels)
-    obj_mass = [obj_zero] * len(labels)
+    cols, mus, objs = ([[] for _ in labels] for _ in range(3))
     for w, mw, pw in zip(model.omega, model.mu0.weights, model.pObj.weights):
-        i, j = row_of[w], col[model.projection[w]]
-        mu_rows[i][j] += mw
-        obj_rows[i][j] += pw
-        mu_mass[i] += mw
-        obj_mass[i] += pw
-    return [
-        CellDiagnostic(
-            label,
-            mu_mass[i],
-            obj_mass[i],
-            Dist(model.states, tuple(x / mu_mass[i] for x in mu_rows[i]))
-            if num_pos(mu_mass[i])
-            else None,
-            tuple(mu_rows[i]),
-            tuple(obj_rows[i]),
+        i = row_of[w]
+        cols[i].append(col[model.projection[w]])
+        mus[i].append(mw)
+        objs[i].append(pw)
+    n = len(col)
+    table = []
+    for label, js, mu_ws, obj_ws in zip(labels, cols, mus, objs):
+        mu_row, mu_mass, nums = _tabulate(js, mu_ws, n, model.mu0.is_exact)
+        obj_row, obj_mass, _ = _tabulate(js, obj_ws, n, model.pObj.is_exact)
+        posterior = _bayes(mu_row, mu_mass, nums)
+        table.append(
+            CellDiagnostic(
+                label,
+                mu_mass,
+                obj_mass,
+                None if posterior is None else Dist(model.states, posterior),
+                mu_row,
+                obj_row,
+            )
         )
-        for i, label in enumerate(labels)
-    ]
+    return table
 
 
 def reachable_cells(model: Model) -> list:

@@ -35,6 +35,10 @@ from .rationalize import Model, reachable_cells
 _SCALE = 1 << 64
 _BLOCK = 8  # agents per digest: 64 digest bytes hold eight 64-bit words
 
+#: Largest panel `simulate_panel` draws. A panel holds about 32 bytes per
+#: agent (its chosen cell and its draw), so this caps it near 320 MB.
+MAX_AGENTS = 10**7
+
 
 def _agent_bits(seed: int, lo: int, hi: int) -> array:
     """64 uniform bits for each agent in [lo, hi), as a pure function of
@@ -77,10 +81,15 @@ def simulate_panel(
     drawn as `workers` contiguous ranges, one after another; every split
     gives the same panel. Raises UndefinedUpdateError when an objectively
     reachable signal has zero subjective probability, and StructuralError
-    unless 0 <= seed < 2^64 and workers >= 1.
+    unless 0 < n_agents <= MAX_AGENTS (10^7), 0 <= seed < 2^64 and
+    workers >= 1.
     """
     if n_agents <= 0:
         raise StructuralError("n_agents must be positive")
+    if n_agents > MAX_AGENTS:
+        raise StructuralError(
+            "n_agents must be at most %d, got %d" % (MAX_AGENTS, n_agents)
+        )
     if not 0 <= seed < _SCALE:
         raise StructuralError("seed must lie in [0, 2^64), got %d" % seed)
     if workers < 1:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from numbers import Rational
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from beliefcheck import (
     tv_distance,
     verify_model,
 )
-from beliefcheck.dist import group_beliefs
+from beliefcheck.dist import exact_sum, group_beliefs
 
 S2 = ("H", "L")
 COLS = ("0.8+", "1.0+", "0.8-", "1.0-")
@@ -333,3 +334,68 @@ def test_group_beliefs_and_order_invariance(data):
             == verify_model(model, obs_perm).as_dict()
         )
     assert verify_model(construct_rationalization(obs), obs_perm).all_pass
+
+
+class _SubFraction(Fraction):
+    """A Fraction subclass: Dist stores it as a plain Fraction."""
+
+
+# Large, pairwise coprime denominators make the lcm of a weight list big.
+BIG_PRIMES = (999983, 10**9 + 7, 2**31 - 1, 2**61 - 1)
+
+
+def reference_dist_error(space, weights):
+    """The validation Dist did by chained Fraction sums: normalise every
+    weight, then compare sum(weights) with 1. Returns the StructuralError
+    message, or None when the weights are accepted."""
+    weights = tuple(
+        Fraction(w) if isinstance(w, Rational) else float(w) for w in weights
+    )
+    for label, w in zip(space, weights):
+        if w < 0:
+            return "negative weight %s at outcome %r" % (w, label)
+    total = sum(weights)
+    if total != 1:
+        return "weights sum to %s, expected 1" % total
+    return None
+
+
+@st.composite
+def exact_weight_lists(draw):
+    """Exact weights of mixed types (plain and subclassed Fractions, ints,
+    bools), with zeros, negatives and large coprime denominators; about
+    half of the lists are completed to an exact total of 1."""
+    den = st.one_of(st.integers(1, 12), st.sampled_from(BIG_PRIMES))
+    values = [
+        Fraction(draw(st.integers(-3, 20)), draw(den))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    if values and draw(st.booleans()):
+        values[-1] = 1 - sum(values[:-1])
+    weights = []
+    for v in values:
+        forms = [v, _SubFraction(v)]
+        if v.denominator == 1:
+            forms.append(int(v))
+        if v in (0, 1):
+            forms.append(bool(v))
+        weights.append(draw(st.sampled_from(forms)))
+    return weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(exact_weight_lists())
+def test_integer_sum_check_matches_the_fraction_reference(weights):
+    space = tuple("s%d" % i for i in range(len(weights)))
+    assert exact_sum(weights) == sum(map(Fraction, weights))
+    assert type(exact_sum(weights)) is Fraction
+    expected = reference_dist_error(space, weights)
+    try:
+        mu = Dist(space, weights)
+    except StructuralError as err:
+        assert str(err) == expected
+    else:
+        assert expected is None
+        assert mu.is_exact
+        assert mu.weights == tuple(map(Fraction, weights))
+        assert all(type(w) is Fraction for w in mu.weights)

@@ -42,6 +42,28 @@ WORKED_RAW = {
 }
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize(
+    "text",
+    ["007/12", "0/5", "1/0", "+1/2", "-1/2", " 1/2", "1_0/3", "\u0663/4", "12"],
+)
+def test_parse_number_agrees_with_fraction(text, mode):
+    """parse_number reads "p/q" and "p" in ASCII digits through int; every
+    string must parse, or fail, exactly as Fraction(text) does."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(FormatError) as err:
+            parse_number(text, mode, "prior.H")
+        assert str(err.value) == (
+            "prior.H: %r is not a valid number (use 'p/q' or a decimal)" % text
+        )
+        return
+    expected = value if mode == "rational" else float(value)
+    got = parse_number(text, mode, "prior.H")
+    assert got == expected and type(got) is type(expected)
+
+
 class TestObservationFiles:
     def test_decimal_strings_parse_exactly_in_rational_mode(self, tmp_path):
         obs, mode = load_observation(write_json(tmp_path / "o.json", WORKED_RAW))
@@ -222,6 +244,17 @@ class TestCliMalformedInput:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert "workers" in proc.stderr
+
+    def test_panel_above_the_agent_cap_is_rejected(self, tmp_path):
+        obs = write_json(tmp_path / "o.json", WORKED_RAW)
+        model = str(tmp_path / "m.json")
+        assert main(["rationalize", obs, "--out", model]) == 0
+        proc = run_cli("simulate", model, "--n", "10000000000", "--seed", "1")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "error: n_agents must be at most 10000000, got 10000000000\n"
+        )
 
 
 class TestCliExitCodes:
