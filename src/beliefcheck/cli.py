@@ -28,8 +28,10 @@ from .io import (
     format_number,
     load_model,
     load_observation,
-    model_to_dict,
+    model_json,
     parse_number,
+    read_json,
+    save_model,
 )
 from .known_omega import brute_force_known_omega, check_proposition1
 from .rationalize import (
@@ -151,8 +153,7 @@ def _resolve_lambda(spec: str, obs: Observation, mode: str):
     if spec == "target":
         return target_mix(obs)
     try:
-        with open(spec) as fh:
-            raw = json.load(fh)
+        raw = read_json(spec)
     except OSError as err:
         raise FormatError("cannot read lambda file %s: %s" % (spec, err))
     except json.JSONDecodeError as err:
@@ -186,11 +187,9 @@ def cmd_rationalize(args) -> int:
     lam = _resolve_lambda(args.lambda_mix, obs, mode)
     model = construct_rationalization(obs, lam)
     if args.out:
-        from .io import save_model
-
         save_model(model, args.out, mode)
     if args.json:
-        print(json.dumps(model_to_dict(model, mode), indent=2))
+        sys.stdout.write(model_json(model, mode))
     else:
         cells = cell_table(model)
         for title, rows in (

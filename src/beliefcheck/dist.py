@@ -142,7 +142,8 @@ class Dist:
                         "negative weight %s at outcome %r" % (w, label)
                     )
             total = sum(weights)
-            if abs(total - 1) > TOL:
+            # Written so that a NaN weight, whose total is NaN, fails.
+            if not abs(total - 1) <= TOL:
                 raise StructuralError(
                     "weights sum to %r, expected 1 within %g" % (total, TOL)
                 )
@@ -169,13 +170,6 @@ class Dist:
     def uniform(cls, space: Sequence) -> "Dist":
         space = tuple(space)
         return cls(space, tuple(Fraction(1, len(space)) for _ in space))
-
-    @classmethod
-    def point_mass(cls, space: Sequence, label) -> "Dist":
-        space = tuple(space)
-        return cls(
-            space, tuple(Fraction(int(s == label)) for s in space)
-        )
 
     @property
     def is_exact(self) -> bool:
@@ -469,10 +463,6 @@ class WeightedPosteriors:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    def as_dist_over_indices(self) -> Dist:
-        """The weights as a distribution over support indices 0..k-1."""
-        return Dist(tuple(range(len(self.items))), self.weights)
 
 
 @dataclass(frozen=True)

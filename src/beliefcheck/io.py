@@ -4,6 +4,14 @@ Numbers are serialized as strings so exact rationals survive the round
 trip: "p/q" in rational mode, decimal strings in float mode. The file's
 "mode" field selects how the strings are parsed back. See docs/format.md
 for the schemas.
+
+Files are written byte for byte in the layout of `json.dump(...,
+indent=2)` plus a final newline, applied to `observation_to_dict` or
+`model_to_dict`, which stay the reference: one fixed-schema writer per
+file kind joins the strings around json's C string encoder and writes
+them at once. `rationalize --json` prints the same bytes as the file
+`--out` writes. The loaders format an error's location (file, field,
+entry, state) only when they raise it.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Tuple
 
 from .dist import Dist, Number, Observation, WeightedPosteriors, is_exact
@@ -25,11 +34,29 @@ MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]*)\s*\Z", re.IGNORECASE)
 
 
-def parse_number(raw, mode: str, where: str) -> Number:
-    """Parse a number string ("p/q" or decimal) or a bare JSON number."""
-    if isinstance(raw, bool):
-        raise FormatError("%s: expected a number, got a boolean" % where)
-    text = str(raw)
+class _Misplaced(Exception):
+    """A malformed value, raised below the code that knows its location.
+    The first caller that knows it turns this into a FormatError located
+    at that location followed by `suffix`, so no location string is
+    formatted unless an error is raised."""
+
+    def __init__(self, message: str, suffix: str = ""):
+        super().__init__(message)
+        self.message = message
+        self.suffix = suffix
+
+    def at(self, where: str) -> FormatError:
+        return FormatError("%s%s: %s" % (where, self.suffix, self.message))
+
+
+def _number(raw, mode: str) -> Number:
+    """parse_number without a location; raises _Misplaced."""
+    if type(raw) is str:
+        text = raw
+    elif isinstance(raw, bool):
+        raise _Misplaced("expected a number, got a boolean")
+    else:
+        text = str(raw)
     # "p/q" and "p" in ASCII digits, with a nonzero q, are read through
     # int; a sign, space, underscore, exponent or any other digit takes
     # Fraction's own parser, as does every other form.
@@ -44,25 +71,49 @@ def parse_number(raw, mode: str, where: str) -> Number:
         digits = exponent.group(1).replace("_", "") if exponent else ""
         # Five or more digits exceed the cap, and int() refuses over 4300.
         if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:
-            raise FormatError(
-                "%s: decimal exponent above %d in magnitude"
-                % (where, MAX_EXPONENT)
+            raise _Misplaced(
+                "decimal exponent above %d in magnitude" % MAX_EXPONENT
             )
     try:
         value = Fraction(int(num), int(den or 1)) if plain else Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise FormatError(
-            "%s: %r is not a valid number (use 'p/q' or a decimal)"
-            % (where, raw)
+        raise _Misplaced(
+            "%r is not a valid number (use 'p/q' or a decimal)" % (raw,)
         ) from None
     if mode == "rational":
         return value
     try:
         return float(value)
     except OverflowError:
-        raise FormatError(
-            "%s: %r is out of range for float mode" % (where, raw)
+        raise _Misplaced(
+            "%r is out of range for float mode" % (raw,)
         ) from None
+
+
+def parse_number(raw, mode: str, where: str) -> Number:
+    """Parse a number string ("p/q" or decimal) or a bare JSON number."""
+    try:
+        return _number(raw, mode)
+    except _Misplaced as err:
+        raise err.at(where) from None
+
+
+def _numbers(raw: dict, mode: str, seen: dict) -> dict:
+    """Every value of `raw` parsed; a bad value is _Misplaced at ".<key>".
+    `seen` maps strings parsed before, in the same file, to their values:
+    a file repeats many, "0" above all."""
+    out = {}
+    try:
+        for key, value in raw.items():
+            if type(value) is not str:
+                out[key] = _number(value, mode)
+            elif value in seen:
+                out[key] = seen[value]
+            else:
+                out[key] = seen[value] = _number(value, mode)
+    except _Misplaced as err:
+        raise _Misplaced(err.message, ".%s" % key) from None
+    return out
 
 
 def format_number(x: Number) -> str:
@@ -79,19 +130,35 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
-def _load_json(path) -> dict:
+def _field(entry: dict, key: str):
+    """_require for an entry whose location its caller formats."""
+    if key not in entry:
+        raise _Misplaced("missing required field %r" % key)
+    return entry[key]
+
+
+def read_json(path):
+    """json.load of a file. Invalid JSON raises json.JSONDecodeError, as
+    json.load does; an integer literal longer than Python's int digit
+    limit (a plain ValueError) or a file that is not UTF-8
+    (UnicodeDecodeError) raises FormatError."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as err:
+        raise FormatError("%s: unreadable JSON: %s" % (path, err)) from None
+
+
+def _load_json(path) -> dict:
+    try:
+        data = read_json(path)
     except json.JSONDecodeError as err:
         raise FormatError(
             "%s: invalid JSON at line %d column %d: %s"
             % (path, err.lineno, err.colno, err.msg)
         ) from None
-    except ValueError as err:
-        # Plain ValueError: an integer literal longer than Python's int
-        # digit limit; UnicodeDecodeError: a file that is not UTF-8.
-        raise FormatError("%s: unreadable JSON: %s" % (path, err)) from None
     if not isinstance(data, dict):
         raise FormatError("%s: top-level value must be an object" % path)
     return data
@@ -123,24 +190,25 @@ def _parse_states(data: dict, where: str) -> tuple:
     return tuple(states)
 
 
-def _parse_dist(raw, states: tuple, mode: str, where: str) -> Dist:
+def _parse_dist(raw, states: tuple, mode: str, seen: dict, suffix="") -> Dist:
+    """A distribution over `states`; a bad one is _Misplaced at `suffix`."""
     if not isinstance(raw, dict):
-        raise FormatError(
-            "%s: expected an object mapping state labels to numbers" % where
+        raise _Misplaced(
+            "expected an object mapping state labels to numbers", suffix
         )
     extra = set(raw) - set(states)
     if extra:
-        raise FormatError(
-            "%s: unknown state labels %s"
-            % (where, ", ".join(sorted(extra)))
+        raise _Misplaced(
+            "unknown state labels %s" % ", ".join(sorted(extra)), suffix
         )
-    weights = {
-        s: parse_number(v, mode, "%s.%s" % (where, s)) for s, v in raw.items()
-    }
+    try:
+        weights = _numbers(raw, mode, seen)
+    except _Misplaced as err:
+        raise _Misplaced(err.message, suffix + err.suffix) from None
     try:
         return Dist.from_mapping(states, weights)
     except StructuralError as err:
-        raise FormatError("%s: %s" % (where, err)) from None
+        raise _Misplaced(str(err), suffix) from None
 
 
 def load_observation(path) -> Tuple[Observation, str]:
@@ -149,32 +217,84 @@ def load_observation(path) -> Tuple[Observation, str]:
     where = str(path)
     mode = _parse_mode(data, where)
     states = _parse_states(data, where)
-    prior = _parse_dist(
-        _require(data, "prior", where), states, mode, where + ":prior"
-    )
+    seen = {}
+    try:
+        prior = _parse_dist(
+            _require(data, "prior", where), states, mode, seen
+        )
+    except _Misplaced as err:
+        raise err.at(where + ":prior") from None
     raw_posts = _require(data, "posteriors", where)
     if not isinstance(raw_posts, list) or not raw_posts:
         raise FormatError(
             "%s: field 'posteriors' must be a non-empty list" % where
         )
     items = []
-    for i, entry in enumerate(raw_posts):
-        at = "%s:posteriors[%d]" % (where, i)
-        if not isinstance(entry, dict):
-            raise FormatError("%s: expected an object" % at)
-        weight = parse_number(
-            _require(entry, "weight", at), mode, at + ".weight"
-        )
-        belief = _parse_dist(
-            _require(entry, "belief", at), states, mode, at + ".belief"
-        )
-        items.append((weight, belief))
+    try:
+        for i, entry in enumerate(raw_posts):
+            if not isinstance(entry, dict):
+                raise _Misplaced("expected an object")
+            raw_weight = _field(entry, "weight")
+            try:
+                weight = _number(raw_weight, mode)
+            except _Misplaced as err:
+                raise _Misplaced(err.message, ".weight") from None
+            belief = _parse_dist(
+                _field(entry, "belief"), states, mode, seen, ".belief"
+            )
+            items.append((weight, belief))
+    except _Misplaced as err:
+        raise err.at("%s:posteriors[%d]" % (where, i)) from None
     try:
         posteriors = WeightedPosteriors(tuple(items))
         obs = Observation(prior, posteriors)
     except StructuralError as err:
         raise FormatError("%s: %s" % (where, err)) from None
     return obs, mode
+
+
+# The writers below lay files out exactly as json.dumps(..., indent=2)
+# lays out the reference dicts, `observation_to_dict` and `model_to_dict`,
+# with strings escaped by json's own C encoder. A label that is not a
+# str would be coerced or refused by json.dumps, so such a file is
+# written through the reference instead.
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _block(items: list, depth: int, brackets: str) -> str:
+    """Rendered items laid out as json.dumps(..., indent=2) lays out a
+    list (brackets "[]") or an object ("{}", items '"key": value') nested
+    `depth` levels deep."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return "%s%s%s\n%s%s" % (
+        brackets[0], pad, ("," + pad).join(items), "  " * depth, brackets[1]
+    )
+
+
+def _weights_text(dist: Dist) -> list:
+    """A distribution's weights as JSON strings. format_number gives
+    digits, signs, "/", ".", "e", "inf" or "nan", which json escapes to
+    themselves; on an exact Dist, whose weights are plain Fractions, it
+    is str."""
+    text = map(str if dist.is_exact else format_number, dist.weights)
+    return list(map('"%s"'.__mod__, text))
+
+
+def _dist_text(keys, dist: Dist, depth: int) -> str:
+    """A distribution as a JSON object keyed by its encoded labels."""
+    members = map("%s: %s".__mod__, zip(keys, _weights_text(dist)))
+    return _block(list(members), depth, "{}")
+
+
+def _document(fields: list) -> str:
+    """A file's text: a top-level object of (name, rendered value) pairs."""
+    return _block(['"%s": %s' % field for field in fields], 0, "{}") + "\n"
+
+
+def _all_str(*groups) -> bool:
+    return {str}.issuperset(map(type, chain(*groups)))
 
 
 def observation_to_dict(obs: Observation, mode: str) -> dict:
@@ -197,10 +317,34 @@ def observation_to_dict(obs: Observation, mode: str) -> dict:
     }
 
 
-def save_observation(obs: Observation, path, mode: str = "rational") -> None:
+def observation_json(obs: Observation, mode: str) -> str:
+    """An observation file's text: json.dumps(observation_to_dict(obs,
+    mode), indent=2) followed by a newline, byte for byte."""
+    if not _all_str((mode,), obs.space):
+        return json.dumps(observation_to_dict(obs, mode), indent=2) + "\n"
+    states = list(map(_encode, obs.space))
+    posteriors = [
+        '{\n      "weight": "%s",\n      "belief": %s\n    }'
+        % (format_number(w), _dist_text(states, b, 3))
+        for w, b in obs.posteriors.items
+    ]
+    return _document(
+        [
+            ("mode", _encode(mode)),
+            ("states", _block(states, 1, "[]")),
+            ("prior", _dist_text(states, obs.prior, 1)),
+            ("posteriors", _block(posteriors, 1, "[]")),
+        ]
+    )
+
+
+def _write(path, text: str) -> None:
     with open(path, "w") as fh:
-        json.dump(observation_to_dict(obs, mode), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
+
+
+def save_observation(obs: Observation, path, mode: str = "rational") -> None:
+    _write(path, observation_json(obs, mode))
 
 
 def model_to_dict(model: Model, mode: str) -> dict:
@@ -239,10 +383,69 @@ def model_to_dict(model: Model, mode: str) -> dict:
     }
 
 
+def model_json(model: Model, mode: str) -> str:
+    """A model file's text: json.dumps(model_to_dict(model, mode),
+    indent=2) followed by a newline, byte for byte."""
+    lam = model.lambda_mix
+    projected = [model.projection[w] for w in model.omega]
+    if not _all_str(
+        (mode,),
+        model.states,
+        model.omega,
+        projected,
+        model.signal_partition,
+        () if lam is None else lam.space,
+    ):
+        return json.dumps(model_to_dict(model, mode), indent=2) + "\n"
+    omega = list(map(_encode, model.omega))
+    omega_index = {w: i for i, w in enumerate(model.omega)}
+    signal_of, partition = {}, []
+    for label, cell in model.signal_partition.items():
+        signal = _encode(label)
+        for w in cell:
+            signal_of[w] = signal
+        indices = [str(omega_index[w]) for w in cell]
+        partition.append("%s: %s" % (signal, _block(indices, 2, "[]")))
+    entries = [
+        '{\n      "label": %s,\n      "s": %s,\n      "signal": %s\n    }'
+        % (label, _encode(s), signal_of[w])
+        for w, label, s in zip(model.omega, omega, projected)
+    ]
+    mix = "null"
+    if lam is not None:
+        mix = _dist_text(map(_encode, lam.space), lam, 1)
+    return _document(
+        [
+            ("mode", _encode(mode)),
+            ("states", _block(list(map(_encode, model.states)), 1, "[]")),
+            ("omega", _block(entries, 1, "[]")),
+            ("mu0", _dist_text(omega, model.mu0, 1)),
+            ("pObj", _dist_text(omega, model.pObj, 1)),
+            ("lambda", mix),
+            ("partition", _block(partition, 1, "{}")),
+        ]
+    )
+
+
 def save_model(model: Model, path, mode: str = "rational") -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model, mode), fh, indent=2)
-        fh.write("\n")
+    _write(path, model_json(model, mode))
+
+
+_OMEGA_FIELDS = ("label", "s", "signal")
+
+
+def _omega_entry(entry, states: tuple) -> list:
+    """An omega entry's label, state and signal, checked in full; a bad
+    entry is _Misplaced."""
+    if not isinstance(entry, dict):
+        raise _Misplaced("expected an object")
+    values = [_field(entry, key) for key in _OMEGA_FIELDS]
+    for key, value in zip(_OMEGA_FIELDS, values):
+        if not isinstance(value, str) or not value:
+            raise _Misplaced("field %r must be a non-empty string" % key)
+    if values[1] not in states:
+        raise _Misplaced("state %r is not in 'states'" % values[1])
+    return values
 
 
 def load_model(path) -> Tuple[Model, str]:
@@ -254,29 +457,36 @@ def load_model(path) -> Tuple[Model, str]:
     raw_omega = _require(data, "omega", where)
     if not isinstance(raw_omega, list) or not raw_omega:
         raise FormatError("%s: field 'omega' must be a non-empty list" % where)
+    state_set = set(states)
     omega = []
     projection = {}
     partition: dict = {}
-    for i, entry in enumerate(raw_omega):
-        at = "%s:omega[%d]" % (where, i)
-        if not isinstance(entry, dict):
-            raise FormatError("%s: expected an object" % at)
-        label, s, signal = (
-            _require(entry, key, at) for key in ("label", "s", "signal")
-        )
-        for key, value in (("label", label), ("s", s), ("signal", signal)):
-            if not isinstance(value, str) or not value:
-                raise FormatError(
-                    "%s: field %r must be a non-empty string" % (at, key)
-                )
-        if s not in states:
-            raise FormatError(
-                "%s: state %r is not in 'states'" % (at, s)
-            )
-        omega.append(label)
-        projection[label] = s
-        partition.setdefault(signal, []).append(label)
-    if len(set(omega)) != len(omega):
+    try:
+        for i, entry in enumerate(raw_omega):
+            # One lean test passes a well-formed entry; any other entry
+            # takes the full checks, which raise in their fixed order.
+            if type(entry) is dict:
+                label = entry.get("label")
+                s = entry.get("s")
+                signal = entry.get("signal")
+            if not (
+                type(entry) is dict
+                and type(label) is str
+                and type(s) is str
+                and type(signal) is str
+                and label
+                and signal
+                and s in state_set
+            ):
+                label, s, signal = _omega_entry(entry, states)
+            omega.append(label)
+            projection[label] = s
+            partition.setdefault(signal, []).append(label)
+    except _Misplaced as err:
+        raise err.at("%s:omega[%d]" % (where, i)) from None
+    omega = tuple(omega)
+    labels = set(omega)
+    if len(labels) != len(omega):
         raise FormatError("%s: omega labels must be distinct" % where)
 
     if "partition" in data:
@@ -294,6 +504,9 @@ def load_model(path) -> Tuple[Model, str]:
                 " signal labels" % where
             )
 
+    zero = Fraction(0) if mode == "rational" else 0.0
+    seen = {}
+
     def dist_over_omega(key: str) -> Dist:
         raw = _require(data, key, where)
         if not isinstance(raw, dict):
@@ -301,21 +514,17 @@ def load_model(path) -> Tuple[Model, str]:
                 "%s:%s: expected an object mapping omega labels to numbers"
                 % (where, key)
             )
-        extra = set(raw) - set(omega)
-        if extra:
+        if not labels.issuperset(raw):
             raise FormatError(
                 "%s:%s: unknown omega labels %s"
-                % (where, key, ", ".join(sorted(extra)))
+                % (where, key, ", ".join(sorted(set(raw) - labels)))
             )
-        weights = {
-            w: parse_number(v, mode, "%s:%s.%s" % (where, key, w))
-            for w, v in raw.items()
-        }
-        zero = Fraction(0) if mode == "rational" else 0.0
         try:
-            return Dist(
-                tuple(omega), tuple(weights.get(w, zero) for w in omega)
-            )
+            weights = _numbers(raw, mode, seen)
+        except _Misplaced as err:
+            raise err.at("%s:%s" % (where, key)) from None
+        try:
+            return Dist(omega, tuple(map(weights.get, omega, repeat(zero))))
         except StructuralError as err:
             raise FormatError("%s:%s: %s" % (where, key, err)) from None
 
@@ -330,20 +539,18 @@ def load_model(path) -> Tuple[Model, str]:
                 "%s: field 'lambda' must be an object or null" % where
             )
         try:
-            lambda_mix = Dist(
-                tuple(raw_lambda),
-                tuple(
-                    parse_number(v, mode, "%s:lambda.%s" % (where, k))
-                    for k, v in raw_lambda.items()
-                ),
-            )
+            weights = _numbers(raw_lambda, mode, seen)
+        except _Misplaced as err:
+            raise err.at("%s:lambda" % where) from None
+        try:
+            lambda_mix = Dist(tuple(weights), tuple(weights.values()))
         except StructuralError as err:
             raise FormatError("%s:lambda: %s" % (where, err)) from None
 
     try:
         model = Model(
             states=states,
-            omega=tuple(omega),
+            omega=omega,
             projection=projection,
             signal_partition={
                 label: tuple(cell) for label, cell in partition.items()

@@ -213,46 +213,76 @@ def construct_rationalization(
     )
 
 
-@dataclass(frozen=True)
+def _row(acc: tuple, den) -> tuple:
+    """A row from integer numerators over `den`, or from floats when `den`
+    is None."""
+    if den is None:
+        return acc
+    return tuple(Fraction(a, den) for a in acc)
+
+
+@dataclass(frozen=True, repr=False)
 class CellDiagnostic:
     """One signal cell of the model: its mu0 and pObj rows over the
-    payoff-relevant states, their totals, and its Bayes posterior."""
+    payoff-relevant states, their totals, and its Bayes posterior. The
+    rows are kept as `_row` arguments and built when read."""
 
     label: str
     mu_mass: Number
     obj_mass: Number
     posterior: Optional[Dist]  # None when the cell has zero mu0 mass
-    mu_row: tuple
-    obj_row: tuple
+    mu_parts: tuple
+    obj_parts: tuple
+
+    @property
+    def mu_row(self) -> tuple:
+        return _row(*self.mu_parts)
+
+    @property
+    def obj_row(self) -> tuple:
+        return _row(*self.obj_parts)
+
+    def __repr__(self) -> str:
+        return (
+            "CellDiagnostic(label=%r, mu_mass=%r, obj_mass=%r, posterior=%r,"
+            " mu_row=%r, obj_row=%r)"
+            % (
+                self.label,
+                self.mu_mass,
+                self.obj_mass,
+                self.posterior,
+                self.mu_row,
+                self.obj_row,
+            )
+        )
 
 
 def _tabulate(cols: list, weights: list, n: int, exact: bool) -> tuple:
-    """One signal cell's row over the n states and its total, from the
-    cell's omega points (state column, weight). An exact row is summed as
-    integer numerators over the lcm of the cell's denominators and those
-    numerators are returned as well; a float row is summed in omega order,
-    with None in their place."""
+    """One signal cell's row over the n states, as `_row` arguments, and
+    its total, from the cell's omega points (state column, weight). An
+    exact row is summed as integer numerators over the lcm of the cell's
+    denominators; a float row is summed in omega order."""
     if exact:
         nums, den = common_denominator(weights)
         acc = [0] * n
         for j, x in zip(cols, nums):
             acc[j] += x
-        row = tuple(Fraction(a, den) for a in acc)
-        return row, Fraction(sum(acc), den), acc
+        return (tuple(acc), den), Fraction(sum(acc), den)
     acc, total = [0.0] * n, 0.0
     for j, x in zip(cols, weights):
         acc[j] += x
         total += x
-    return tuple(acc), total, None
+    return (tuple(acc), None), total
 
 
-def _bayes(row: tuple, mass: Number, nums) -> Optional[tuple]:
+def _bayes(parts: tuple, mass: Number) -> Optional[tuple]:
     """A row divided by its total, or None when the total is zero; an exact
-    row is divided through its integer numerators `nums`."""
-    if nums is not None:
-        total = sum(nums)
-        return tuple(Fraction(a, total) for a in nums) if total else None
-    return tuple(x / mass for x in row) if num_pos(mass) else None
+    row is divided through its integer numerators."""
+    acc, den = parts
+    if den is not None:
+        total = sum(acc)
+        return tuple(Fraction(a, total) for a in acc) if total else None
+    return tuple(x / mass for x in acc) if num_pos(mass) else None
 
 
 def cell_table(model: Model) -> list:
@@ -277,17 +307,17 @@ def cell_table(model: Model) -> list:
     n = len(col)
     table = []
     for label, js, mu_ws, obj_ws in zip(labels, cols, mus, objs):
-        mu_row, mu_mass, nums = _tabulate(js, mu_ws, n, model.mu0.is_exact)
-        obj_row, obj_mass, _ = _tabulate(js, obj_ws, n, model.pObj.is_exact)
-        posterior = _bayes(mu_row, mu_mass, nums)
+        mu_parts, mu_mass = _tabulate(js, mu_ws, n, model.mu0.is_exact)
+        obj_parts, obj_mass = _tabulate(js, obj_ws, n, model.pObj.is_exact)
+        posterior = _bayes(mu_parts, mu_mass)
         table.append(
             CellDiagnostic(
                 label,
                 mu_mass,
                 obj_mass,
                 None if posterior is None else Dist(model.states, posterior),
-                mu_row,
-                obj_row,
+                mu_parts,
+                obj_parts,
             )
         )
     return table

@@ -399,3 +399,18 @@ def test_integer_sum_check_matches_the_fraction_reference(weights):
         assert mu.is_exact
         assert mu.weights == tuple(map(Fraction, weights))
         assert all(type(w) is Fraction for w in mu.weights)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (float("nan"), 1.0),
+        (float("nan"),),
+        (0.5, float("nan"), 0.5),
+        (Fraction(1, 2), float("nan"), 0.5),
+    ],
+)
+def test_nan_weight_is_rejected(weights):
+    space = tuple("abc"[: len(weights)])
+    with pytest.raises(StructuralError, match="weights sum to nan"):
+        Dist(space, weights)

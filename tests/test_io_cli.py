@@ -232,6 +232,27 @@ class TestCliMalformedInput:
         assert "Traceback" not in proc.stderr
         assert str(path) in proc.stderr
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"nu0": 1' + b"0" * 4999 + b', "nu1": 0}', "Exceeds the limit"),
+            (b"\xff\xfe{}", "can't decode byte 0xff"),
+        ],
+        ids=["oversized-integer", "not-utf-8"],
+    )
+    def test_unreadable_lambda_file_is_a_format_error(
+        self, tmp_path, content, reason
+    ):
+        obs = write_json(tmp_path / "o.json", WORKED_RAW)
+        lam = tmp_path / "lam.json"
+        lam.write_bytes(content)
+        proc = run_cli("rationalize", obs, "--lambda", str(lam))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: %s: unreadable JSON: " % lam)
+        assert reason in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
     def test_zero_workers_is_rejected(self, tmp_path):
         obs = write_json(tmp_path / "o.json", WORKED_RAW)
         model = str(tmp_path / "m.json")
