@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
-from .dist import Observation, martingale_mean, num_pos
+from .dist import Dist, Observation, martingale_mean
 from .errors import (
     AbsoluteContinuityViolation,
     FormatError,
@@ -70,14 +71,18 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _dist_strings(dist) -> dict:
-    return {s: format_number(dist[s]) for s in dist.space}
+#: Overlapping posterior pairs that `known-omega` prints as text.
+MAX_LISTED_CONFLICTS = 20
 
 
-def _render_table(states, columns, title: str) -> list:
+def _dist_strings(dist, tol) -> dict:
+    return {s: format_number(dist[s], tol) for s in dist.space}
+
+
+def _render_table(states, columns, title: str, tol) -> list:
     """A state x signal table from (signal label, row over states) columns."""
     widths = [
-        max(len(label), max(len(format_number(x)) for x in row))
+        max(len(label), max(len(format_number(x, tol)) for x in row))
         for label, row in columns
     ]
     row_w = max(len(str(s)) for s in states)
@@ -92,7 +97,7 @@ def _render_table(states, columns, title: str) -> list:
             str(s).rjust(row_w)
             + "  "
             + "  ".join(
-                format_number(row[j]).rjust(w)
+                format_number(row[j], tol).rjust(w)
                 for (_, row), w in zip(columns, widths)
             )
         )
@@ -101,6 +106,7 @@ def _render_table(states, columns, title: str) -> list:
 
 def _check_payload(obs: Observation) -> dict:
     report = check_condition1(obs)
+    tol = obs.tol
     entries = []
     for entry in report.entries:
         if entry.ok:
@@ -109,9 +115,9 @@ def _check_payload(obs: Observation) -> dict:
                 {
                     "index": entry.index,
                     "pass": True,
-                    "f": {s: format_number(v) for s, v in d.f.items()},
-                    "max_f": format_number(d.max_f),
-                    "epsilon": format_number(d.epsilon),
+                    "f": {s: format_number(v, tol) for s, v in d.f.items()},
+                    "max_f": format_number(d.max_f, tol),
+                    "epsilon": format_number(d.epsilon, tol),
                 }
             )
         else:
@@ -171,8 +177,6 @@ def _resolve_lambda(spec: str, obs: Observation, mode: str):
             "lambda file must give a weight for each of: %s"
             % ", ".join(expected)
         )
-    from .dist import Dist
-
     return Dist(
         tuple(expected),
         tuple(
@@ -197,7 +201,7 @@ def cmd_rationalize(args) -> int:
             ("objective distribution P:", [c.obj_row for c in cells]),
         ):
             columns = [(c.label, row) for c, row in zip(cells, rows)]
-            for line in _render_table(model.states, columns, title):
+            for line in _render_table(model.states, columns, title, model.tol):
                 print(line)
             print()
         for i, (w, b) in enumerate(obs.posteriors.items):
@@ -206,9 +210,10 @@ def cmd_rationalize(args) -> int:
                 % (
                     i,
                     ", ".join(
-                        "%s: %s" % (s, format_number(b[s])) for s in obs.space
+                        "%s: %s" % (s, format_number(b[s], obs.tol))
+                        for s in obs.space
                     ),
-                    format_number(w),
+                    format_number(w, obs.tol),
                 )
             )
         if args.out:
@@ -237,6 +242,7 @@ def cmd_verify(args) -> int:
 def cmd_known_omega(args) -> int:
     obs, _ = load_observation(args.observation)
     report = check_proposition1(obs)
+    tol = obs.tol
     payload = {
         "condition_i": report.condition_i,
         "overlapping_pairs": [
@@ -244,18 +250,21 @@ def cmd_known_omega(args) -> int:
             for i, j, shared in report.overlapping_pairs
         ],
         "condition_ii": report.condition_ii,
-        "worst_deviations": [format_number(d) for d in report.deviations],
+        "worst_deviations": [format_number(d, tol) for d in report.deviations],
         "rationalizable": report.rationalizable,
     }
     lines = [
         "condition (i) disjoint supports: %s"
         % ("PASS" if report.condition_i else "FAIL"),
     ]
-    for i, j, shared in report.overlapping_pairs:
+    hidden = len(report.overlapping_pairs) - MAX_LISTED_CONFLICTS
+    for i, j, shared in report.overlapping_pairs[:MAX_LISTED_CONFLICTS]:
         lines.append(
             "  posteriors %d and %d share outcomes %s"
             % (i, j, ", ".join(map(repr, shared)))
         )
+    if hidden > 0:
+        lines.append("  \u2026 and %d more" % hidden)
     lines.append(
         "condition (ii) prior conditionals: %s"
         % ("PASS" if report.condition_ii else "FAIL")
@@ -278,6 +287,7 @@ def cmd_known_omega(args) -> int:
 
 def cmd_martingale(args) -> int:
     obs, _ = load_observation(args.observation)
+    tol = obs.tol
     if args.weights == "objective":
         weights = list(obs.posteriors.weights)
         posteriors = list(obs.posteriors.beliefs)
@@ -288,17 +298,18 @@ def cmd_martingale(args) -> int:
                 "--weights subjective-from requires --model MODEL.json"
             )
         model, _ = load_model(args.model)
-        active = [c for c in cell_table(model) if num_pos(c.mu_mass)]
+        tol = max(tol, model.tol)
+        active = [c for c in cell_table(model) if c.mu_mass]
         weights = [c.mu_mass for c in active]
         posteriors = [c.posterior for c in active]
         source = "subjective signal-cell weights from %s" % args.model
-    holds, mean = martingale_mean(weights, posteriors, obs.prior)
-    mean = dict(zip(obs.space, map(format_number, mean)))
+    holds, mean = martingale_mean(weights, posteriors, obs.prior, tol)
+    mean = {s: format_number(x, tol) for s, x in zip(obs.space, mean)}
     payload = {
         "weights": args.weights,
         "holds": holds,
         "mean_posterior": mean,
-        "prior": _dist_strings(obs.prior),
+        "prior": _dist_strings(obs.prior, tol),
     }
     lines = [
         "weighting: %s" % source,
@@ -315,14 +326,15 @@ def cmd_simulate(args) -> int:
     panel = simulate_panel(model, args.n, args.seed, workers=args.workers)
     _, implied = induced_observables(model)
     tv = tv_distance(panel.empirical, implied)
+    tol = model.tol
     payload = {
         "n_agents": panel.n_agents,
         "seed": panel.seed,
-        "tv_distance": format_number(tv),
+        "tv_distance": format_number(tv, tol),
         "empirical": [
             {
-                "weight": format_number(w),
-                "belief": _dist_strings(b),
+                "weight": format_number(w, tol),
+                "belief": _dist_strings(b, tol),
             }
             for w, b in panel.empirical.items
         ],
@@ -332,9 +344,9 @@ def cmd_simulate(args) -> int:
         lines.append(
             "  weight %s  belief (%s)"
             % (
-                format_number(w),
+                format_number(w, tol),
                 ", ".join(
-                    "%s: %s" % (s, format_number(b[s])) for s in b.space
+                    "%s: %s" % (s, format_number(b[s], tol)) for s in b.space
                 ),
             )
         )
@@ -349,7 +361,9 @@ def cmd_simulate(args) -> int:
     return PASS if ok else FAIL
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (it takes about 1 ms)."""
     parser = _Parser(
         prog="beliefcheck",
         description=(

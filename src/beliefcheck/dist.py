@@ -2,33 +2,27 @@
 on them: pushforward, conditioning on partition cells, pointwise likelihood
 ratios (Radon-Nikodym derivatives on a finite space), and martingale checks.
 
-Weights come in two flavours. Exact mode stores plain `fractions.Fraction`
-values and every comparison is exact; float mode stores floats and
-comparisons are made coordinate-wise within ``TOL``. A distribution is
-treated as exact when all of its weights are rational objects; an `int`,
-`bool` or `Fraction` subclass is stored as a plain `Fraction`, and a plain
-`Fraction` is stored as given. Exact weights are summed by
-`common_denominator`: one integer pass over the lcm of their denominators,
-so a distribution's total is checked, and `mass`, `pushforward`,
-`martingale_mean` and the `WeightedPosteriors` total are computed, without
-a chain of `Fraction` additions.
-
-`group_beliefs` alone decides which beliefs are the same: exact beliefs
-when their weight tuples are equal; otherwise a belief joins the first
-group whose representative it matches within ``TOL``, a rule that is not
-transitive, so beliefs chaining within tolerance group by input order.
+Every weight is a plain `fractions.Fraction` and all arithmetic is exact. A
+float weight given to a `Dist` or `WeightedPosteriors` is converted exactly
+with `Fraction(x)`, and the object records ``tol = TOL`` ("this data came
+from floats"; 0 otherwise), as do `Observation` and the model. The
+tolerance is read in three places only: at this boundary (a total within
+TOL of 1 is renormalised exactly, a float posterior weight at or below TOL
+is refused, and an observed prior or belief weight at or below TOL becomes
+0), in `num_eq`, and in output (`io.format_number`). Positivity is exact.
+Weights are summed by `common_denominator`, in integers over the lcm of
+their denominators. `group_beliefs` alone decides which beliefs are equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import repeat
 from math import lcm
 from numbers import Rational
-from operator import add, attrgetter, floordiv, mul
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from operator import attrgetter, floordiv, mul
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     AbsoluteContinuityViolation,
@@ -36,19 +30,14 @@ from .errors import (
     ZeroProbabilityCell,
 )
 
-Number = Union[int, Fraction, float]
-
-#: Tolerance for any comparison that involves a float weight.
+#: Tolerance of float-origin data: its zero threshold and comparisons.
 TOL = 1e-9
-
-
+_TOL = Fraction(TOL)  # as objects record it, so comparisons stay exact
+_ZERO = Fraction(0)
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
-
-
-def is_exact(x: Number) -> bool:
-    """True when x supports exact arithmetic (int or Fraction)."""
-    return type(x) is Fraction or isinstance(x, Rational)
+_weights = attrgetter("weights")
+_ratio = Fraction.as_integer_ratio
 
 
 def _over_lcm(nums: Iterable, dens: list) -> tuple:
@@ -70,26 +59,14 @@ def exact_sum(weights: Sequence) -> Fraction:
     return Fraction(sum(nums), den)
 
 
-def _plain_fractions(weights: tuple) -> bool:
-    """True when every weight is a plain Fraction, not an int or subclass."""
-    return set(map(type, weights)) <= {Fraction}
+def num_eq(a: Fraction, b: Fraction, tol: Fraction) -> bool:
+    """Equality of two weights within `tol` (exact when tol is 0)."""
+    return a == b or abs(a - b) <= tol
 
 
-def num_eq(a: Number, b: Number, tol: float = TOL) -> bool:
-    """Equality of two weights: exact when both sides are rational,
-    otherwise within tol."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    return abs(a - b) <= tol
-
-
-def num_pos(x: Number, tol: float = TOL) -> bool:
-    """Strict positivity, treating floats below tol as zero."""
-    if type(x) is Fraction:
-        return x.numerator > 0
-    if is_exact(x):
-        return x > 0
-    return x > tol
+def all_eq(xs: Sequence, ys: Sequence, tol: Fraction) -> bool:
+    """`num_eq` in every coordinate."""
+    return all(map(num_eq, xs, ys, repeat(tol)))
 
 
 @dataclass(frozen=True)
@@ -98,7 +75,8 @@ class Dist:
 
     The outcome space is an ordered tuple of distinct, non-empty labels;
     zero-weight outcomes are kept in the space so that distributions over
-    the same ambient space stay directly comparable.
+    the same ambient space stay directly comparable. `tol` is TOL when the
+    weights were given as floats, else 0.
     """
 
     space: tuple
@@ -106,13 +84,19 @@ class Dist:
 
     def __post_init__(self):
         space = tuple(self.space)
-        weights = tuple(self.weights)
-        exact = _plain_fractions(weights)
-        if not exact:
-            weights = tuple(
-                Fraction(w) if is_exact(w) else float(w) for w in weights
-            )
-            exact = _plain_fractions(weights)
+        weights, tol = tuple(self.weights), 0
+        types = set(map(type, weights))
+        if not types <= {Fraction}:
+            # The float boundary: every weight is converted exactly.
+            if not all(issubclass(t, Rational) for t in types):
+                tol = _TOL
+            try:
+                weights = tuple(map(Fraction, weights))
+            except (ValueError, OverflowError):  # NaN or infinite
+                raise StructuralError(
+                    "weights sum to %r, expected 1 within %g"
+                    % (sum(map(float, weights)), TOL)
+                ) from None
         if len(space) != len(weights):
             raise StructuralError(
                 "space has %d outcomes but %d weights were given"
@@ -123,48 +107,40 @@ class Dist:
             raise StructuralError("outcome labels must be distinct")
         if "" in index or None in index:
             raise StructuralError("outcome labels must be non-empty")
-        if exact:
-            nums, den = common_denominator(weights)
-            if min(nums, default=0) < 0:
-                i = next(i for i, x in enumerate(nums) if x < 0)
-                raise StructuralError(
-                    "negative weight %s at outcome %r" % (weights[i], space[i])
-                )
-            total = sum(nums)
-            if total != den:
+        nums, den = common_denominator(weights)
+        if min(nums, default=0) < 0:
+            i = next(i for i, x in enumerate(nums) if x < 0)
+            raise StructuralError(
+                "negative weight %s at outcome %r"
+                % (tuple(self.weights)[i], space[i])
+            )
+        total = sum(nums)
+        if total != den:
+            if not tol:
                 raise StructuralError(
                     "weights sum to %s, expected 1" % Fraction(total, den)
                 )
-        else:
-            for label, w in zip(space, weights):
-                if w < 0:
-                    raise StructuralError(
-                        "negative weight %s at outcome %r" % (w, label)
-                    )
-            total = sum(weights)
-            # Written so that a NaN weight, whose total is NaN, fails.
-            if not abs(total - 1) <= TOL:
+            if abs(Fraction(total, den) - 1) > tol:
                 raise StructuralError(
-                    "weights sum to %r, expected 1 within %g" % (total, TOL)
+                    "weights sum to %r, expected 1 within %g"
+                    % (total / den, tol)
                 )
+            weights = tuple(Fraction(x, total) for x in nums)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_mapping(cls, space: Sequence, mapping: Mapping) -> "Dist":
         """Build a Dist from a label->weight mapping; missing labels get 0."""
-        zero = Fraction(0)
-        if any(not is_exact(w) for w in mapping.values()):
-            zero = 0.0
         unknown = set(mapping) - set(space)
         if unknown:
             raise StructuralError(
                 "weights given for labels outside the space: %s"
                 % ", ".join(repr(u) for u in sorted(unknown, key=repr))
             )
-        return cls(tuple(space), tuple(mapping.get(s, zero) for s in space))
+        return cls(tuple(space), tuple(mapping.get(s, _ZERO) for s in space))
 
     @classmethod
     def uniform(cls, space: Sequence) -> "Dist":
@@ -173,9 +149,9 @@ class Dist:
 
     @property
     def is_exact(self) -> bool:
-        return self._exact
+        return not self.tol
 
-    def __getitem__(self, label) -> Number:
+    def __getitem__(self, label) -> Fraction:
         try:
             return self.weights[self._index[label]]
         except KeyError:
@@ -186,7 +162,7 @@ class Dist:
         unknown = [u for u in labels if u not in self._index]
         return ", ".join(repr(u) for u in sorted(unknown, key=repr))
 
-    def mass(self, labels: Iterable) -> Number:
+    def mass(self, labels: Iterable) -> Fraction:
         """Total weight of a subset of the space."""
         labels = set(labels)
         unknown = self._unknown(labels)
@@ -194,45 +170,95 @@ class Dist:
             raise StructuralError(
                 "subset contains labels outside the space: %s" % unknown
             )
-        if self._exact:
-            return exact_sum([self.weights[self._index[s]] for s in labels])
-        return sum(
-            (w for s, w in zip(self.space, self.weights) if s in labels), 0.0
-        )
+        return exact_sum([self.weights[self._index[s]] for s in labels])
 
     def support(self) -> tuple:
-        """Outcomes carrying positive weight (floats below TOL count as 0)."""
-        return tuple(
-            s for s, w in zip(self.space, self.weights) if num_pos(w)
-        )
+        """Outcomes carrying positive weight."""
+        return tuple(s for s, w in zip(self.space, self.weights) if w)
 
     def matches(self, other: "Dist") -> bool:
-        """Coordinate-wise equality over a shared space: exact when both
-        sides are exact, within TOL otherwise."""
+        """Coordinate-wise equality over a shared space, within the larger
+        of the two tolerances."""
         if self.space != other.space:
             raise StructuralError(
                 "cannot compare distributions over different spaces"
             )
-        return all(
-            num_eq(a, b) for a, b in zip(self.weights, other.weights)
-        )
+        return all_eq(self.weights, other.weights, max(self.tol, other.tol))
 
 
-def group_beliefs(beliefs: Sequence[Dist]) -> tuple:
-    """Group beliefs over one shared space by identity. Returns the distinct
-    beliefs in first-appearance order and, per input, its group's index."""
-    exact = all(b.is_exact for b in beliefs)
-    reps, groups, index = [], [], {}
-    for b in beliefs:
-        new = len(reps)
-        if exact:
-            g = index.setdefault(b.weights, new)
-        else:
-            g = next((i for i, r in enumerate(reps) if r.matches(b)), new)
-        if g == new:
+def _observed(d: Dist) -> Dist:
+    """`d` as an observed prior or belief: a float-origin weight at or below
+    the tolerance counts as 0, and the rest are renormalised exactly."""
+    if not d.tol or all(w > d.tol or not w for w in d.weights):
+        return d
+    kept = tuple(w if w > d.tol else _ZERO for w in d.weights)
+    total = exact_sum(kept)
+    out = Dist(d.space, tuple(w / total for w in kept))
+    object.__setattr__(out, "tol", d.tol)
+    return out
+
+
+def group_beliefs(beliefs: Sequence[Dist], tol: Fraction = 0) -> tuple:
+    """Group beliefs over one shared space by identity: returns one
+    representative per group, in order of first appearance, and each
+    input's group index. With tol > 0, beliefs within tol in every
+    coordinate are joined (union-find over neighbours in one linear
+    projection's order): groups do not depend on input order, the least
+    member represents each, and one wider than tol is refused."""
+    reps, first, groups, index = [], [], [], {}
+    for i, b in enumerate(beliefs):
+        # Weights are plain, reduced Fractions: equal exactly when their
+        # integer ratios are, which hash far faster than Fractions do.
+        g = index.setdefault(tuple(map(_ratio, b.weights)), len(reps))
+        if g == len(reps):
             reps.append(b)
+            first.append(i)
         groups.append(g)
-    return reps, groups
+    if not tol or len(reps) < 2:
+        return reps, groups
+    tol, m, space = Fraction(tol), len(reps), reps[0].space
+    # (i + 1) times the golden ratio, mod 1: distinct beliefs rarely share
+    # a projection.
+    coef = [(i + 1) * 0.6180339887498949 % 1 for i in range(len(space))]
+    proj = [sum(map(mul, coef, map(float, r.weights))) for r in reps]
+    order = sorted(range(m), key=proj.__getitem__)
+    reach = 2 * tol * sum(coef)  # twice the bound, for rounding in `proj`
+    root = list(range(m))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for p, i in enumerate(order):
+        q = p + 1
+        while q < m and proj[order[q]] - proj[i] <= reach:
+            j = order[q]
+            if find(i) != find(j) and all_eq(
+                reps[i].weights, reps[j].weights, tol
+            ):
+                root[find(j)] = find(i)
+            q += 1
+    components = {}  # root -> members, in order of first appearance
+    for i in range(m):
+        components.setdefault(find(i), []).append(i)
+    members = list(components.values())
+    label = {root: g for g, root in enumerate(components)}
+    # Two beliefs joined directly are within tol; larger groups may chain.
+    for ids in filter(lambda ids: len(ids) > 2, members):
+        cols = zip(*(reps[i].weights for i in ids))
+        for state, col in zip(space, cols):
+            lo, hi = min(col), max(col)
+            if not num_eq(lo, hi, tol):
+                a, b = sorted(first[ids[col.index(x)]] for x in (lo, hi))
+                raise StructuralError(
+                    "beliefs %d and %d differ by %.3g at %r, more than the "
+                    "tolerance %g, but are joined through beliefs within it"
+                    % (a, b, hi - lo, state, tol)
+                )
+    merged = [min((reps[i] for i in ids), key=_weights) for ids in members]
+    return merged, [label[find(g)] for g in groups]
 
 
 def _projector(proj) -> Callable:
@@ -270,10 +296,7 @@ def pushforward(mu: Dist, proj, space: Sequence) -> Dist:
                 % (label, target)
             )
         parts[index[target]].append(w)
-    if mu.is_exact:
-        return Dist(space, tuple(map(exact_sum, parts)))
-    # Float weights are added in order, as `+=` would.
-    return Dist(space, tuple(reduce(add, part, 0.0) for part in parts))
+    return Dist(space, tuple(map(exact_sum, parts)))
 
 
 def condition(mu: Dist, cell: Iterable) -> Dist:
@@ -289,16 +312,15 @@ def condition(mu: Dist, cell: Iterable) -> Dist:
             "cell contains labels outside the space: %s" % unknown
         )
     total = mu.mass(cell)
-    if not num_pos(total):
+    if not total:
         raise ZeroProbabilityCell(
             "cell %s has zero probability; Bayes update undefined"
             % sorted(cell, key=repr)
         )
-    zero = Fraction(0) if mu.is_exact else 0.0
     return Dist(
         mu.space,
         tuple(
-            w / total if s in cell else zero
+            w / total if s in cell else _ZERO
             for s, w in zip(mu.space, mu.weights)
         ),
     )
@@ -314,8 +336,8 @@ class RnDerivative:
     """
 
     f: dict
-    max_f: Number
-    epsilon: Number
+    max_f: Fraction
+    epsilon: Fraction
 
 
 def rn_derivative(prior: Dist, belief: Dist) -> RnDerivative:
@@ -328,26 +350,21 @@ def rn_derivative(prior: Dist, belief: Dist) -> RnDerivative:
     if prior.space != belief.space:
         raise StructuralError("prior and belief must share a space")
     rows = list(zip(prior.space, prior.weights, belief.weights))
-    bad = [s for s, p, b in rows if not num_pos(p) and num_pos(b)]
+    bad = [s for s, p, b in rows if not p and b]
     if bad:
         raise AbsoluteContinuityViolation(bad)
-    f = {s: b / p for s, p, b in rows if num_pos(p)}
+    f = {s: b / p for s, p, b in rows if p}
     max_f = max(f.values())
-    if is_exact(max_f):
-        epsilon = Fraction(1) / max_f
-    else:
-        # max f >= 1 up to rounding; keep epsilon inside (0, 1].
-        epsilon = min(1.0 / max_f, 1.0)
-    return RnDerivative(f, max_f, epsilon)
+    return RnDerivative(f, max_f, 1 / max_f)
 
 
 def martingale_mean(
-    weights: Sequence[Number], posteriors: Sequence[Dist], prior: Dist
+    weights: Sequence, posteriors: Sequence[Dist], prior: Dist, tol: Fraction
 ):
     """Mean of the posteriors under `weights`, coordinate by coordinate
     over the prior's space, and whether every coordinate equals the
-    prior's (`num_eq`). Returns (holds, mean weights). The mean is not
-    required to sum to 1, so float rounding in its total cannot raise."""
+    prior's within `tol`. Returns (holds, mean weights); the mean is not
+    required to sum to 1."""
     if len(weights) != len(posteriors):
         raise StructuralError(
             "got %d weights for %d posteriors"
@@ -355,38 +372,32 @@ def martingale_mean(
         )
     if any(post.space != prior.space for post in posteriors):
         raise StructuralError("posterior space differs from the prior's")
-    exact = all(map(is_exact, weights)) and all(
-        p.is_exact for p in posteriors
-    )
-    if exact:
-        # Coordinate i sums the products w * p.weights[i], each kept as an
-        # unreduced numerator and denominator, over their lcm.
-        nums = list(map(_numerator, weights))
-        dens = list(map(_denominator, weights))
-        acc = []
-        for i in range(len(prior.space)):
-            col = [p.weights[i] for p in posteriors]
-            products, den = _over_lcm(
-                map(mul, nums, map(_numerator, col)),
-                list(map(mul, dens, map(_denominator, col))),
-            )
-            acc.append(Fraction(sum(products), den))
-    else:
-        acc = [0.0] * len(prior.space)
-        for w, post in zip(weights, posteriors):
-            for i, pw in enumerate(post.weights):
-                acc[i] += w * pw
-    return all(map(num_eq, acc, prior.weights)), tuple(acc)
+    # Coordinate i sums the products w * p.weights[i], each kept as an
+    # unreduced numerator and denominator, over their lcm.
+    nums = list(map(_numerator, weights))
+    dens = list(map(_denominator, weights))
+    acc = []
+    for i in range(len(prior.space)):
+        col = [p.weights[i] for p in posteriors]
+        products, den = _over_lcm(
+            map(mul, nums, map(_numerator, col)),
+            list(map(mul, dens, map(_denominator, col))),
+        )
+        acc.append(Fraction(sum(products), den))
+    return all_eq(acc, prior.weights, tol), tuple(acc)
 
 
 def martingale_check(
-    weights: Sequence[Number], posteriors: Sequence[Dist], prior: Dist
+    weights: Sequence, posteriors: Sequence[Dist], prior: Dist
 ):
-    """Mean of the posteriors under `weights`, and whether it equals the
-    prior. Returns (holds, mean_posterior); raises StructuralError when
-    float rounding takes the mean's total more than TOL from 1, which
-    `martingale_mean` does not."""
-    holds, mean = martingale_mean(weights, posteriors, prior)
+    """Mean of the posteriors under `weights` (converted exactly), and
+    whether it equals the prior within the largest tolerance of the prior
+    and the posteriors. Returns (holds, mean_posterior); raises
+    StructuralError when the weights do not sum to 1."""
+    tol = max([prior.tol] + [p.tol for p in posteriors])
+    holds, mean = martingale_mean(
+        list(map(Fraction, weights)), posteriors, prior, tol
+    )
     return holds, Dist(prior.space, mean)
 
 
@@ -395,8 +406,9 @@ class WeightedPosteriors:
     """A finitely-supported distribution over posterior beliefs.
 
     Items are (weight, belief) pairs over a shared outcome space. Duplicate
-    beliefs (coordinate-wise equal) are merged at construction by summing
-    their weights, so the stored items enumerate the support.
+    beliefs (the same under `group_beliefs`) are merged at construction by
+    summing their weights, so the stored items enumerate the support. A
+    float weight must exceed TOL; beliefs are taken as observed.
     """
 
     items: tuple
@@ -413,37 +425,26 @@ class WeightedPosteriors:
                 raise StructuralError(
                     "all posteriors must share one outcome space"
                 )
-            if not num_pos(w):
+            # Written so that a NaN weight fails.
+            if not w > (0 if isinstance(w, Rational) else TOL):
                 raise StructuralError(
                     "posterior weights must be strictly positive, above the "
                     "zero threshold %g for floats; got %s" % (TOL, w)
                 )
-        reps, groups = group_beliefs([b for _, b in items])
-        exact = all(is_exact(w) for w, _ in items)
-        if exact:
-            parts = [[] for _ in reps]
-            for (w, _), g in zip(items, groups):
-                parts[g].append(w)
-            sums = list(map(exact_sum, parts))
-            total = exact_sum(sums)
-            if total != 1:
-                raise StructuralError(
-                    "posterior weights sum to %s, expected 1" % total
-                )
-        else:
-            sums = [Fraction(0)] * len(reps)
-            for (w, _), g in zip(items, groups):
-                sums[g] += Fraction(w) if is_exact(w) else float(w)
-            total = sum(sums)
-            if abs(total - 1) > TOL:
-                raise StructuralError(
-                    "posterior weights sum to %r, expected 1 within %g"
-                    % (total, TOL)
-                )
+        # The entry weights form a distribution over the entries.
+        try:
+            entries = Dist(range(len(items)), tuple(w for w, _ in items))
+        except StructuralError as err:
+            raise StructuralError("posterior %s" % err) from None
+        beliefs = [_observed(b) for _, b in items]
+        tol = max([entries.tol] + [b.tol for b in beliefs])
+        reps, groups = group_beliefs(beliefs, tol)
+        parts = [[] for _ in reps]
+        for w, g in zip(entries.weights, groups):
+            parts[g].append(w)
+        sums = map(exact_sum, parts)
         object.__setattr__(self, "items", tuple(zip(sums, reps)))
-        object.__setattr__(
-            self, "_exact", exact and all(b.is_exact for b in reps)
-        )
+        object.__setattr__(self, "tol", tol)
 
     @property
     def space(self) -> tuple:
@@ -457,10 +458,6 @@ class WeightedPosteriors:
     def beliefs(self) -> tuple:
         return tuple(b for _, b in self.items)
 
-    @property
-    def is_exact(self) -> bool:
-        return self._exact
-
     def __len__(self) -> int:
         return len(self.items)
 
@@ -468,7 +465,8 @@ class WeightedPosteriors:
 @dataclass(frozen=True)
 class Observation:
     """What the econometrician sees: a prior over the payoff-relevant states
-    and the population distribution of posteriors over the same states."""
+    and the population distribution of posteriors over the same states.
+    The prior is taken as observed (`_observed`)."""
 
     prior: Dist
     posteriors: WeightedPosteriors
@@ -478,6 +476,10 @@ class Observation:
             raise StructuralError(
                 "prior and posteriors must share one outcome space"
             )
+        object.__setattr__(self, "prior", _observed(self.prior))
+        object.__setattr__(
+            self, "tol", max(self.prior.tol, self.posteriors.tol)
+        )
 
     @property
     def space(self) -> tuple:
@@ -485,7 +487,7 @@ class Observation:
 
     @property
     def is_exact(self) -> bool:
-        return self.prior.is_exact and self.posteriors.is_exact
+        return not self.tol
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """JSON file formats for observations and models.
 
 Numbers are serialized as strings so exact rationals survive the round
-trip: "p/q" in rational mode, decimal strings in float mode. The file's
-"mode" field selects how the strings are parsed back. See docs/format.md
-for the schemas.
+trip. The "mode" field says how they are read: exactly, or rounded to
+floats that the `Dist` they go into converts back exactly as float-origin
+data. They are written by origin: exact values as "p/q", float-origin ones
+as floats. See docs/format.md for the schemas.
 
 Files are written byte for byte in the layout of `json.dump(...,
 indent=2)` plus a final newline, applied to `observation_to_dict` or
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Tuple
 
-from .dist import Dist, Number, Observation, WeightedPosteriors, is_exact
+from .dist import Dist, Observation, WeightedPosteriors
 from .errors import FormatError, StructuralError
 from .rationalize import Model
 
@@ -49,7 +50,7 @@ class _Misplaced(Exception):
         return FormatError("%s%s: %s" % (where, self.suffix, self.message))
 
 
-def _number(raw, mode: str) -> Number:
+def _number(raw, mode: str) -> "Fraction | float":
     """parse_number without a location; raises _Misplaced."""
     if type(raw) is str:
         text = raw
@@ -90,7 +91,7 @@ def _number(raw, mode: str) -> Number:
         ) from None
 
 
-def parse_number(raw, mode: str, where: str) -> Number:
+def parse_number(raw, mode: str, where: str) -> "Fraction | float":
     """Parse a number string ("p/q" or decimal) or a bare JSON number."""
     try:
         return _number(raw, mode)
@@ -116,12 +117,10 @@ def _numbers(raw: dict, mode: str, seen: dict) -> dict:
     return out
 
 
-def format_number(x: Number) -> str:
-    if type(x) is Fraction:
-        return str(x)
-    if is_exact(x):
-        return str(Fraction(x))
-    return repr(float(x))
+def format_number(x: Fraction, tol: Fraction) -> str:
+    """`x` as written: "p/q" for exact data (tol 0), the repr of the
+    nearest float for float-origin data."""
+    return repr(float(x)) if tol else str(x)
 
 
 def _require(data: dict, key: str, where: str):
@@ -140,14 +139,15 @@ def _field(entry: dict, key: str):
 def read_json(path):
     """json.load of a file. Invalid JSON raises json.JSONDecodeError, as
     json.load does; an integer literal longer than Python's int digit
-    limit (a plain ValueError) or a file that is not UTF-8
-    (UnicodeDecodeError) raises FormatError."""
+    limit (a plain ValueError), a file that is not UTF-8
+    (UnicodeDecodeError) or nesting too deep for the decoder
+    (RecursionError) raises FormatError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError:
         raise
-    except ValueError as err:
+    except (ValueError, RecursionError) as err:
         raise FormatError("%s: unreadable JSON: %s" % (path, err)) from None
 
 
@@ -273,18 +273,18 @@ def _block(items: list, depth: int, brackets: str) -> str:
     )
 
 
-def _weights_text(dist: Dist) -> list:
-    """A distribution's weights as JSON strings. format_number gives
-    digits, signs, "/", ".", "e", "inf" or "nan", which json escapes to
-    themselves; on an exact Dist, whose weights are plain Fractions, it
-    is str."""
-    text = map(str if dist.is_exact else format_number, dist.weights)
+def _weights_text(dist: Dist, tol: Fraction) -> list:
+    """A distribution's weights as JSON strings, as format_number writes
+    them: digits, signs, "/", "." or "e", which json escapes to
+    themselves."""
+    weights = dist.weights
+    text = map(repr, map(float, weights)) if tol else map(str, weights)
     return list(map('"%s"'.__mod__, text))
 
 
-def _dist_text(keys, dist: Dist, depth: int) -> str:
+def _dist_text(keys, dist: Dist, depth: int, tol: Fraction) -> str:
     """A distribution as a JSON object keyed by its encoded labels."""
-    members = map("%s: %s".__mod__, zip(keys, _weights_text(dist)))
+    members = map("%s: %s".__mod__, zip(keys, _weights_text(dist, tol)))
     return _block(list(members), depth, "{}")
 
 
@@ -298,18 +298,19 @@ def _all_str(*groups) -> bool:
 
 
 def observation_to_dict(obs: Observation, mode: str) -> dict:
+    tol = obs.tol
     return {
         "mode": mode,
         "states": list(obs.space),
         "prior": {
-            s: format_number(w)
+            s: format_number(w, tol)
             for s, w in zip(obs.prior.space, obs.prior.weights)
         },
         "posteriors": [
             {
-                "weight": format_number(w),
+                "weight": format_number(w, tol),
                 "belief": {
-                    s: format_number(b[s]) for s in obs.space
+                    s: format_number(b[s], tol) for s in obs.space
                 },
             }
             for w, b in obs.posteriors.items
@@ -325,14 +326,14 @@ def observation_json(obs: Observation, mode: str) -> str:
     states = list(map(_encode, obs.space))
     posteriors = [
         '{\n      "weight": "%s",\n      "belief": %s\n    }'
-        % (format_number(w), _dist_text(states, b, 3))
+        % (format_number(w, obs.tol), _dist_text(states, b, 3, obs.tol))
         for w, b in obs.posteriors.items
     ]
     return _document(
         [
             ("mode", _encode(mode)),
             ("states", _block(states, 1, "[]")),
-            ("prior", _dist_text(states, obs.prior, 1)),
+            ("prior", _dist_text(states, obs.prior, 1, obs.tol)),
             ("posteriors", _block(posteriors, 1, "[]")),
         ]
     )
@@ -353,6 +354,10 @@ def model_to_dict(model: Model, mode: str) -> dict:
         for w in cell:
             signal_of[w] = label
     omega_index = {w: i for i, w in enumerate(model.omega)}
+
+    def text(dist: Dist) -> list:
+        return [format_number(w, model.tol) for w in dist.weights]
+
     return {
         "mode": mode,
         "states": list(model.states),
@@ -364,17 +369,12 @@ def model_to_dict(model: Model, mode: str) -> dict:
             }
             for w in model.omega
         ],
-        "mu0": dict(zip(model.omega, map(format_number, model.mu0.weights))),
-        "pObj": dict(zip(model.omega, map(format_number, model.pObj.weights))),
+        "mu0": dict(zip(model.omega, text(model.mu0))),
+        "pObj": dict(zip(model.omega, text(model.pObj))),
         "lambda": (
             None
             if model.lambda_mix is None
-            else {
-                lab: format_number(w)
-                for lab, w in zip(
-                    model.lambda_mix.space, model.lambda_mix.weights
-                )
-            }
+            else dict(zip(model.lambda_mix.space, text(model.lambda_mix)))
         ),
         "partition": {
             label: [omega_index[w] for w in cell]
@@ -413,14 +413,14 @@ def model_json(model: Model, mode: str) -> str:
     ]
     mix = "null"
     if lam is not None:
-        mix = _dist_text(map(_encode, lam.space), lam, 1)
+        mix = _dist_text(map(_encode, lam.space), lam, 1, model.tol)
     return _document(
         [
             ("mode", _encode(mode)),
             ("states", _block(list(map(_encode, model.states)), 1, "[]")),
             ("omega", _block(entries, 1, "[]")),
-            ("mu0", _dist_text(omega, model.mu0, 1)),
-            ("pObj", _dist_text(omega, model.pObj, 1)),
+            ("mu0", _dist_text(omega, model.mu0, 1, model.tol)),
+            ("pObj", _dist_text(omega, model.pObj, 1, model.tol)),
             ("lambda", mix),
             ("partition", _block(partition, 1, "{}")),
         ]
@@ -504,7 +504,7 @@ def load_model(path) -> Tuple[Model, str]:
                 " signal labels" % where
             )
 
-    zero = Fraction(0) if mode == "rational" else 0.0
+    zero = Fraction(0)
     seen = {}
 
     def dist_over_omega(key: str) -> Dist:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .dist import Dist, Observation, condition, num_pos
+from .dist import Dist, Observation, all_eq, condition, num_eq
 from .errors import (
     NotRationalizableError,
     PreconditionError,
@@ -66,7 +66,7 @@ def set_partitions(items: Sequence) -> Iterator[list]:
 
 
 def _require_full_support(prior: Dist) -> None:
-    dead = [s for s, w in zip(prior.space, prior.weights) if not num_pos(w)]
+    dead = [s for s, w in zip(prior.space, prior.weights) if not w]
     if dead:
         raise PreconditionError(
             "the known-state-space test requires a full-support prior; "
@@ -79,10 +79,11 @@ def _require_full_support(prior: Dist) -> None:
 class Prop1Report:
     """Outcome of the two known-state-space rationalizability conditions.
 
-    `overlapping_pairs` lists (i, j, shared outcomes) for posterior pairs
-    with intersecting supports; `deviations` carries, per posterior, the
-    worst coordinate gap between the posterior and the prior conditioned on
-    the posterior's support.
+    `overlapping_pairs` lists at most one conflict per posterior j, as
+    (i, j, (s,)): s is the first state of j's support that an earlier
+    posterior charges, and i the first posterior charging s. `deviations`
+    carries, per posterior, the worst coordinate gap between the posterior
+    and the prior conditioned on the posterior's support.
     """
 
     condition_i: bool
@@ -98,20 +99,24 @@ class Prop1Report:
 def check_proposition1(obs: Observation) -> Prop1Report:
     """Decide rationalizability in the known-state-space regime.
 
-    Condition (i): the observed posteriors have pairwise disjoint supports.
-    Condition (ii): each posterior equals the prior conditioned on that
-    posterior's support. Requires a full-support prior.
+    Condition (i): the observed posteriors have pairwise disjoint supports,
+    decided in one pass over a map from each state to the first posterior
+    charging it. Condition (ii): each posterior equals the prior conditioned
+    on its support. Requires a full-support prior. Time and output are
+    O(k * n) for k posteriors over n states.
     """
     _require_full_support(obs.prior)
     beliefs = obs.posteriors.beliefs
-    supports = [frozenset(b.support()) for b in beliefs]
+    supports = [b.support() for b in beliefs]
 
+    owner = {}  # state -> first posterior that charges it
     overlaps = []
-    for i in range(len(beliefs)):
-        for j in range(i + 1, len(beliefs)):
-            shared = supports[i] & supports[j]
-            if shared:
-                overlaps.append((i, j, tuple(sorted(shared, key=repr))))
+    for j, supp in enumerate(supports):
+        shared = next((s for s in supp if s in owner), None)
+        if shared is not None:
+            overlaps.append((owner[shared], j, (shared,)))
+        for s in supp:
+            owner.setdefault(s, j)
 
     deviations = []
     condition_ii = True
@@ -122,8 +127,7 @@ def check_proposition1(obs: Observation) -> Prop1Report:
             for a, b in zip(belief.weights, expected.weights)
         )
         deviations.append(worst)
-        if not belief.matches(expected):
-            condition_ii = False
+        condition_ii = condition_ii and num_eq(worst, 0, obs.tol)
 
     return Prop1Report(
         condition_i=not overlaps,
@@ -150,21 +154,18 @@ def construct_known_omega_model(obs: Observation) -> Model:
     states = obs.space
     partition = {}
     obj = {}
-    exact = obs.is_exact
     for k, (weight, belief) in enumerate(obs.posteriors.items):
         cell = belief.support()
         partition["nu%d" % k] = cell
         # Only the cell totals are pinned down; spread uniformly within.
-        share = (
-            Fraction(weight) / len(cell) if exact else weight / len(cell)
-        )
+        share = weight / len(cell)
         for s in cell:
             obj[s] = share
     residual = tuple(s for s in states if s not in obj)
     if residual:
         partition[RESIDUAL_CELL] = residual
         for s in residual:
-            obj[s] = Fraction(0) if exact else 0.0
+            obj[s] = Fraction(0)
     return Model(
         states=states,
         omega=states,
@@ -173,6 +174,7 @@ def construct_known_omega_model(obs: Observation) -> Model:
         mu0=obs.prior,
         pObj=Dist(states, tuple(obj[s] for s in states)),
         lambda_mix=None,
+        tol=obs.tol,
     )
 
 
@@ -204,7 +206,7 @@ def brute_force_known_omega(obs: Observation) -> bool:
                     continue
                 if cell not in conditioned:
                     conditioned[cell] = condition(obs.prior, cell)
-                if belief.matches(conditioned[cell]):
+                if all_eq(belief.weights, conditioned[cell].weights, obs.tol):
                     hit = i
                 break
             if hit is None:

@@ -16,19 +16,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .dist import (
-    TOL,
     Dist,
-    Number,
     Observation,
     RnEntry,
     RnReport,
     WeightedPosteriors,
+    all_eq,
     common_denominator,
     group_beliefs,
-    is_exact,
     martingale_mean,
     num_eq,
-    num_pos,
     pushforward,
     rn_derivative,
 )
@@ -66,7 +63,8 @@ class Model:
     payoff-relevant states, the signal partition (generators of the agent's
     period-1 information), the agent's subjective prior `mu0`, and the
     objective distribution `pObj`. `lambda_mix` records the mixing
-    distribution used by the construction, when there was one.
+    distribution used by the construction, when there was one. `tol` is
+    TOL for float-origin data, else 0 (by default, `mu0`'s or `pObj`'s).
     """
 
     states: tuple
@@ -76,10 +74,13 @@ class Model:
     mu0: Dist
     pObj: Dist
     lambda_mix: Optional[Dist] = None
+    tol: Optional[Fraction] = None
 
     def __post_init__(self):
         omega = tuple(self.omega)
         object.__setattr__(self, "omega", omega)
+        if self.tol is None:
+            object.__setattr__(self, "tol", max(self.mu0.tol, self.pObj.tol))
         if self.mu0.space != omega or self.pObj.space != omega:
             raise StructuralError(
                 "mu0 and pObj must be distributions over the model's omega"
@@ -99,10 +100,6 @@ class Model:
                 raise StructuralError(
                     "projection sends %r outside the declared states" % (w,)
                 )
-
-    @property
-    def is_exact(self) -> bool:
-        return self.mu0.is_exact and self.pObj.is_exact
 
 
 def check_condition1(obs: Observation) -> RnReport:
@@ -166,13 +163,12 @@ def construct_rationalization(
         raise InvalidMixError(
             "mixing distribution must be indexed by %s" % (mix_space,)
         )
-    if not all(num_pos(w) for w in lambda_mix.weights):
+    if not all(w > 0 for w in lambda_mix.weights):
         raise InvalidMixError(
             "mixing distribution must give every posterior positive weight"
         )
 
     states = obs.space
-    zero = Fraction(0) if obs.is_exact else 0.0
     prior = obs.prior.weights
     epsilons = report.epsilons()
     # Rows in omega order: the k "+" cells, then the k "-" cells.
@@ -185,15 +181,7 @@ def construct_rationalization(
             plus.append(eb * lam)
             # (prior - eps*belief) is the phantom cell's unnormalized
             # conditional; nonnegative since eps <= prior(s)/belief(s).
-            phantom = (p - eb) * lam
-            if not is_exact(phantom):
-                if phantom < -TOL:
-                    raise StructuralError(
-                        "phantom-signal weight %r is negative beyond "
-                        "tolerance at %r" % (phantom, s)
-                    )
-                phantom = max(phantom, 0.0)
-            minus.append(phantom)
+            minus.append((p - eb) * lam)
             p_obj.append(p * pw)
 
     n = len(states)
@@ -208,16 +196,14 @@ def construct_rationalization(
             for j, (i, sign) in enumerate(cells)
         },
         mu0=Dist(omega, tuple(plus + minus)),
-        pObj=Dist(omega, tuple(p_obj) + (zero,) * len(minus)),
+        pObj=Dist(omega, tuple(p_obj) + (Fraction(0),) * len(minus)),
         lambda_mix=lambda_mix,
+        tol=obs.tol,
     )
 
 
-def _row(acc: tuple, den) -> tuple:
-    """A row from integer numerators over `den`, or from floats when `den`
-    is None."""
-    if den is None:
-        return acc
+def _row(acc: tuple, den: int) -> tuple:
+    """A row from integer numerators over `den`."""
     return tuple(Fraction(a, den) for a in acc)
 
 
@@ -228,8 +214,8 @@ class CellDiagnostic:
     rows are kept as `_row` arguments and built when read."""
 
     label: str
-    mu_mass: Number
-    obj_mass: Number
+    mu_mass: Fraction
+    obj_mass: Fraction
     posterior: Optional[Dist]  # None when the cell has zero mu0 mass
     mu_parts: tuple
     obj_parts: tuple
@@ -257,32 +243,15 @@ class CellDiagnostic:
         )
 
 
-def _tabulate(cols: list, weights: list, n: int, exact: bool) -> tuple:
+def _tabulate(cols: list, weights: list, n: int) -> tuple:
     """One signal cell's row over the n states, as `_row` arguments, and
-    its total, from the cell's omega points (state column, weight). An
-    exact row is summed as integer numerators over the lcm of the cell's
-    denominators; a float row is summed in omega order."""
-    if exact:
-        nums, den = common_denominator(weights)
-        acc = [0] * n
-        for j, x in zip(cols, nums):
-            acc[j] += x
-        return (tuple(acc), den), Fraction(sum(acc), den)
-    acc, total = [0.0] * n, 0.0
-    for j, x in zip(cols, weights):
+    its total, from the cell's omega points (state column, weight), summed
+    as integer numerators over the lcm of the cell's denominators."""
+    nums, den = common_denominator(weights)
+    acc = [0] * n
+    for j, x in zip(cols, nums):
         acc[j] += x
-        total += x
-    return (tuple(acc), None), total
-
-
-def _bayes(parts: tuple, mass: Number) -> Optional[tuple]:
-    """A row divided by its total, or None when the total is zero; an exact
-    row is divided through its integer numerators."""
-    acc, den = parts
-    if den is not None:
-        total = sum(acc)
-        return tuple(Fraction(a, total) for a in acc) if total else None
-    return tuple(x / mass for x in acc) if num_pos(mass) else None
+    return (tuple(acc), den), Fraction(sum(acc), den)
 
 
 def cell_table(model: Model) -> list:
@@ -307,15 +276,20 @@ def cell_table(model: Model) -> list:
     n = len(col)
     table = []
     for label, js, mu_ws, obj_ws in zip(labels, cols, mus, objs):
-        mu_parts, mu_mass = _tabulate(js, mu_ws, n, model.mu0.is_exact)
-        obj_parts, obj_mass = _tabulate(js, obj_ws, n, model.pObj.is_exact)
-        posterior = _bayes(mu_parts, mu_mass)
+        mu_parts, mu_mass = _tabulate(js, mu_ws, n)
+        obj_parts, obj_mass = _tabulate(js, obj_ws, n)
+        acc, _ = mu_parts
+        total = sum(acc)  # zero exactly when mu_mass is
+        posterior = None
+        if total:
+            bayes = tuple(Fraction(a, total) for a in acc)
+            posterior = Dist(model.states, bayes)
         table.append(
             CellDiagnostic(
                 label,
                 mu_mass,
                 obj_mass,
-                None if posterior is None else Dist(model.states, posterior),
+                posterior,
                 mu_parts,
                 obj_parts,
             )
@@ -326,7 +300,7 @@ def cell_table(model: Model) -> list:
 def reachable_cells(model: Model) -> list:
     """The cells of positive objective mass. Raises UndefinedUpdateError if
     one of them has zero subjective probability."""
-    reached = [c for c in cell_table(model) if num_pos(c.obj_mass)]
+    reached = [c for c in cell_table(model) if c.obj_mass]
     for c in reached:
         if c.posterior is None:
             raise UndefinedUpdateError(
@@ -390,46 +364,50 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     induced posterior recovers the observed posterior distribution; (d) the
     objective distribution also projects onto the observed prior; (e) the
     signal-weighted average of posteriors under the subjective prior equals
-    the observed prior (the martingale identity).
+    the observed prior (the martingale identity). Comparisons are made
+    within the larger of the model's and the observation's tolerance.
     """
     if tuple(model.states) != obs.space:
         raise StructuralError(
             "model and observation disagree on the payoff-relevant states"
         )
+    tol = max(model.tol, obs.tol)
     cells = cell_table(model)
 
     induced_prior = pushforward(model.mu0, model.projection, obs.space)
-    prior_matches = induced_prior.matches(obs.prior)
+    prior_matches = all_eq(induced_prior.weights, obs.prior.weights, tol)
 
     # An objectively reachable cell with zero subjective probability has no
     # Bayes update (posterior None); that fails (b) and (c).
-    reached = [c for c in cells if num_pos(c.obj_mass)]
+    reached = [c for c in cells if c.obj_mass]
     live = [c for c in reached if c.posterior is not None]
     observed = obs.posteriors.items
-    # The observed beliefs are distinct, so they take groups 0..k-1; a cell
-    # posterior lands in an observed group or opens a new one.
+    # A cell posterior joins an observed belief's group or opens a new one;
+    # under the model's tolerance, observed beliefs may share a group.
     _, groups = group_beliefs(
-        [b for _, b in observed] + [c.posterior for c in live]
+        [b for _, b in observed] + [c.posterior for c in live], tol
     )
+    wanted = {}  # observed group -> summed observed weight
+    for (w, _), g in zip(observed, groups):
+        wanted[g] = wanted.get(g, 0) + w
     induced = {}  # group -> (first cell posterior, summed objective mass)
     for c, g in zip(live, groups[len(observed):]):
         post, mass = induced.get(g, (c.posterior, Fraction(0)))
         induced[g] = (post, mass + c.obj_mass)
     posteriors_match = len(live) == len(reached) and all(
-        g < len(observed) for g in induced
+        g in wanted for g in induced
     )
     distribution_matches = posteriors_match and all(
-        g in induced and num_eq(induced[g][1], w)
-        for g, (w, _) in enumerate(observed)
+        g in induced and num_eq(induced[g][1], w, tol)
+        for g, w in wanted.items()
     )
 
     objective_prior = pushforward(model.pObj, model.projection, obs.space)
-    objective_agrees = objective_prior.matches(obs.prior)
+    objective_agrees = all_eq(objective_prior.weights, obs.prior.weights, tol)
 
-    active = [c for c in cells if num_pos(c.mu_mass)]
-    martingale_holds, mean = martingale_mean(
-        [c.mu_mass for c in active], [c.posterior for c in active], obs.prior
-    )
+    active = [c for c in cells if c.mu_mass]
+    masses, posts = [c.mu_mass for c in active], [c.posterior for c in active]
+    martingale_holds, mean = martingale_mean(masses, posts, obs.prior, tol)
 
     return VerifyReport(
         prior_matches=prior_matches,

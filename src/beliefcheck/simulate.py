@@ -28,7 +28,7 @@ from functools import partial
 from itertools import chain
 from operator import methodcaller
 
-from .dist import Number, WeightedPosteriors, group_beliefs
+from .dist import WeightedPosteriors, group_beliefs
 from .errors import StructuralError
 from .rationalize import Model, reachable_cells
 
@@ -102,11 +102,11 @@ def simulate_panel(
 
     # bits/2^64 < p/q  <=>  bits*q < p*2^64  <=>  bits < ceil(p*2^64/q) for
     # integer bits, so the first cell whose threshold exceeds bits is drawn.
+    # The reached masses sum to exactly 1: the last threshold is 2^64.
     thresholds, running = [], Fraction(0)
     for c in cells:
-        running += Fraction(c.obj_mass)
+        running += c.obj_mass
         thresholds.append(math.ceil(running * _SCALE))
-    thresholds[-1] = _SCALE  # guard against float rounding in the total
 
     step = -(-n_agents // workers)
     bits = chain.from_iterable(
@@ -129,16 +129,16 @@ def simulate_panel(
     return PanelSample(n_agents, seed, draws, empirical)
 
 
-def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Number:
+def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Fraction:
     """Total variation distance between two posterior distributions: half
     the L1 distance over the union of supports, with posteriors identified
-    by `group_beliefs`."""
+    by `group_beliefs` within the larger of the two tolerances."""
     if p.space != q.space:
         raise StructuralError(
             "posterior distributions must share an outcome space"
         )
-    reps, groups = group_beliefs(p.beliefs + q.beliefs)
-    diff = [Fraction(0) if p.is_exact and q.is_exact else 0.0] * len(reps)
+    reps, groups = group_beliefs(p.beliefs + q.beliefs, max(p.tol, q.tol))
+    diff = [Fraction(0)] * len(reps)
     for w, g in zip(p.weights + tuple(-w for w in q.weights), groups):
         diff[g] += w
-    return sum(abs(d) for d in diff) / 2
+    return sum(map(abs, diff)) / 2

@@ -278,6 +278,62 @@ class TestCliMalformedInput:
         )
 
 
+    @pytest.mark.parametrize("command", ["check", "rationalize-lambda"])
+    def test_deeply_nested_json_is_a_format_error(self, tmp_path, command):
+        # json.load raises RecursionError on nesting this deep
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        if command == "check":
+            proc = run_cli("check", str(deep))
+        else:
+            obs = write_json(tmp_path / "o.json", WORKED_RAW)
+            proc = run_cli("rationalize", obs, "--lambda", str(deep))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: %s: unreadable JSON: " % deep)
+        assert proc.stderr.count("\n") == 1
+
+
+def overlapping_observation(k):
+    """k distinct 2-state posteriors of full support: every pair overlaps."""
+    return {
+        "mode": "rational",
+        "states": ["H", "L"],
+        "prior": {"H": "1/2", "L": "1/2"},
+        "posteriors": [
+            {
+                "weight": "1/%d" % k,
+                "belief": {
+                    "H": "%d/%d" % (i, k + 1),
+                    "L": "%d/%d" % (k + 1 - i, k + 1),
+                },
+            }
+            for i in range(1, k + 1)
+        ],
+    }
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_known_omega_output_is_linear_in_the_input(tmp_path, capsys, as_json):
+    # k(k-1)/2 pairs overlap; one conflict per posterior is reported
+    k = 1500
+    path = tmp_path / "o.json"
+    path.write_text(json.dumps(overlapping_observation(k)))
+    argv = ["known-omega", str(path)] + (["--json"] if as_json else [])
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert len(out) <= 2 * path.stat().st_size
+    if as_json:
+        pairs = json.loads(out)["overlapping_pairs"]
+        assert pairs == [
+            {"i": 0, "j": j, "shared": ["H"]} for j in range(1, k)
+        ]
+    else:
+        assert "  posteriors 0 and 20 share outcomes 'H'" in out
+        assert "posteriors 0 and 21 " not in out
+        assert "  \u2026 and %d more\n" % (k - 1 - 20) in out
+
+
 class TestCliExitCodes:
     def test_check_passes(self, tmp_path):
         path = write_json(tmp_path / "o.json", WORKED_RAW)
