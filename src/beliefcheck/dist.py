@@ -2,26 +2,33 @@
 on them: pushforward, conditioning on partition cells, pointwise likelihood
 ratios (Radon-Nikodym derivatives on a finite space), and martingale checks.
 
-Every weight is a plain `fractions.Fraction` and all arithmetic is exact. A
-float weight given to a `Dist` or `WeightedPosteriors` is converted exactly
-with `Fraction(x)`, and the object records ``tol = TOL`` ("this data came
-from floats"; 0 otherwise), as do `Observation` and the model. The
-tolerance is read in three places only: at this boundary (a total within
-TOL of 1 is renormalised exactly, a float posterior weight at or below TOL
-is refused, and an observed prior or belief weight at or below TOL becomes
-0), in `num_eq`, and in output (`io.format_number`). Positivity is exact.
-Weights are summed by `common_denominator`, in integers over the lcm of
-their denominators. `group_beliefs` alone decides which beliefs are equal.
+All arithmetic is exact, and a `Dist` stores its weights once, canonically,
+as integers: a tuple `nums` of numerators over one denominator `den`, the
+lcm of the weights' reduced denominators, so that ``gcd(*nums, den) == 1``.
+Two distributions over one space are therefore equal exactly when their
+(nums, den) pairs are. `Dist.weights`, the public tuple of plain
+`fractions.Fraction`s, is built from the pair when first read; the
+primitives here, construction, verification and file I/O work on the
+integers and build a `Fraction` only for a value they return or print.
+
+A float weight given to a `Dist` or `WeightedPosteriors` is converted
+exactly (`float.as_integer_ratio`), and the object records ``tol = TOL``
+("this data came from floats"; 0 otherwise), as do `Observation` and the
+model. The tolerance is read in three places only: at this boundary (a
+total within TOL of 1 is renormalised exactly, a float posterior weight at
+or below TOL is refused, and an observed prior or belief weight at or below
+TOL becomes 0), in comparisons (`_close`, `group_beliefs`), and in output
+(`io.format_number`). Positivity is exact. `group_beliefs` alone decides
+which beliefs are equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import repeat
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
-from operator import attrgetter, floordiv, mul
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -33,86 +40,132 @@ from .errors import (
 #: Tolerance of float-origin data: its zero threshold and comparisons.
 TOL = 1e-9
 _TOL = Fraction(TOL)  # as objects record it, so comparisons stay exact
+_TOL_P, _TOL_Q = _TOL.as_integer_ratio()
 _ZERO = Fraction(0)
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-_weights = attrgetter("weights")
-_ratio = Fraction.as_integer_ratio
+_set = object.__setattr__
+# Exact (numerator, denominator) of a weight, by type; other types go
+# through Fraction.
+_RATIO = {
+    Fraction: Fraction.as_integer_ratio,
+    float: float.as_integer_ratio,
+    int: int.as_integer_ratio,
+    bool: int.as_integer_ratio,
+}
+_NONPOSITIVE = (
+    "posterior weights must be strictly positive, above the zero threshold "
+    "%g for floats; got %s"
+)
 
 
-def _over_lcm(nums: Iterable, dens: list) -> tuple:
-    """The ratios nums[i] / dens[i] as (numerators over the lcm, lcm)."""
+def _ratio(w) -> tuple:
+    convert = _RATIO.get(type(w))
+    return convert(w) if convert else Fraction(w).as_integer_ratio()
+
+
+def _shown(num: int, den: int, tol) -> str:
+    """A weight given as a reduced (num, den) pair, as an error message
+    shows it: as the float it came from when tol is set, else as p/q."""
+    return str(num / den) if tol else str(Fraction(num, den))
+
+
+def _vector(nums: Sequence, dens: Sequence) -> tuple:
+    """Reduced ratios nums[i] / dens[i] as integer numerators over the lcm
+    of the denominators: returns (numerators, lcm)."""
     den = lcm(*dens)
-    return list(map(mul, nums, map(floordiv, repeat(den), dens))), den
-
-
-def common_denominator(weights: Sequence) -> tuple:
-    """Exact weights as integers over one denominator, the lcm of theirs:
-    returns (numerators, lcm), so that weights[i] == numerators[i] / lcm."""
-    dens = list(map(_denominator, weights))
-    return _over_lcm(map(_numerator, weights), dens)
+    return [n * (den // d) for n, d in zip(nums, dens)], den
 
 
 def exact_sum(weights: Sequence) -> Fraction:
     """Sum of exact weights as a plain Fraction (0 for no weights)."""
-    nums, den = common_denominator(weights)
+    if not weights:
+        return Fraction(0)
+    nums, den = _vector(*zip(*map(_ratio, weights)))
     return Fraction(sum(nums), den)
 
 
-def num_eq(a: Fraction, b: Fraction, tol: Fraction) -> bool:
-    """Equality of two weights within `tol` (exact when tol is 0)."""
-    return a == b or abs(a - b) <= tol
+def _close(a: Sequence, da: int, b: Sequence, db: int, tol) -> bool:
+    """Whether a[i]/da equals b[i]/db within `tol` at every i (exactly
+    when tol is 0)."""
+    if not tol:
+        return all(x * db == y * da for x, y in zip(a, b))
+    p, q = tol.as_integer_ratio()
+    bound = p * da * db
+    return all(abs(x * db - y * da) * q <= bound for x, y in zip(a, b))
 
 
-def all_eq(xs: Sequence, ys: Sequence, tol: Fraction) -> bool:
-    """`num_eq` in every coordinate."""
-    return all(map(num_eq, xs, ys, repeat(tol)))
+def _same(d: "Dist", e: "Dist", tol) -> bool:
+    """Coordinate-wise equality of two distributions within `tol`; with
+    tol 0 their canonical pairs decide."""
+    if not tol:
+        return d.den == e.den and d.nums == e.nums
+    return _close(d.nums, d.den, e.nums, e.den, tol)
 
 
-@dataclass(frozen=True)
+def _labels_checked(index: dict, space: tuple) -> dict:
+    """`index` (label -> position in `space`), once the labels are known
+    to be distinct and non-empty."""
+    if len(index) != len(space):
+        raise StructuralError("outcome labels must be distinct")
+    if "" in index or None in index:
+        raise StructuralError("outcome labels must be non-empty")
+    return index
+
+
+def _index_of(space: tuple) -> dict:
+    return _labels_checked({s: i for i, s in enumerate(space)}, space)
+
+
 class Dist:
     """A probability distribution with finite support over labeled outcomes.
 
     The outcome space is an ordered tuple of distinct, non-empty labels;
     zero-weight outcomes are kept in the space so that distributions over
-    the same ambient space stay directly comparable. `tol` is TOL when the
-    weights were given as floats, else 0.
+    the same ambient space stay directly comparable. The weights are kept
+    as `nums` over `den` in lowest terms (see the module docstring);
+    `weights` is their tuple of Fractions. `tol` is TOL when the weights
+    were given as floats, else 0. Instances are immutable.
     """
 
-    space: tuple
-    weights: tuple
+    __slots__ = ("space", "nums", "den", "tol", "_index", "_weights")
 
-    def __post_init__(self):
-        space = tuple(self.space)
-        weights, tol = tuple(self.weights), 0
-        types = set(map(type, weights))
-        if not types <= {Fraction}:
+    def __init__(self, space: Sequence, weights: Sequence):
+        space, given, tol = tuple(space), tuple(weights), 0
+        types = set(map(type, given))
+        if types <= {Fraction}:
+            ratios = list(map(Fraction.as_integer_ratio, given))
+        else:
             # The float boundary: every weight is converted exactly.
             if not all(issubclass(t, Rational) for t in types):
                 tol = _TOL
             try:
-                weights = tuple(map(Fraction, weights))
+                ratios = list(map(_ratio, given))
             except (ValueError, OverflowError):  # NaN or infinite
                 raise StructuralError(
                     "weights sum to %r, expected 1 within %g"
-                    % (sum(map(float, weights)), TOL)
+                    % (sum(map(float, given)), TOL)
                 ) from None
-        if len(space) != len(weights):
+        self._settle(space, ratios, tol, None, given)
+        if types <= {Fraction}:
+            _set(self, "_weights", given)  # plain Fractions, as stored
+
+    def _settle(self, space, ratios, tol, index, given) -> None:
+        """Check reduced (numerator, denominator) pairs as weights over
+        `space` and store them in lowest terms. `index` is the space's
+        label index when already checked. An error message shows a
+        weight as given[i], or by `_shown` when `given` is None."""
+        if len(space) != len(ratios):
             raise StructuralError(
                 "space has %d outcomes but %d weights were given"
-                % (len(space), len(weights))
+                % (len(space), len(ratios))
             )
-        index = {label: i for i, label in enumerate(space)}
-        if len(index) != len(space):
-            raise StructuralError("outcome labels must be distinct")
-        if "" in index or None in index:
-            raise StructuralError("outcome labels must be non-empty")
-        nums, den = common_denominator(weights)
+        if index is None:
+            index = _index_of(space)
+        nums, den = _vector(*zip(*ratios)) if ratios else ([], 1)
         if min(nums, default=0) < 0:
             i = next(i for i, x in enumerate(nums) if x < 0)
+            shown = given[i] if given else _shown(*ratios[i], tol)
             raise StructuralError(
-                "negative weight %s at outcome %r"
-                % (tuple(self.weights)[i], space[i])
+                "negative weight %s at outcome %r" % (shown, space[i])
             )
         total = sum(nums)
         if total != den:
@@ -120,16 +173,26 @@ class Dist:
                 raise StructuralError(
                     "weights sum to %s, expected 1" % Fraction(total, den)
                 )
-            if abs(Fraction(total, den) - 1) > tol:
+            p, q = tol.as_integer_ratio()
+            if abs(total - den) * q > p * den:  # |total/den - 1| > p/q
                 raise StructuralError(
                     "weights sum to %r, expected 1 within %g"
                     % (total / den, tol)
                 )
-            weights = tuple(Fraction(x, total) for x in nums)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "_index", index)
+            g = gcd(*nums, total)
+            nums, den = [x // g for x in nums], total // g
+        _store(self, space, nums, den, tol, index)
+
+    @classmethod
+    def _from_ratios(
+        cls, space: tuple, ratios: list, tol, index: dict = None
+    ) -> "Dist":
+        """A Dist from reduced (numerator, denominator) pairs, checked as
+        the constructor checks weights; tol is TOL for float-origin
+        numbers. `index` is the space's label index when already checked."""
+        d = object.__new__(cls)
+        d._settle(tuple(space), ratios, tol, index, None)
+        return d
 
     @classmethod
     def from_mapping(cls, space: Sequence, mapping: Mapping) -> "Dist":
@@ -148,8 +211,40 @@ class Dist:
         return cls(space, tuple(Fraction(1, len(space)) for _ in space))
 
     @property
+    def weights(self) -> tuple:
+        """The weights as plain Fractions, built when first read."""
+        weights = self._weights
+        if weights is None:
+            den = self.den
+            weights = tuple(Fraction(n, den) for n in self.nums)
+            _set(self, "_weights", weights)
+        return weights
+
+    @property
     def is_exact(self) -> bool:
         return not self.tol
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return _restore, (self.space, self.nums, self.den, self.tol)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.den, self.nums) == (
+            other.space, other.den, other.nums
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return "Dist(space=%r, weights=%r)" % (self.space, self.weights)
 
     def __getitem__(self, label) -> Fraction:
         try:
@@ -170,11 +265,12 @@ class Dist:
             raise StructuralError(
                 "subset contains labels outside the space: %s" % unknown
             )
-        return exact_sum([self.weights[self._index[s]] for s in labels])
+        nums, index = self.nums, self._index
+        return Fraction(sum(nums[index[s]] for s in labels), self.den)
 
     def support(self) -> tuple:
         """Outcomes carrying positive weight."""
-        return tuple(s for s, w in zip(self.space, self.weights) if w)
+        return tuple(s for s, n in zip(self.space, self.nums) if n)
 
     def matches(self, other: "Dist") -> bool:
         """Coordinate-wise equality over a shared space, within the larger
@@ -183,47 +279,94 @@ class Dist:
             raise StructuralError(
                 "cannot compare distributions over different spaces"
             )
-        return all_eq(self.weights, other.weights, max(self.tol, other.tol))
+        return _same(self, other, max(self.tol, other.tol))
+
+
+def _dist(space: tuple, nums: Sequence, den: int, tol=0, index=None) -> Dist:
+    """A Dist from nonnegative integer numerators over `den` that sum to
+    it, reduced to lowest terms. `index`, when given, is the space's
+    checked label index."""
+    g = gcd(*nums, den)
+    if g != 1:
+        nums, den = [n // g for n in nums], den // g
+    if index is None:
+        index = _index_of(space)
+    d = object.__new__(Dist)
+    _store(d, space, nums, den, tol, index)
+    return d
+
+
+def _store(d: Dist, space, nums, den: int, tol, index: dict) -> None:
+    _set(d, "space", space)
+    _set(d, "nums", tuple(nums))
+    _set(d, "den", den)
+    _set(d, "tol", tol)
+    _set(d, "_index", index)
+    _set(d, "_weights", None)
+
+
+def _restore(space, nums, den, tol) -> Dist:
+    return _dist(space, nums, den, tol)
 
 
 def _observed(d: Dist) -> Dist:
     """`d` as an observed prior or belief: a float-origin weight at or below
     the tolerance counts as 0, and the rest are renormalised exactly."""
-    if not d.tol or all(w > d.tol or not w for w in d.weights):
+    if not d.tol:
         return d
-    kept = tuple(w if w > d.tol else _ZERO for w in d.weights)
-    total = exact_sum(kept)
-    out = Dist(d.space, tuple(w / total for w in kept))
-    object.__setattr__(out, "tol", d.tol)
-    return out
+    p, q = d.tol.as_integer_ratio()
+    bound = p * d.den  # n/den <= p/q  <=>  n * q <= p * den
+    kept = [n if n * q > bound else 0 for n in d.nums]
+    if sum(kept) == d.den:
+        return d
+    return _dist(d.space, kept, sum(kept), d.tol, d._index)
 
 
-def group_beliefs(beliefs: Sequence[Dist], tol: Fraction = 0) -> tuple:
-    """Group beliefs over one shared space by identity: returns one
-    representative per group, in order of first appearance, and each
-    input's group index. With tol > 0, beliefs within tol in every
-    coordinate are joined (union-find over neighbours in one linear
-    projection's order): groups do not depend on input order, the least
-    member represents each, and one wider than tol is refused."""
-    reps, first, groups, index = [], [], [], {}
-    for i, b in enumerate(beliefs):
-        # Weights are plain, reduced Fractions: equal exactly when their
-        # integer ratios are, which hash far faster than Fractions do.
-        g = index.setdefault(tuple(map(_ratio, b.weights)), len(reps))
-        if g == len(reps):
-            reps.append(b)
-            first.append(i)
-        groups.append(g)
-    if not tol or len(reps) < 2:
-        return reps, groups
-    tol, m, space = Fraction(tol), len(reps), reps[0].space
+def _lower(u: tuple, v: tuple) -> tuple:
+    """The smaller of two (numerator, denominator) pairs."""
+    return u if u[0] * v[1] <= v[0] * u[1] else v
+
+
+def _upper(u: tuple, v: tuple) -> tuple:
+    return v if u[0] * v[1] <= v[0] * u[1] else u
+
+
+def _within(x: Sequence, lo: Sequence, hi: Sequence, bound: tuple) -> bool:
+    """Whether lo[s] - tol <= x[s] <= hi[s] + tol at every coordinate s.
+    x, lo and hi are sequences of (numerator, denominator) pairs, and
+    bound = (p, q) is tol = p/q."""
+    p, q = bound
+    for (n, d), (a, b), (e, f) in zip(x, lo, hi):
+        if (a * d - n * b) * q > p * b * d or (n * f - e * d) * q > p * d * f:
+            return False
+    return True
+
+
+def _components(reps: Sequence[Dist], tol: Fraction) -> tuple:
+    """The distinct beliefs `reps` joined when within tol in every
+    coordinate, and through such joins. Returns the connected components,
+    as lists of indices in order of first appearance, and the first
+    component of more than two members that spans more than tol (None
+    when there is none).
+
+    The beliefs are swept in the order of one linear projection, and each
+    is checked against the bounding box of every component with a member
+    close enough in that projection to match. A belief inside the box
+    shrunk by tol is within tol of every member, and joins; one outside
+    the box grown by tol matches no member. Only in between are the
+    members scanned, and there a match leaves a component wider than
+    tol, which is refused. So a belief costs one box test per open
+    component unless the input is refused or nearly so."""
+    m, space = len(reps), reps[0].space
+    bound = tol.as_integer_ratio()
+    points = [[(n, r.den) for n in r.nums] for r in reps]
     # (i + 1) times the golden ratio, mod 1: distinct beliefs rarely share
     # a projection.
     coef = [(i + 1) * 0.6180339887498949 % 1 for i in range(len(space))]
-    proj = [sum(map(mul, coef, map(float, r.weights))) for r in reps]
-    order = sorted(range(m), key=proj.__getitem__)
-    reach = 2 * tol * sum(coef)  # twice the bound, for rounding in `proj`
+    proj = [sum(map(mul, coef, [n / r.den for n in r.nums])) for r in reps]
+    reach = 2 * float(tol) * sum(coef)  # twice the bound, for rounding
     root = list(range(m))
+    boxes = {}  # root -> [lo, hi, members, largest projection]
 
     def find(i):
         while root[i] != i:
@@ -231,34 +374,98 @@ def group_beliefs(beliefs: Sequence[Dist], tol: Fraction = 0) -> tuple:
             i = root[i]
         return i
 
-    for p, i in enumerate(order):
-        q = p + 1
-        while q < m and proj[order[q]] - proj[i] <= reach:
-            j = order[q]
-            if find(i) != find(j) and all_eq(
-                reps[i].weights, reps[j].weights, tol
-            ):
-                root[find(j)] = find(i)
-            q += 1
+    def near(i, r):
+        lo, hi, ids, _ = boxes[r]
+        x = points[i]
+        if _within(x, hi, lo, bound):  # within tol of every member
+            return True
+        return _within(x, lo, hi, bound) and any(
+            proj[i] - proj[j] <= reach
+            and _within(x, points[j], points[j], bound)
+            for j in ids
+        )
+
+    live = []  # roots of components with a member within reach
+    for i in sorted(range(m), key=proj.__getitem__):
+        live = [r for r in live if proj[i] - boxes[r][3] <= reach]
+        joined = [r for r in live if near(i, r)]
+        if not joined:
+            boxes[i] = [points[i], points[i], [i], proj[i]]
+            live.append(i)
+            continue
+        # The largest component absorbs the others and belief i.
+        joined.sort(key=lambda r: len(boxes[r][2]), reverse=True)
+        base = boxes[joined[0]]
+        parts = [boxes.pop(r) for r in joined[1:]]
+        for lo, hi, ids, _ in parts + [(points[i], points[i], [i], None)]:
+            base[0] = list(map(_lower, base[0], lo))
+            base[1] = list(map(_upper, base[1], hi))
+            base[2].extend(ids)
+        for r in joined[1:] + [i]:
+            root[r] = joined[0]
+        base[3] = proj[i]
+        live = [r for r in live if r in boxes]
+
     components = {}  # root -> members, in order of first appearance
     for i in range(m):
         components.setdefault(find(i), []).append(i)
-    members = list(components.values())
-    label = {root: g for g, root in enumerate(components)}
     # Two beliefs joined directly are within tol; larger groups may chain.
-    for ids in filter(lambda ids: len(ids) > 2, members):
-        cols = zip(*(reps[i].weights for i in ids))
-        for state, col in zip(space, cols):
+    for r, ids in components.items():
+        lo, hi = boxes[r][:2]
+        if len(ids) > 2 and not _within(hi, lo, lo, bound):
+            return list(components.values()), ids
+    return list(components.values()), None
+
+
+def _least(ds: list) -> Dist:
+    """The distribution with the lexicographically least weights, compared
+    by cross-multiplying integer numerators."""
+    least = ds[0]
+    for d in ds[1:]:
+        for x, y in zip(d.nums, least.nums):
+            if x * least.den != y * d.den:
+                if x * least.den < y * d.den:
+                    least = d
+                break
+    return least
+
+
+def group_beliefs(beliefs: Sequence[Dist], tol: Fraction = 0) -> tuple:
+    """Group beliefs over one shared space by identity: returns one
+    representative per group, in order of first appearance, and each
+    input's group index. Exact beliefs are the same exactly when their
+    canonical (nums, den) pairs are. With tol > 0, beliefs within tol in
+    every coordinate are joined (`_components`): groups do not depend on
+    input order, the least member represents each, and one wider than tol
+    is refused."""
+    reps, first, groups, index = [], [], [], {}
+    for i, b in enumerate(beliefs):
+        g = index.setdefault((b.den, b.nums), len(reps))
+        if g == len(reps):
+            reps.append(b)
+            first.append(i)
+        groups.append(g)
+    if not tol or len(reps) < 2:
+        return reps, groups
+    tol = Fraction(tol)
+    members, wide = _components(reps, tol)
+    if wide is not None:
+        cols = zip(*(reps[i].weights for i in wide))
+        for state, col in zip(reps[0].space, cols):
             lo, hi = min(col), max(col)
-            if not num_eq(lo, hi, tol):
-                a, b = sorted(first[ids[col.index(x)]] for x in (lo, hi))
+            if hi - lo > tol:
+                a, b = sorted(first[wide[col.index(x)]] for x in (lo, hi))
                 raise StructuralError(
                     "beliefs %d and %d differ by %.3g at %r, more than the "
                     "tolerance %g, but are joined through beliefs within it"
                     % (a, b, hi - lo, state, tol)
                 )
-    merged = [min((reps[i] for i in ids), key=_weights) for ids in members]
-    return merged, [label[find(g)] for g in groups]
+    label = {}
+    for g, ids in enumerate(members):
+        for i in ids:
+            label[i] = g
+    merged = [_least([reps[i] for i in ids]) for ids in members]
+    return merged, [label[g] for g in groups]
 
 
 def _projector(proj) -> Callable:
@@ -287,16 +494,16 @@ def pushforward(mu: Dist, proj, space: Sequence) -> Dist:
     lookup = _projector(proj)
     space = tuple(space)
     index = {s: i for i, s in enumerate(space)}
-    parts = [[] for _ in space]
-    for label, w in zip(mu.space, mu.weights):
+    acc = [0] * len(space)
+    for label, n in zip(mu.space, mu.nums):
         target = lookup(label)
         if target not in index:
             raise StructuralError(
                 "projection sends %r to %r, outside the declared space"
                 % (label, target)
             )
-        parts[index[target]].append(w)
-    return Dist(space, tuple(map(exact_sum, parts)))
+        acc[index[target]] += n
+    return _dist(space, acc, mu.den, 0, _labels_checked(index, space))
 
 
 def condition(mu: Dist, cell: Iterable) -> Dist:
@@ -311,33 +518,74 @@ def condition(mu: Dist, cell: Iterable) -> Dist:
         raise StructuralError(
             "cell contains labels outside the space: %s" % unknown
         )
-    total = mu.mass(cell)
+    nums = [0] * len(mu.space)
+    for s in cell:
+        i = mu._index[s]
+        nums[i] = mu.nums[i]
+    total = sum(nums)
     if not total:
         raise ZeroProbabilityCell(
             "cell %s has zero probability; Bayes update undefined"
             % sorted(cell, key=repr)
         )
-    return Dist(
-        mu.space,
-        tuple(
-            w / total if s in cell else _ZERO
-            for s, w in zip(mu.space, mu.weights)
-        ),
-    )
+    return _dist(mu.space, nums, total, 0, mu._index)
 
 
-@dataclass(frozen=True)
 class RnDerivative:
     """Pointwise likelihood ratio of a belief against a prior.
 
     `f` is defined on the support of the prior; `epsilon` = 1/max f lies in
     (0, 1] and equals 1 exactly when the belief agrees with the prior on the
-    prior's support.
+    prior's support. `argmax` is the index of an outcome where f attains
+    `max_f`. The three values are built from the integer weights when read.
     """
 
-    f: dict
-    max_f: Fraction
-    epsilon: Fraction
+    __slots__ = ("_prior", "_belief", "argmax", "_f")
+
+    def __init__(self, prior: Dist, belief: Dist, argmax: int):
+        self._prior, self._belief, self.argmax = prior, belief, argmax
+        self._f = None
+
+    def _ratio_at(self, i: int) -> tuple:
+        """f at outcome i as (numerator, denominator), unreduced."""
+        return (
+            self._belief.nums[i] * self._prior.den,
+            self._prior.nums[i] * self._belief.den,
+        )
+
+    @property
+    def f(self) -> dict:
+        if self._f is None:
+            p = self._prior
+            self._f = {
+                s: Fraction(*self._ratio_at(i))
+                for i, s in enumerate(p.space)
+                if p.nums[i]
+            }
+        return self._f
+
+    @property
+    def max_f(self) -> Fraction:
+        return Fraction(*self._ratio_at(self.argmax))
+
+    @property
+    def epsilon(self) -> Fraction:
+        num, den = self._ratio_at(self.argmax)
+        return Fraction(den, num)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.f, self.max_f) == (other.f, other.max_f)
+
+    __hash__ = None  # f is a dict
+
+    def __repr__(self) -> str:
+        return "RnDerivative(f=%r, max_f=%r, epsilon=%r)" % (
+            self.f,
+            self.max_f,
+            self.epsilon,
+        )
 
 
 def rn_derivative(prior: Dist, belief: Dist) -> RnDerivative:
@@ -345,17 +593,29 @@ def rn_derivative(prior: Dist, belief: Dist) -> RnDerivative:
 
     Raises AbsoluteContinuityViolation if the belief charges any outcome of
     zero prior weight. On a finite space absolute continuity automatically
-    gives a bounded derivative, so `max_f` always exists.
+    gives a bounded derivative, so `max_f` always exists. The argmax of
+    b/p is found by cross-multiplying integer numerators.
     """
     if prior.space != belief.space:
         raise StructuralError("prior and belief must share a space")
-    rows = list(zip(prior.space, prior.weights, belief.weights))
-    bad = [s for s, p, b in rows if not p and b]
+    ps, bs = prior.nums, belief.nums
+    bad = [s for s, p, b in zip(prior.space, ps, bs) if not p and b]
     if bad:
         raise AbsoluteContinuityViolation(bad)
-    f = {s: b / p for s, p, b in rows if p}
-    max_f = max(f.values())
-    return RnDerivative(f, max_f, 1 / max_f)
+    best, bp, bb = None, 0, 0
+    for i, (p, b) in enumerate(zip(ps, bs)):
+        if p and (best is None or b * bp > bb * p):
+            best, bp, bb = i, p, b
+    return RnDerivative(prior, belief, best)
+
+
+def _mean(wnums: Sequence, wden: int, posteriors: Sequence[Dist], n: int):
+    """Mean of the posteriors under the weights wnums[i] / wden, as integer
+    numerators over one denominator: returns (numerators, denominator)."""
+    den = lcm(*(p.den for p in posteriors))
+    scale = [w * (den // p.den) for w, p in zip(wnums, posteriors)]
+    cols = zip(*(p.nums for p in posteriors)) if posteriors else [()] * n
+    return [sum(map(mul, scale, col)) for col in cols], wden * den
 
 
 def martingale_mean(
@@ -372,19 +632,15 @@ def martingale_mean(
         )
     if any(post.space != prior.space for post in posteriors):
         raise StructuralError("posterior space differs from the prior's")
-    # Coordinate i sums the products w * p.weights[i], each kept as an
-    # unreduced numerator and denominator, over their lcm.
-    nums = list(map(_numerator, weights))
-    dens = list(map(_denominator, weights))
-    acc = []
-    for i in range(len(prior.space)):
-        col = [p.weights[i] for p in posteriors]
-        products, den = _over_lcm(
-            map(mul, nums, map(_numerator, col)),
-            list(map(mul, dens, map(_denominator, col))),
-        )
-        acc.append(Fraction(sum(products), den))
-    return all_eq(acc, prior.weights, tol), tuple(acc)
+    wnums, wden = _vector(*zip(*map(_ratio, weights))) if weights else ([], 1)
+    return _martingale(wnums, wden, posteriors, prior, tol)
+
+
+def _martingale(wnums, wden, posteriors, prior: Dist, tol):
+    """`martingale_mean` for weights wnums[i] / wden."""
+    acc, den = _mean(wnums, wden, posteriors, len(prior.space))
+    holds = _close(acc, den, prior.nums, prior.den, tol)
+    return holds, tuple(Fraction(a, den) for a in acc)
 
 
 def martingale_check(
@@ -408,7 +664,8 @@ class WeightedPosteriors:
     Items are (weight, belief) pairs over a shared outcome space. Duplicate
     beliefs (the same under `group_beliefs`) are merged at construction by
     summing their weights, so the stored items enumerate the support. A
-    float weight must exceed TOL; beliefs are taken as observed.
+    float weight must exceed TOL; beliefs are taken as observed. The merged
+    weights are also kept as integers, `nums` over `den` in lowest terms.
     """
 
     items: tuple
@@ -427,24 +684,46 @@ class WeightedPosteriors:
                 )
             # Written so that a NaN weight fails.
             if not w > (0 if isinstance(w, Rational) else TOL):
-                raise StructuralError(
-                    "posterior weights must be strictly positive, above the "
-                    "zero threshold %g for floats; got %s" % (TOL, w)
-                )
+                raise StructuralError(_NONPOSITIVE % (TOL, w))
         # The entry weights form a distribution over the entries.
         try:
             entries = Dist(range(len(items)), tuple(w for w, _ in items))
         except StructuralError as err:
             raise StructuralError("posterior %s" % err) from None
-        beliefs = [_observed(b) for _, b in items]
+        self._merge(entries, [b for _, b in items])
+
+    @classmethod
+    def _from_ratios(
+        cls, ratios: list, tol, beliefs: list
+    ) -> "WeightedPosteriors":
+        """Posteriors with weights given as reduced (numerator,
+        denominator) pairs, float-origin when tol is set, and beliefs
+        known to be Dists over one space; checked as the constructor
+        checks its items."""
+        for n, d in ratios:
+            if not (n * _TOL_Q > _TOL_P * d if tol else n > 0):
+                raise StructuralError(_NONPOSITIVE % (TOL, _shown(n, d, tol)))
+        try:
+            entries = Dist._from_ratios(range(len(ratios)), ratios, tol)
+        except StructuralError as err:
+            raise StructuralError("posterior %s" % err) from None
+        wp = object.__new__(cls)
+        wp._merge(entries, beliefs)
+        return wp
+
+    def _merge(self, entries: Dist, beliefs: list) -> None:
+        beliefs = [_observed(b) for b in beliefs]
         tol = max([entries.tol] + [b.tol for b in beliefs])
         reps, groups = group_beliefs(beliefs, tol)
-        parts = [[] for _ in reps]
-        for w, g in zip(entries.weights, groups):
-            parts[g].append(w)
-        sums = map(exact_sum, parts)
-        object.__setattr__(self, "items", tuple(zip(sums, reps)))
-        object.__setattr__(self, "tol", tol)
+        sums = [0] * len(reps)
+        for n, g in zip(entries.nums, groups):
+            sums[g] += n
+        den = entries.den
+        _set(self, "items", tuple(zip((Fraction(n, den) for n in sums), reps)))
+        _set(self, "tol", tol)
+        g = gcd(*sums, den)
+        _set(self, "nums", tuple(n // g for n in sums))
+        _set(self, "den", den // g)
 
     @property
     def space(self) -> tuple:
@@ -476,10 +755,8 @@ class Observation:
             raise StructuralError(
                 "prior and posteriors must share one outcome space"
             )
-        object.__setattr__(self, "prior", _observed(self.prior))
-        object.__setattr__(
-            self, "tol", max(self.prior.tol, self.posteriors.tol)
-        )
+        _set(self, "prior", _observed(self.prior))
+        _set(self, "tol", max(self.prior.tol, self.posteriors.tol))
 
     @property
     def space(self) -> tuple:

@@ -1,10 +1,13 @@
 """JSON file formats for observations and models.
 
 Numbers are serialized as strings so exact rationals survive the round
-trip. The "mode" field says how they are read: exactly, or rounded to
-floats that the `Dist` they go into converts back exactly as float-origin
-data. They are written by origin: exact values as "p/q", float-origin ones
-as floats. See docs/format.md for the schemas.
+trip. The "mode" field says how they are read: exactly, or rounded to the
+nearest float, which the `Dist` they go into keeps exactly as float-origin
+data. Either way a number is read into a reduced (numerator, denominator)
+pair of ints, and a `Dist` is built from those pairs with no `Fraction` in
+between. Numbers are written by origin, from a `Dist`'s integer weights:
+exact values as "p/q", float-origin ones as floats. See docs/format.md
+for the schemas.
 
 Files are written byte for byte in the layout of `json.dump(...,
 indent=2)` plus a final newline, applied to `observation_to_dict` or
@@ -21,9 +24,10 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain, repeat
+from math import gcd, isinf
 from typing import Tuple
 
-from .dist import Dist, Observation, WeightedPosteriors
+from .dist import _TOL, Dist, Observation, WeightedPosteriors
 from .errors import FormatError, StructuralError
 from .rationalize import Model
 
@@ -33,6 +37,10 @@ MODES = ("rational", "float")
 #: int digits, which already bounds the "p/q" form.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]*)\s*\Z", re.IGNORECASE)
+# A decimal in ASCII digits, as Fraction reads it; float() rounds it as
+# float(Fraction(text)) does, both correctly.
+_DECIMAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?\Z", re.I | re.A)
+_ZERO = (0, 1)
 
 
 class _Misplaced(Exception):
@@ -50,8 +58,10 @@ class _Misplaced(Exception):
         return FormatError("%s%s: %s" % (where, self.suffix, self.message))
 
 
-def _number(raw, mode: str) -> "Fraction | float":
-    """parse_number without a location; raises _Misplaced."""
+def _number(raw, mode: str) -> tuple:
+    """A number as a reduced (numerator, denominator) pair: its exact value
+    in rational mode, its nearest float's in float mode. parse_number
+    without a location; raises _Misplaced."""
     if type(raw) is str:
         text = raw
     elif isinstance(raw, bool):
@@ -75,16 +85,25 @@ def _number(raw, mode: str) -> "Fraction | float":
             raise _Misplaced(
                 "decimal exponent above %d in magnitude" % MAX_EXPONENT
             )
+        if mode == "float" and _DECIMAL.match(text):
+            value = float(text)
+            if isinf(value):
+                raise _Misplaced("%r is out of range for float mode" % (raw,))
+            return value.as_integer_ratio()
     try:
-        value = Fraction(int(num), int(den or 1)) if plain else Fraction(text)
+        if plain:
+            n, d = int(num), int(den or 1)
+        else:
+            n, d = Fraction(text).as_integer_ratio()
     except (ValueError, ZeroDivisionError):
         raise _Misplaced(
             "%r is not a valid number (use 'p/q' or a decimal)" % (raw,)
         ) from None
     if mode == "rational":
-        return value
+        g = gcd(n, d)
+        return n // g, d // g
     try:
-        return float(value)
+        return (n / d).as_integer_ratio()
     except OverflowError:
         raise _Misplaced(
             "%r is out of range for float mode" % (raw,)
@@ -92,17 +111,25 @@ def _number(raw, mode: str) -> "Fraction | float":
 
 
 def parse_number(raw, mode: str, where: str) -> "Fraction | float":
-    """Parse a number string ("p/q" or decimal) or a bare JSON number."""
+    """Parse a number string ("p/q" or decimal) or a bare JSON number: a
+    Fraction in rational mode, a float in float mode."""
     try:
-        return _number(raw, mode)
+        n, d = _number(raw, mode)
     except _Misplaced as err:
         raise err.at(where) from None
+    return Fraction(n, d) if mode == "rational" else n / d
+
+
+def _float_tol(mode: str, numbers) -> Fraction:
+    """The tolerance of numbers read in `mode`: TOL for float mode, unless
+    there are none (then every weight is an exact 0)."""
+    return _TOL if mode == "float" and numbers else 0
 
 
 def _numbers(raw: dict, mode: str, seen: dict) -> dict:
-    """Every value of `raw` parsed; a bad value is _Misplaced at ".<key>".
-    `seen` maps strings parsed before, in the same file, to their values:
-    a file repeats many, "0" above all."""
+    """Every value of `raw` parsed to a pair; a bad value is _Misplaced at
+    ".<key>". `seen` maps strings parsed before, in the same file, to their
+    pairs: a file repeats many, "0" above all."""
     out = {}
     try:
         for key, value in raw.items():
@@ -190,8 +217,11 @@ def _parse_states(data: dict, where: str) -> tuple:
     return tuple(states)
 
 
-def _parse_dist(raw, states: tuple, mode: str, seen: dict, suffix="") -> Dist:
-    """A distribution over `states`; a bad one is _Misplaced at `suffix`."""
+def _parse_dist(
+    raw, states: tuple, index: dict, mode: str, seen: dict, suffix=""
+) -> Dist:
+    """A distribution over `states` (whose label index is `index`); a bad
+    one is _Misplaced at `suffix`."""
     if not isinstance(raw, dict):
         raise _Misplaced(
             "expected an object mapping state labels to numbers", suffix
@@ -205,8 +235,11 @@ def _parse_dist(raw, states: tuple, mode: str, seen: dict, suffix="") -> Dist:
         weights = _numbers(raw, mode, seen)
     except _Misplaced as err:
         raise _Misplaced(err.message, suffix + err.suffix) from None
+    ratios = [weights.get(s, _ZERO) for s in states]
     try:
-        return Dist.from_mapping(states, weights)
+        return Dist._from_ratios(
+            states, ratios, _float_tol(mode, weights), index
+        )
     except StructuralError as err:
         raise _Misplaced(str(err), suffix) from None
 
@@ -217,10 +250,11 @@ def load_observation(path) -> Tuple[Observation, str]:
     where = str(path)
     mode = _parse_mode(data, where)
     states = _parse_states(data, where)
+    index = {s: i for i, s in enumerate(states)}
     seen = {}
     try:
         prior = _parse_dist(
-            _require(data, "prior", where), states, mode, seen
+            _require(data, "prior", where), states, index, mode, seen
         )
     except _Misplaced as err:
         raise err.at(where + ":prior") from None
@@ -229,24 +263,32 @@ def load_observation(path) -> Tuple[Observation, str]:
         raise FormatError(
             "%s: field 'posteriors' must be a non-empty list" % where
         )
-    items = []
+    weights, beliefs = [], []
     try:
         for i, entry in enumerate(raw_posts):
             if not isinstance(entry, dict):
                 raise _Misplaced("expected an object")
             raw_weight = _field(entry, "weight")
             try:
-                weight = _number(raw_weight, mode)
+                weights.append(_number(raw_weight, mode))
             except _Misplaced as err:
                 raise _Misplaced(err.message, ".weight") from None
-            belief = _parse_dist(
-                _field(entry, "belief"), states, mode, seen, ".belief"
+            beliefs.append(
+                _parse_dist(
+                    _field(entry, "belief"),
+                    states,
+                    index,
+                    mode,
+                    seen,
+                    ".belief",
+                )
             )
-            items.append((weight, belief))
     except _Misplaced as err:
         raise err.at("%s:posteriors[%d]" % (where, i)) from None
     try:
-        posteriors = WeightedPosteriors(tuple(items))
+        posteriors = WeightedPosteriors._from_ratios(
+            weights, _float_tol(mode, weights), beliefs
+        )
         obs = Observation(prior, posteriors)
     except StructuralError as err:
         raise FormatError("%s: %s" % (where, err)) from None
@@ -275,11 +317,18 @@ def _block(items: list, depth: int, brackets: str) -> str:
 
 def _weights_text(dist: Dist, tol: Fraction) -> list:
     """A distribution's weights as JSON strings, as format_number writes
-    them: digits, signs, "/", "." or "e", which json escapes to
-    themselves."""
-    weights = dist.weights
-    text = map(repr, map(float, weights)) if tol else map(str, weights)
-    return list(map('"%s"'.__mod__, text))
+    them, from its integer numerators: digits, signs, "/", "." or "e",
+    which json escapes to themselves."""
+    den = dist.den
+    if tol:
+        return ['"%r"' % (n / den) for n in dist.nums]
+    text = []
+    for n, g in zip(dist.nums, map(gcd, dist.nums, repeat(den))):
+        if g == den:
+            text.append('"%d"' % (n // g))
+        else:
+            text.append('"%d/%d"' % (n // g, den // g))
+    return text
 
 
 def _dist_text(keys, dist: Dist, depth: int, tol: Fraction) -> str:
@@ -485,15 +534,14 @@ def load_model(path) -> Tuple[Model, str]:
     except _Misplaced as err:
         raise err.at("%s:omega[%d]" % (where, i)) from None
     omega = tuple(omega)
-    labels = set(omega)
-    if len(labels) != len(omega):
+    index = {w: i for i, w in enumerate(omega)}
+    if len(index) != len(omega):
         raise FormatError("%s: omega labels must be distinct" % where)
 
     if "partition" in data:
         declared = data["partition"]
         if not isinstance(declared, dict):
             raise FormatError("%s: field 'partition' must be an object" % where)
-        index = {w: i for i, w in enumerate(omega)}
         rebuilt = {
             label: [index[w] for w in cell]
             for label, cell in partition.items()
@@ -504,7 +552,6 @@ def load_model(path) -> Tuple[Model, str]:
                 " signal labels" % where
             )
 
-    zero = Fraction(0)
     seen = {}
 
     def dist_over_omega(key: str) -> Dist:
@@ -514,17 +561,20 @@ def load_model(path) -> Tuple[Model, str]:
                 "%s:%s: expected an object mapping omega labels to numbers"
                 % (where, key)
             )
-        if not labels.issuperset(raw):
+        if not index.keys() >= raw.keys():
             raise FormatError(
                 "%s:%s: unknown omega labels %s"
-                % (where, key, ", ".join(sorted(set(raw) - labels)))
+                % (where, key, ", ".join(sorted(set(raw) - set(index))))
             )
         try:
             weights = _numbers(raw, mode, seen)
         except _Misplaced as err:
             raise err.at("%s:%s" % (where, key)) from None
+        ratios = list(map(weights.get, omega, repeat(_ZERO)))
         try:
-            return Dist(omega, tuple(map(weights.get, omega, repeat(zero))))
+            return Dist._from_ratios(
+                omega, ratios, _float_tol(mode, weights), index
+            )
         except StructuralError as err:
             raise FormatError("%s:%s: %s" % (where, key, err)) from None
 
@@ -543,22 +593,25 @@ def load_model(path) -> Tuple[Model, str]:
         except _Misplaced as err:
             raise err.at("%s:lambda" % where) from None
         try:
-            lambda_mix = Dist(tuple(weights), tuple(weights.values()))
+            lambda_mix = Dist._from_ratios(
+                tuple(weights),
+                list(weights.values()),
+                _float_tol(mode, weights),
+            )
         except StructuralError as err:
             raise FormatError("%s:lambda: %s" % (where, err)) from None
 
-    try:
-        model = Model(
-            states=states,
-            omega=omega,
-            projection=projection,
-            signal_partition={
-                label: tuple(cell) for label, cell in partition.items()
-            },
-            mu0=mu0,
-            pObj=p_obj,
-            lambda_mix=lambda_mix,
-        )
-    except StructuralError as err:
-        raise FormatError("%s: %s" % (where, err)) from None
+    # The entries above give a partition of omega and a projection into
+    # the states, checked entry by entry, so Model need not check them.
+    model = Model._assembled(
+        states=states,
+        omega=omega,
+        projection=projection,
+        signal_partition={
+            label: tuple(cell) for label, cell in partition.items()
+        },
+        mu0=mu0,
+        pObj=p_obj,
+        lambda_mix=lambda_mix,
+    )
     return model, mode

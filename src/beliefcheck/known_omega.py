@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
-from .dist import Dist, Observation, all_eq, condition, num_eq
+from .dist import Dist, Observation, _dist, _same, condition
 from .errors import (
     NotRationalizableError,
     PreconditionError,
@@ -66,7 +67,7 @@ def set_partitions(items: Sequence) -> Iterator[list]:
 
 
 def _require_full_support(prior: Dist) -> None:
-    dead = [s for s, w in zip(prior.space, prior.weights) if not w]
+    dead = [s for s, n in zip(prior.space, prior.nums) if not n]
     if dead:
         raise PreconditionError(
             "the known-state-space test requires a full-support prior; "
@@ -122,12 +123,13 @@ def check_proposition1(obs: Observation) -> Prop1Report:
     condition_ii = True
     for belief, supp in zip(beliefs, supports):
         expected = condition(obs.prior, supp)
+        db, de = belief.den, expected.den
         worst = max(
-            abs(a - b)
-            for a, b in zip(belief.weights, expected.weights)
+            abs(b * de - e * db) for b, e in zip(belief.nums, expected.nums)
         )
-        deviations.append(worst)
-        condition_ii = condition_ii and num_eq(worst, 0, obs.tol)
+        deviation = Fraction(worst, db * de)
+        deviations.append(deviation)
+        condition_ii = condition_ii and deviation <= obs.tol
 
     return Prop1Report(
         condition_i=not overlaps,
@@ -152,27 +154,32 @@ def construct_known_omega_model(obs: Observation) -> Model:
             % (report.overlapping_pairs, report.condition_ii)
         )
     states = obs.space
-    partition = {}
+    posteriors = obs.posteriors
+    cells = [belief.support() for belief in posteriors.beliefs]
+    partition = {"nu%d" % k: cell for k, cell in enumerate(cells)}
+    # Only the cell totals are pinned down; spread uniformly within: a
+    # state of cell k gets W[k] / (Dw * |cell k|), over Dw * lcm(|cells|).
+    scale = lcm(*map(len, cells))
     obj = {}
-    for k, (weight, belief) in enumerate(obs.posteriors.items):
-        cell = belief.support()
-        partition["nu%d" % k] = cell
-        # Only the cell totals are pinned down; spread uniformly within.
-        share = weight / len(cell)
+    for cell, w in zip(cells, posteriors.nums):
         for s in cell:
-            obj[s] = share
+            obj[s] = w * (scale // len(cell))
     residual = tuple(s for s in states if s not in obj)
     if residual:
         partition[RESIDUAL_CELL] = residual
-        for s in residual:
-            obj[s] = Fraction(0)
     return Model(
         states=states,
         omega=states,
         projection={s: s for s in states},
         signal_partition=partition,
         mu0=obs.prior,
-        pObj=Dist(states, tuple(obj[s] for s in states)),
+        pObj=_dist(
+            states,
+            [obj.get(s, 0) for s in states],
+            posteriors.den * scale,
+            0,
+            obs.prior._index,
+        ),
         lambda_mix=None,
         tol=obs.tol,
     )
@@ -206,7 +213,7 @@ def brute_force_known_omega(obs: Observation) -> bool:
                     continue
                 if cell not in conditioned:
                     conditioned[cell] = condition(obs.prior, cell)
-                if all_eq(belief.weights, conditioned[cell].weights, obs.tol):
+                if _same(belief, conditioned[cell], obs.tol):
                     hit = i
                 break
             if hit is None:

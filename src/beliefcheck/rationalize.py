@@ -11,8 +11,10 @@ sequence remains a martingale.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .dist import (
@@ -21,11 +23,12 @@ from .dist import (
     RnEntry,
     RnReport,
     WeightedPosteriors,
-    all_eq,
-    common_denominator,
+    _close,
+    _dist,
+    _index_of,
+    _martingale,
+    _same,
     group_beliefs,
-    martingale_mean,
-    num_eq,
     pushforward,
     rn_derivative,
 )
@@ -65,6 +68,12 @@ class Model:
     objective distribution `pObj`. `lambda_mix` records the mixing
     distribution used by the construction, when there was one. `tol` is
     TOL for float-origin data, else 0 (by default, `mu0`'s or `pObj`'s).
+
+    The constructor checks that mu0 and pObj live on omega, that the
+    partition's cells are disjoint and cover omega, and that the
+    projection sends omega into the states. `load_model` and
+    `construct_rationalization` build their models by `_assembled`
+    instead: they own those checks for what they build.
     """
 
     states: tuple
@@ -101,6 +110,21 @@ class Model:
                     "projection sends %r outside the declared states" % (w,)
                 )
 
+    @classmethod
+    def _assembled(cls, **fields) -> "Model":
+        """A Model from fields whose structure the caller has checked:
+        mu0 and pObj over `omega` (a tuple), a partition of omega, and a
+        projection from omega into the states."""
+        model = object.__new__(cls)
+        fields.setdefault("lambda_mix", None)
+        tol = fields.get("tol")
+        if tol is None:
+            tol = max(fields["mu0"].tol, fields["pObj"].tol)
+        fields["tol"] = tol
+        for name, value in fields.items():
+            object.__setattr__(model, name, value)
+        return model
+
 
 def check_condition1(obs: Observation) -> RnReport:
     """Screen every observed posterior for absolute continuity with respect
@@ -114,21 +138,20 @@ def check_condition1(obs: Observation) -> RnReport:
     return RnReport(tuple(entries), all(e.ok for e in entries))
 
 
+def _mix_space(k: int) -> tuple:
+    return tuple(mix_label(i) for i in range(k))
+
+
 def uniform_mix(obs: Observation) -> Dist:
     """Uniform mixing distribution over the observed posteriors."""
     k = len(obs.posteriors)
-    return Dist(
-        tuple(mix_label(i) for i in range(k)),
-        tuple(Fraction(1, k) for _ in range(k)),
-    )
+    return _dist(_mix_space(k), (1,) * k, k)
 
 
 def target_mix(obs: Observation) -> Dist:
     """Mixing distribution equal to the observed posterior weights."""
     k = len(obs.posteriors)
-    return Dist(
-        tuple(mix_label(i) for i in range(k)), obs.posteriors.weights
-    )
+    return _dist(_mix_space(k), obs.posteriors.nums, obs.posteriors.den)
 
 
 def construct_rationalization(
@@ -144,6 +167,11 @@ def construct_rationalization(
     signals, with the observed posterior frequencies, and its projection
     onto the payoff-relevant states equals the observed prior.
 
+    In integers: with prior P/Dp, belief B/Db, lambda_i = L/Dl and s* an
+    argmax of B/P, eps = P[s*] Db / (B[s*] Dp), the "+" row is
+    B * P[s*] * L and the "-" row (P * B[s*] - P[s*] * B) * L, both over
+    B[s*] * Dp * Dl; the "+" rows of pObj are P * W[i] over Dp * Dw.
+
     Raises AbsoluteContinuityViolation if the screen fails, and
     InvalidMixError if `lambda_mix` does not give every observed posterior
     positive weight.
@@ -156,38 +184,43 @@ def construct_rationalization(
             % ", ".join(repr(s) for s in report.violations()),
         )
     k = len(obs.posteriors)
-    mix_space = tuple(mix_label(i) for i in range(k))
+    mix_space = _mix_space(k)
     if lambda_mix is None:
         lambda_mix = uniform_mix(obs)
     if tuple(lambda_mix.space) != mix_space:
         raise InvalidMixError(
             "mixing distribution must be indexed by %s" % (mix_space,)
         )
-    if not all(w > 0 for w in lambda_mix.weights):
+    if not all(lambda_mix.nums):
         raise InvalidMixError(
             "mixing distribution must give every posterior positive weight"
         )
 
     states = obs.space
-    prior = obs.prior.weights
-    epsilons = report.epsilons()
-    # Rows in omega order: the k "+" cells, then the k "-" cells.
-    plus, minus, p_obj = [], [], []
-    for i, (pw, belief) in enumerate(obs.posteriors.items):
-        eps = epsilons[i]
-        lam = lambda_mix.weights[i]
-        for s, p, b in zip(states, prior, belief.weights):
-            eb = b * eps
-            plus.append(eb * lam)
-            # (prior - eps*belief) is the phantom cell's unnormalized
-            # conditional; nonnegative since eps <= prior(s)/belief(s).
-            minus.append((p - eb) * lam)
-            p_obj.append(p * pw)
+    prior = obs.prior.nums
+    beliefs = obs.posteriors.beliefs
+    stars = [e.derivative.argmax for e in report.entries]
+    # Row i's denominator is B[s*] * Dp * Dl: over their lcm, row i is
+    # scaled by lcm / B[s*].
+    tops = [b.nums[s] for b, s in zip(beliefs, stars)]
+    top = lcm(*tops)
+    plus, minus = [], []
+    for belief, s, b_top, lam in zip(beliefs, stars, tops, lambda_mix.nums):
+        scale = lam * (top // b_top)
+        c_plus = prior[s] * scale  # P[s*] * L, scaled
+        c_minus = b_top * scale  # B[s*] * L, scaled
+        plus.extend([b * c_plus for b in belief.nums])
+        # P * B[s*] - P[s*] * B is nonnegative: s* maximises B / P.
+        minus.extend(
+            [p * c_minus - b * c_plus for p, b in zip(prior, belief.nums)]
+        )
+    p_obj = [p * w for w in obs.posteriors.nums for p in prior]
 
     n = len(states)
     cells = [(i, sign) for sign in (PLUS, MINUS) for i in range(k)]
     omega = tuple(omega_label(s, i, sign) for i, sign in cells for s in states)
-    return Model(
+    index = {w: i for i, w in enumerate(omega)}
+    return Model._assembled(
         states=states,
         omega=omega,
         projection=dict(zip(omega, states * len(cells))),
@@ -195,38 +228,55 @@ def construct_rationalization(
             signal_label(i, sign): omega[j * n : (j + 1) * n]
             for j, (i, sign) in enumerate(cells)
         },
-        mu0=Dist(omega, tuple(plus + minus)),
-        pObj=Dist(omega, tuple(p_obj) + (Fraction(0),) * len(minus)),
+        mu0=_dist(
+            omega, plus + minus, top * obs.prior.den * lambda_mix.den, 0, index
+        ),
+        pObj=_dist(
+            omega,
+            p_obj + [0] * len(minus),
+            obs.prior.den * obs.posteriors.den,
+            0,
+            index,
+        ),
         lambda_mix=lambda_mix,
         tol=obs.tol,
     )
 
 
-def _row(acc: tuple, den: int) -> tuple:
-    """A row from integer numerators over `den`."""
-    return tuple(Fraction(a, den) for a in acc)
+#: One signal cell's row over the states: integer numerators `acc` over
+#: `den`, and their sum `total`.
+Row = namedtuple("Row", "acc total den")
 
 
 @dataclass(frozen=True, repr=False)
 class CellDiagnostic:
     """One signal cell of the model: its mu0 and pObj rows over the
-    payoff-relevant states, their totals, and its Bayes posterior. The
-    rows are kept as `_row` arguments and built when read."""
+    payoff-relevant states (`Row`s of integers over the model's mu0 and
+    pObj denominators) and its Bayes posterior. The rows and masses as
+    Fractions are built when read."""
 
     label: str
-    mu_mass: Fraction
-    obj_mass: Fraction
     posterior: Optional[Dist]  # None when the cell has zero mu0 mass
-    mu_parts: tuple
-    obj_parts: tuple
+    mu_parts: Row
+    obj_parts: Row
+
+    @property
+    def mu_mass(self) -> Fraction:
+        return Fraction(self.mu_parts.total, self.mu_parts.den)
+
+    @property
+    def obj_mass(self) -> Fraction:
+        return Fraction(self.obj_parts.total, self.obj_parts.den)
 
     @property
     def mu_row(self) -> tuple:
-        return _row(*self.mu_parts)
+        den = self.mu_parts.den
+        return tuple(Fraction(a, den) for a in self.mu_parts.acc)
 
     @property
     def obj_row(self) -> tuple:
-        return _row(*self.obj_parts)
+        den = self.obj_parts.den
+        return tuple(Fraction(a, den) for a in self.obj_parts.acc)
 
     def __repr__(self) -> str:
         return (
@@ -243,20 +293,11 @@ class CellDiagnostic:
         )
 
 
-def _tabulate(cols: list, weights: list, n: int) -> tuple:
-    """One signal cell's row over the n states, as `_row` arguments, and
-    its total, from the cell's omega points (state column, weight), summed
-    as integer numerators over the lcm of the cell's denominators."""
-    nums, den = common_denominator(weights)
-    acc = [0] * n
-    for j, x in zip(cols, nums):
-        acc[j] += x
-    return (tuple(acc), den), Fraction(sum(acc), den)
-
-
 def cell_table(model: Model) -> list:
     """The model's signal cell x state mass tables of mu0 and pObj, read in
-    one pass over omega, one CellDiagnostic per cell in partition order.
+    one pass over omega, one CellDiagnostic per cell in partition order:
+    each row sums the omega points' integer numerators per state, over
+    mu0's or pObj's one denominator.
 
     Everything observable about the model's signals derives from these
     rows: a cell's Bayes posterior is its mu0 row over the row's total.
@@ -266,32 +307,27 @@ def cell_table(model: Model) -> list:
         w: i for i, cell in enumerate(model.signal_partition.values())
         for w in cell
     }
-    col = {s: j for j, s in enumerate(model.states)}
-    cols, mus, objs = ([[] for _ in labels] for _ in range(3))
-    for w, mw, pw in zip(model.omega, model.mu0.weights, model.pObj.weights):
-        i = row_of[w]
-        cols[i].append(col[model.projection[w]])
-        mus[i].append(mw)
-        objs[i].append(pw)
+    states = tuple(model.states)
+    col = _index_of(states)
     n = len(col)
+    mus, objs = ([[0] * n for _ in labels] for _ in range(2))
+    projection = model.projection
+    for w, mw, pw in zip(model.omega, model.mu0.nums, model.pObj.nums):
+        i, j = row_of[w], col[projection[w]]
+        mus[i][j] += mw
+        if pw:
+            objs[i][j] += pw
+    mu_den, obj_den = model.mu0.den, model.pObj.den
     table = []
-    for label, js, mu_ws, obj_ws in zip(labels, cols, mus, objs):
-        mu_parts, mu_mass = _tabulate(js, mu_ws, n)
-        obj_parts, obj_mass = _tabulate(js, obj_ws, n)
-        acc, _ = mu_parts
-        total = sum(acc)  # zero exactly when mu_mass is
-        posterior = None
-        if total:
-            bayes = tuple(Fraction(a, total) for a in acc)
-            posterior = Dist(model.states, bayes)
+    for label, mu_acc, obj_acc in zip(labels, mus, objs):
+        total = sum(mu_acc)  # zero exactly when the cell's mu0 mass is
+        posterior = _dist(states, mu_acc, total, 0, col) if total else None
         table.append(
             CellDiagnostic(
                 label,
-                mu_mass,
-                obj_mass,
                 posterior,
-                mu_parts,
-                obj_parts,
+                Row(tuple(mu_acc), total, mu_den),
+                Row(tuple(obj_acc), sum(obj_acc), obj_den),
             )
         )
     return table
@@ -300,7 +336,7 @@ def cell_table(model: Model) -> list:
 def reachable_cells(model: Model) -> list:
     """The cells of positive objective mass. Raises UndefinedUpdateError if
     one of them has zero subjective probability."""
-    reached = [c for c in cell_table(model) if c.obj_mass]
+    reached = [c for c in cell_table(model) if c.obj_parts.total]
     for c in reached:
         if c.posterior is None:
             raise UndefinedUpdateError(
@@ -375,39 +411,46 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     cells = cell_table(model)
 
     induced_prior = pushforward(model.mu0, model.projection, obs.space)
-    prior_matches = all_eq(induced_prior.weights, obs.prior.weights, tol)
+    prior_matches = _same(induced_prior, obs.prior, tol)
 
     # An objectively reachable cell with zero subjective probability has no
     # Bayes update (posterior None); that fails (b) and (c).
-    reached = [c for c in cells if c.obj_mass]
+    reached = [c for c in cells if c.obj_parts.total]
     live = [c for c in reached if c.posterior is not None]
-    observed = obs.posteriors.items
+    observed = obs.posteriors
     # A cell posterior joins an observed belief's group or opens a new one;
     # under the model's tolerance, observed beliefs may share a group.
     _, groups = group_beliefs(
-        [b for _, b in observed] + [c.posterior for c in live], tol
+        list(observed.beliefs) + [c.posterior for c in live], tol
     )
-    wanted = {}  # observed group -> summed observed weight
-    for (w, _), g in zip(observed, groups):
+    wanted = {}  # observed group -> summed observed weight, over its den
+    for w, g in zip(observed.nums, groups):
         wanted[g] = wanted.get(g, 0) + w
-    induced = {}  # group -> (first cell posterior, summed objective mass)
+    induced = {}  # group -> [first cell posterior, summed pObj numerators]
     for c, g in zip(live, groups[len(observed):]):
-        post, mass = induced.get(g, (c.posterior, Fraction(0)))
-        induced[g] = (post, mass + c.obj_mass)
+        induced.setdefault(g, [c.posterior, 0])[1] += c.obj_parts.total
     posteriors_match = len(live) == len(reached) and all(
         g in wanted for g in induced
     )
+    obj_den = model.pObj.den
     distribution_matches = posteriors_match and all(
-        g in induced and num_eq(induced[g][1], w, tol)
+        g in induced
+        and _close((induced[g][1],), obj_den, (w,), observed.den, tol)
         for g, w in wanted.items()
     )
 
     objective_prior = pushforward(model.pObj, model.projection, obs.space)
-    objective_agrees = all_eq(objective_prior.weights, obs.prior.weights, tol)
+    objective_agrees = _same(objective_prior, obs.prior, tol)
 
-    active = [c for c in cells if c.mu_mass]
-    masses, posts = [c.mu_mass for c in active], [c.posterior for c in active]
-    martingale_holds, mean = martingale_mean(masses, posts, obs.prior, tol)
+    # The mean of the cell posteriors under their mu0 masses.
+    active = [c for c in cells if c.mu_parts.total]
+    martingale_holds, mean = _martingale(
+        [c.mu_parts.total for c in active],
+        model.mu0.den,
+        [c.posterior for c in active],
+        obs.prior,
+        tol,
+    )
 
     return VerifyReport(
         prior_matches=prior_matches,
@@ -419,7 +462,10 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
             "induced_prior": induced_prior,
             "objective_prior": objective_prior,
             "cells": cells,
-            "induced_distribution": list(induced.values()),
+            "induced_distribution": [
+                (post, Fraction(mass, obj_den))
+                for post, mass in induced.values()
+            ],
             "mean_posterior": mean,  # weights over obs.space
         },
     )

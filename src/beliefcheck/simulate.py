@@ -11,17 +11,19 @@ split of the agent range gives the same panel. One digest serves a block
 of eight agents. This stream replaced a per-agent 8-byte digest once, so a
 given seed draws a different panel than it did before that change.
 `workers` splits the agent range into contiguous ranges drawn one after
-another in the calling thread; it starts no threads.
+another in the calling thread; it starts no threads. A panel keeps each
+agent's chosen cell as one 4-byte array entry; its `draws` are read
+through that array.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import sys
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -35,8 +37,9 @@ from .rationalize import Model, reachable_cells
 _SCALE = 1 << 64
 _BLOCK = 8  # agents per digest: 64 digest bytes hold eight 64-bit words
 
-#: Largest panel `simulate_panel` draws. A panel holds about 32 bytes per
-#: agent (its chosen cell and its draw), so this caps it near 320 MB.
+#: Largest panel `simulate_panel` draws. Drawing takes about 32 bytes per
+#: agent at its peak (the digests, each agent's 64 bits and its chosen
+#: cell), so this caps it near 320 MB; the panel keeps 4 bytes per agent.
 MAX_AGENTS = 10**7
 
 
@@ -58,6 +61,41 @@ def _agent_bits(seed: int, lo: int, hi: int) -> array:
     return words[lo - offset : hi - offset]
 
 
+class Draws(Sequence):
+    """The agents' draws, (signal cell label, posterior index) per agent,
+    read from the index of each agent's chosen cell. A read-only sequence
+    equal to the tuple of its items."""
+
+    __slots__ = ("_pairs", "_chosen")
+
+    def __init__(self, pairs: list, chosen: array):
+        self._pairs, self._chosen = pairs, chosen
+
+    def __len__(self) -> int:
+        return len(self._chosen)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._pairs.__getitem__, self._chosen[i]))
+        return self._pairs[self._chosen[i]]
+
+    def __iter__(self):
+        return map(self._pairs.__getitem__, self._chosen)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Draws) and self._pairs == other._pairs:
+            return self._chosen == other._chosen
+        if isinstance(other, (Draws, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return "Draws(%r)" % (tuple(self),)
+
+
 @dataclass(frozen=True)
 class PanelSample:
     """A simulated panel: per-agent draws and the empirical posterior
@@ -65,7 +103,7 @@ class PanelSample:
 
     n_agents: int
     seed: int
-    draws: tuple  # of (signal cell label, posterior index)
+    draws: Draws  # of (signal cell label, posterior index)
     empirical: WeightedPosteriors
 
 
@@ -103,17 +141,17 @@ def simulate_panel(
     # bits/2^64 < p/q  <=>  bits*q < p*2^64  <=>  bits < ceil(p*2^64/q) for
     # integer bits, so the first cell whose threshold exceeds bits is drawn.
     # The reached masses sum to exactly 1: the last threshold is 2^64.
-    thresholds, running = [], Fraction(0)
+    thresholds, running, den = [], 0, model.pObj.den
     for c in cells:
-        running += c.obj_mass
-        thresholds.append(math.ceil(running * _SCALE))
+        running += c.obj_parts.total
+        thresholds.append(-(-running * _SCALE // den))
 
     step = -(-n_agents // workers)
     bits = chain.from_iterable(
         _agent_bits(seed, lo, min(lo + step, n_agents))
         for lo in range(0, n_agents, step)
     )
-    chosen = list(map(partial(bisect_right, thresholds), bits))
+    chosen = array("I", map(partial(bisect_right, thresholds), bits))
 
     counts = [0] * len(support)
     for j, count in Counter(chosen).items():
@@ -125,8 +163,7 @@ def simulate_panel(
             if count > 0
         )
     )
-    draws = tuple(map(pairs.__getitem__, chosen))
-    return PanelSample(n_agents, seed, draws, empirical)
+    return PanelSample(n_agents, seed, Draws(pairs, chosen), empirical)
 
 
 def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Fraction:
@@ -138,7 +175,9 @@ def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Fraction:
             "posterior distributions must share an outcome space"
         )
     reps, groups = group_beliefs(p.beliefs + q.beliefs, max(p.tol, q.tol))
-    diff = [Fraction(0)] * len(reps)
-    for w, g in zip(p.weights + tuple(-w for w in q.weights), groups):
+    # Both weight vectors over the product of their denominators.
+    diff = [0] * len(reps)
+    weights = [w * q.den for w in p.nums] + [-w * p.den for w in q.nums]
+    for w, g in zip(weights, groups):
         diff[g] += w
-    return sum(map(abs, diff)) / 2
+    return Fraction(sum(map(abs, diff)), 2 * p.den * q.den)

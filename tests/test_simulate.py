@@ -169,3 +169,21 @@ class TestTvDistance:
         p = WeightedPosteriors(((Fraction(1, 4), p1), (Fraction(3, 4), p2)))
         q = WeightedPosteriors(((0.26, p1), (0.74, p2)))
         assert abs(tv_distance(p, q) - 0.01) < 1e-12
+
+
+def test_draws_read_as_the_tuple_they_replace(worked_model):
+    """A panel keeps each agent's chosen cell in an array; its draws read
+    as the tuple of (cell label, posterior index) pairs."""
+    panel = simulate_panel(worked_model, 300, seed=9)
+    draws = panel.draws
+    as_tuple = tuple(draws)
+    assert len(draws) == len(as_tuple) == 300
+    assert draws == as_tuple and as_tuple == draws
+    assert draws != as_tuple[:-1] and draws != list(as_tuple)
+    assert draws[0] == as_tuple[0] and draws[-1] == as_tuple[-1]
+    assert draws[5:9] == as_tuple[5:9]
+    assert list(draws) == list(as_tuple)
+    assert hash(draws) == hash(as_tuple)
+    assert draws == simulate_panel(worked_model, 300, seed=9).draws
+    with pytest.raises(TypeError):
+        draws[0] = ("nu0+", 0)
