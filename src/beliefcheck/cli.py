@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from fractions import Fraction
 from functools import lru_cache
 
 from .dist import Dist, Observation, martingale_mean
@@ -322,6 +324,12 @@ def cmd_martingale(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    threshold = args.threshold
+    if threshold is not None and not 0 <= threshold < math.inf:
+        raise StructuralError(
+            "--threshold must be a finite number at least 0, got %r"
+            % threshold
+        )
     model, _ = load_model(args.model)
     panel = simulate_panel(model, args.n, args.seed, workers=args.workers)
     _, implied = induced_observables(model)
@@ -352,11 +360,11 @@ def cmd_simulate(args) -> int:
         )
     lines.append("tv distance to model-implied distribution: %s" % float(tv))
     ok = True
-    if args.threshold is not None:
-        ok = float(tv) < args.threshold
-        payload["threshold"] = args.threshold
+    if threshold is not None:
+        ok = tv < Fraction(threshold)
+        payload["threshold"] = threshold
         payload["within_threshold"] = ok
-        lines.append("within threshold %g: %s" % (args.threshold, ok))
+        lines.append("within threshold %g: %s" % (threshold, ok))
     _emit(payload, args.json, lines)
     return PASS if ok else FAIL
 
@@ -454,14 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="draw the agents as this many contiguous ranges, one after "
-        "another (no threads; the panel is the same for any value >= 1)",
+        help="accepted for compatibility; must be at least 1 and has no "
+        "effect on the panel or on the work",
     )
     p.add_argument(
         "--threshold",
         type=float,
         default=None,
-        help="exit 2 if the tv distance reaches this value",
+        help="exit 2 if the tv distance reaches this value, a finite "
+        "number at least 0",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)

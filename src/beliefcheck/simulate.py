@@ -6,28 +6,34 @@ posteriors is compared to the model-implied one.
 
 Agent i's 64 uniform bits are the big-endian word i mod 8 of the keyed
 digest ``blake2b((i // 8).to_bytes(8, "big"), digest_size=64,
-key=seed.to_bytes(8, "big"))``, so they depend only on (seed, i) and any
-split of the agent range gives the same panel. One digest serves a block
-of eight agents. This stream replaced a per-agent 8-byte digest once, so a
-given seed draws a different panel than it did before that change.
-`workers` splits the agent range into contiguous ranges drawn one after
-another in the calling thread; it starts no threads. A panel keeps each
-agent's chosen cell as one 4-byte array entry; its `draws` are read
-through that array.
+key=seed.to_bytes(8, "big"))``, so they depend only on (seed, i). One
+digest serves a block of eight agents. This stream replaced a per-agent
+8-byte digest once, so a given seed draws a different panel than it did
+before that change. An agent draws the first cell whose cumulative
+objective mass exceeds its bits / 2^64. A 256-entry table on the word's
+top byte settles that choice for most agents in one `bytes.translate`;
+agents whose top byte a cell boundary splits take `bisect_right` on the
+whole word, the same rule. `workers` has no effect on the panel or on
+the work: the agent range is drawn once, in the calling thread.
+
+Drawing takes about 10 bytes per agent at its peak (about 13 with 256 or
+more reached cells; tracemalloc at 10^6 agents). A panel keeps each
+agent's chosen cell in one byte while the model reaches fewer than 256
+cells, else in four; its `draws` are read through that array.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 import sys
 from array import array
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from operator import methodcaller
 
 from .dist import WeightedPosteriors, group_beliefs
@@ -36,29 +42,92 @@ from .rationalize import Model, reachable_cells
 
 _SCALE = 1 << 64
 _BLOCK = 8  # agents per digest: 64 digest bytes hold eight 64-bit words
+_WORD = 8  # bytes per agent's word
+# The top-byte table's mark for a bucket that a threshold splits. Cell
+# indices below it fit the table's one-byte codes.
+_SPLIT = 255
+_SPLIT_MARK = re.compile(bytes([_SPLIT]))
 
-#: Largest panel `simulate_panel` draws. Drawing takes about 32 bytes per
-#: agent at its peak (the digests, each agent's 64 bits and its chosen
-#: cell), so this caps it near 320 MB; the panel keeps 4 bytes per agent.
+#: Largest panel `simulate_panel` draws. Drawing takes about 10 bytes per
+#: agent at its peak (each agent's 64 bits, its top byte and its chosen
+#: cell; about 13 with 256 or more reached cells; tracemalloc at 10^6
+#: agents), so this caps it near 130 MB; the panel keeps 1 byte per agent
+#: below 256 reached cells, else 4.
 MAX_AGENTS = 10**7
+
+
+def _digest_words(seed: int, first: int, last: int) -> array:
+    """The keyed 64-byte digests of blocks [first, last), concatenated in
+    an array of 64-bit words that holds their bytes as they are: each word
+    big-endian, so on a little-endian host the values are byte-swapped.
+
+    The key fills BLAKE2b's first message block, so one keyed state is set
+    up once and copied for each block: the same digests as one keyed
+    constructor per block, without parsing its arguments each time."""
+    copy = hashlib.blake2b(digest_size=64, key=seed.to_bytes(8, "big")).copy
+
+    def digest(block: bytes) -> bytes:
+        state = copy()
+        state.update(block)
+        return state.digest()
+
+    blocks = map(methodcaller("to_bytes", 8, "big"), range(first, last))
+    words = array("Q")
+    deque(map(words.frombytes, map(digest, blocks)), maxlen=0)
+    return words
+
+
+def _native(words: array) -> array:
+    """Read big-endian words in place as integers."""
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words
 
 
 def _agent_bits(seed: int, lo: int, hi: int) -> array:
     """64 uniform bits for each agent in [lo, hi), as a pure function of
     (seed, agent index)."""
     first = lo // _BLOCK
-    blocks = map(
-        methodcaller("to_bytes", 8, "big"), range(first, -(-hi // _BLOCK))
-    )
-    keyed = partial(
-        hashlib.blake2b, digest_size=64, key=seed.to_bytes(8, "big")
-    )
-    digests = map(methodcaller("digest"), map(keyed, blocks))
-    words = array("Q", b"".join(digests))
-    if sys.byteorder == "little":
-        words.byteswap()
+    words = _native(_digest_words(seed, first, -(-hi // _BLOCK)))
     offset = first * _BLOCK
     return words[lo - offset : hi - offset]
+
+
+def _top_byte_table(thresholds: list) -> bytes:
+    """Maps each top byte v of an agent's word to the cell that every word
+    in [v*2^56, (v+1)*2^56) draws, or to _SPLIT when a threshold falls
+    inside that range, so that the word's other bytes decide."""
+    table = bytearray()
+    for v in range(256):
+        cell = bisect_right(thresholds, v << 56)
+        last = bisect_right(thresholds, ((v + 1) << 56) - 1)
+        table.append(cell if cell == last else _SPLIT)
+    return bytes(table)
+
+
+def _choose_by_top_byte(tops: bytearray, words: array, thresholds: list):
+    """Each agent's cell index, one byte per agent, and the number of agents
+    in each cell, for at most _SPLIT cells, from each agent's top byte and
+    word. One `bytes.translate` of the top bytes settles most agents; the
+    rest take `bisect_right` on their word. Returns None when more than a
+    quarter of the agents are left over (many cells), where `bisect_right`
+    on every word is faster."""
+    table = _top_byte_table(thresholds)
+    chosen = tops.translate(table)
+    left = chosen.count(_SPLIT)
+    if 4 * left > len(chosen):
+        return None
+    counts = [0] * len(thresholds)
+    for j in set(table).difference((_SPLIT,)):
+        counts[j] = chosen.count(j)
+    if left:
+        # Patching a found mark leaves the scan ahead of it unchanged.
+        cell_of = partial(bisect_right, thresholds)
+        for match in _SPLIT_MARK.finditer(chosen):
+            i = match.start()
+            chosen[i] = j = cell_of(words[i])
+            counts[j] += 1
+    return chosen, counts
 
 
 class Draws(Sequence):
@@ -115,12 +184,20 @@ def simulate_panel(
 
     Cell selection compares the agent's 64 uniform bits, read as an exact
     rational in [0, 1), against exact cumulative cell weights, so exact-mode
-    models are sampled without float-boundary bias. The agent range is
-    drawn as `workers` contiguous ranges, one after another; every split
-    gives the same panel. Raises UndefinedUpdateError when an objectively
-    reachable signal has zero subjective probability, and StructuralError
-    unless 0 < n_agents <= MAX_AGENTS (10^7), 0 <= seed < 2^64 and
-    workers >= 1.
+    models are sampled without float-boundary bias. `workers` is checked
+    but has no effect on the panel or on the work. Raises
+    UndefinedUpdateError when an objectively reachable signal has zero
+    subjective probability, and StructuralError unless
+    0 < n_agents <= MAX_AGENTS (10^7), 0 <= seed < 2^64 and workers >= 1.
+
+    Takes O(n_agents * log cells + cells * log cells) time beyond the
+    model's cell table. The work per agent in Python is one hash per 8
+    agents, plus `bisect_right` for the agents the top-byte table leaves
+    over: about (cells - 1)/256 of them, or all of them with 256 or more
+    reached cells or more than a quarter left over. Counting takes one C
+    pass over the chosen bytes per cell the table settles. Memory peaks
+    near 10 bytes per agent (about 13 with 256 or more reached cells); the
+    panel keeps 1 byte per agent below 256 reached cells, else 4.
     """
     if n_agents <= 0:
         raise StructuralError("n_agents must be positive")
@@ -146,16 +223,29 @@ def simulate_panel(
         running += c.obj_parts.total
         thresholds.append(-(-running * _SCALE // den))
 
-    step = -(-n_agents // workers)
-    bits = chain.from_iterable(
-        _agent_bits(seed, lo, min(lo + step, n_agents))
-        for lo in range(0, n_agents, step)
-    )
-    chosen = array("I", map(partial(bisect_right, thresholds), bits))
+    words = _digest_words(seed, 0, -(-n_agents // _BLOCK))
+    # Each agent's top byte, read while its word is still big-endian.
+    with memoryview(words) as view:
+        tops = bytearray(view.cast("B")[0 : _WORD * n_agents : _WORD])
+    del _native(words)[n_agents:]
+    by_top_byte = None
+    if len(cells) <= _SPLIT:
+        by_top_byte = _choose_by_top_byte(tops, words, thresholds)
+    del tops
+    if by_top_byte is None:
+        chosen = array(
+            "B" if len(cells) <= _SPLIT else "I",
+            map(partial(bisect_right, thresholds), words),
+        )
+        tally = Counter(chosen)
+        cell_counts = [tally[j] for j in range(len(cells))]
+    else:
+        codes, cell_counts = by_top_byte
+        chosen = array("B", codes)
 
     counts = [0] * len(support)
-    for j, count in Counter(chosen).items():
-        counts[cell_post_index[j]] += count
+    for index, count in zip(cell_post_index, cell_counts):
+        counts[index] += count
     empirical = WeightedPosteriors(
         tuple(
             (Fraction(count, n_agents), post)
@@ -169,7 +259,11 @@ def simulate_panel(
 def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Fraction:
     """Total variation distance between two posterior distributions: half
     the L1 distance over the union of supports, with posteriors identified
-    by `group_beliefs` within the larger of the two tolerances."""
+    by `group_beliefs` within the larger of the two tolerances.
+
+    Takes O((k_p + k_q) * n) time and memory for k_p and k_q posteriors
+    over n states when both are exact; with a tolerance, the grouping
+    sweep of `group_beliefs` adds its own cost."""
     if p.space != q.space:
         raise StructuralError(
             "posterior distributions must share an outcome space"

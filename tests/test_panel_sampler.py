@@ -1,0 +1,229 @@
+"""The panel sampler against a plain reference: one keyed BLAKE2b
+constructor per agent and `bisect_right` on every agent's word. The
+sampler's top-byte table must choose the same cell for every word, so
+every panel comes out the same."""
+
+import hashlib
+import random
+from bisect import bisect_right
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beliefcheck import (
+    Dist,
+    Model,
+    construct_rationalization,
+    simulate_panel,
+)
+from beliefcheck.cli import main
+from beliefcheck.dist import group_beliefs
+from beliefcheck.rationalize import reachable_cells
+from beliefcheck.simulate import _SPLIT, _choose_by_top_byte, _top_byte_table
+from genobs import random_observation
+
+S2 = ("H", "L")
+TOP = 1 << 56  # words per top-byte bucket
+
+
+def reference_panel(model, n_agents, seed):
+    """(draws, empirical items) by the plain rule: agent i hashes block
+    i // 8 with its own keyed constructor, reads word i % 8 big-endian and
+    draws the first cell whose threshold exceeds it."""
+    cells = reachable_cells(model)
+    support, index = group_beliefs([c.posterior for c in cells])
+    thresholds, running = [], Fraction(0)
+    for c in cells:
+        running += c.obj_mass
+        thresholds.append(-(-running.numerator * 2**64 // running.denominator))
+    key = seed.to_bytes(8, "big")
+    draws, counts = [], [0] * len(support)
+    for i in range(n_agents):
+        digest = hashlib.blake2b(
+            (i // 8).to_bytes(8, "big"), digest_size=64, key=key
+        ).digest()
+        word = int.from_bytes(digest[8 * (i % 8) : 8 * (i % 8) + 8], "big")
+        j = bisect_right(thresholds, word)
+        draws.append((cells[j].label, index[j]))
+        counts[index[j]] += 1
+    items = tuple(
+        (Fraction(count, n_agents), post)
+        for count, post in zip(counts, support)
+        if count
+    )
+    return tuple(draws), items
+
+
+def assert_same_as_reference(model, n_agents, seed, workers=1):
+    panel = simulate_panel(model, n_agents, seed, workers=workers)
+    draws, items = reference_panel(model, n_agents, seed)
+    assert panel.draws == draws
+    assert panel.empirical.items == items
+
+
+def cell_model(masses):
+    """A two-state model with one signal cell per objective mass: cell j
+    puts its mass on state H, and its subjective posterior is
+    (j+1, 1)/(j+2), so the cells induce distinct posteriors."""
+    omega = tuple("%s|c%d" % (s, j) for j in range(len(masses)) for s in S2)
+    mu0 = []
+    for j in range(len(masses)):
+        mu0 += [Fraction(j + 1), Fraction(1)]
+    total = sum(mu0)
+    p_obj = []
+    for mass in masses:
+        p_obj += [Fraction(mass), Fraction(0)]
+    return Model(
+        states=S2,
+        omega=omega,
+        projection={w: w.split("|")[0] for w in omega},
+        signal_partition={
+            "c%d" % j: omega[2 * j : 2 * j + 2] for j in range(len(masses))
+        },
+        mu0=Dist(omega, tuple(w / total for w in mu0)),
+        pObj=Dist(omega, tuple(p_obj)),
+    )
+
+
+def random_masses(rng, m):
+    raw = [rng.randint(1, 1000) for _ in range(m)]
+    return [Fraction(r, sum(raw)) for r in raw]
+
+
+@st.composite
+def thresholds_and_words(draw):
+    """Sorted thresholds ending in 2^64, some on top-byte bucket edges
+    k*2^56 or one off them, and words that include every threshold and
+    bucket edge, one off each, and random words."""
+    edges = st.integers(1, 255).flatmap(
+        lambda k: st.sampled_from([k * TOP - 1, k * TOP, k * TOP + 1])
+    )
+    inner = st.one_of(edges, st.integers(0, 2**64 - 1))
+    thresholds = sorted(draw(st.lists(inner, max_size=12))) + [2**64]
+    words = set(draw(st.lists(st.integers(0, 2**64 - 1), max_size=40)))
+    for t in thresholds[:-1] + [k * TOP for k in range(256)]:
+        words.update(w for w in (t - 1, t, t + 1) if 0 <= w < 2**64)
+    return thresholds, sorted(words)
+
+
+class TestTopByteTable:
+    @settings(max_examples=300, deadline=None)
+    @given(thresholds_and_words())
+    def test_table_choice_equals_bisect(self, case):
+        thresholds, words = case
+        table = _top_byte_table(thresholds)
+        for w in words:
+            cell = table[w >> 56]
+            assert cell == _SPLIT or cell == bisect_right(thresholds, w)
+        # bucket v is settled unless a threshold lies strictly inside it
+        for v in range(256):
+            inside = any(v * TOP < t < (v + 1) * TOP for t in thresholds)
+            assert (table[v] == _SPLIT) == inside
+
+    @settings(max_examples=300, deadline=None)
+    @given(thresholds_and_words(), st.integers(0, 2**32))
+    def test_chosen_cells_and_counts_equal_bisect(self, case, seed):
+        thresholds, words = case
+        rng = random.Random(seed)
+        # mostly words of settled buckets, so the table path is taken
+        words = words + [rng.randrange(2**64) for _ in range(4 * len(words))]
+        rng.shuffle(words)
+        tops = bytearray(w >> 56 for w in words)
+        expected = [bisect_right(thresholds, w) for w in words]
+        chosen = _choose_by_top_byte(tops, words, thresholds)
+        table = _top_byte_table(thresholds)
+        left = sum(table[t] == _SPLIT for t in tops)
+        if 4 * left > len(words):
+            assert chosen is None
+            return
+        codes, counts = chosen
+        assert list(codes) == expected
+        assert counts == [expected.count(j) for j in range(len(thresholds))]
+
+
+class TestSameAsReference:
+    def test_worked_model(self, worked_example):
+        model = construct_rationalization(worked_example)
+        for seed in (0, 5, 2**64 - 1):
+            for n_agents in (1, 7, 1001):
+                for workers in (1, 3, 8):
+                    assert_same_as_reference(model, n_agents, seed, workers)
+
+    def test_workers_equal_to_the_agent_count(self, worked_example):
+        model = construct_rationalization(worked_example)
+        assert_same_as_reference(model, 13, 21, workers=13)
+
+    @pytest.mark.parametrize("k", [2, 8, 32])
+    def test_random_models(self, k):
+        rng = random.Random(k)
+        model = construct_rationalization(random_observation(rng, 4, k))
+        for seed in (1, 302):
+            assert_same_as_reference(model, 2003, seed, workers=seed % 5 + 1)
+
+    def test_masses_on_bucket_edges(self):
+        # thresholds 128, 192 and 193 times 2^56, then 2^64: every cell
+        # boundary is a top-byte bucket edge, so the table splits nothing
+        masses = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 256)]
+        masses.append(1 - sum(masses))
+        model = cell_model(masses)
+        cells = reachable_cells(model)
+        assert len(cells) == 4
+        for seed in (3, 4):
+            assert_same_as_reference(model, 4001, seed)
+        panel = simulate_panel(model, 4001, 3)
+        assert {label for label, _ in panel.draws} == {"c0", "c1", "c2", "c3"}
+
+    def test_masses_one_off_bucket_edges(self):
+        # a threshold one above a bucket edge splits that bucket
+        half = Fraction(2**63 + 1, 2**64)
+        model = cell_model([half, 1 - half])
+        assert_same_as_reference(model, 3001, 8)
+
+    @pytest.mark.parametrize("m", [40, 200, 255, 256, 300])
+    def test_many_cells(self, m):
+        # 40 cells split 38 top-byte buckets, about 15% of the agents; 200
+        # or 255 split more than a quarter, so every agent is bisected; 256
+        # or more do not fit the one-byte codes
+        model = cell_model(random_masses(random.Random(m), m))
+        assert len(reachable_cells(model)) == m
+        for seed in (0, 9):
+            assert_same_as_reference(model, 2001, seed, workers=2)
+        panel = simulate_panel(model, 2001, 9)
+        assert panel.draws._chosen.itemsize == (1 if m < 256 else 4)
+
+
+class TestThresholdFlag:
+    @pytest.fixture
+    def model_file(self, tmp_path, worked_example_file, capsys):
+        path = str(tmp_path / "m.json")
+        obs = str(worked_example_file)
+        assert main(["rationalize", obs, "--out", path]) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "Infinity", "-0.5", "-1"])
+    def test_non_finite_or_negative_refused(self, model_file, capsys, value):
+        argv = ["simulate", model_file, "--n", "10", "--seed", "1"]
+        for json_flag in ([], ["--json"]):
+            code = main(argv + ["--threshold", value] + json_flag)
+            out, err = capsys.readouterr()
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: --threshold must be")
+            assert err.count("\n") == 1
+
+    def test_zero_is_accepted_and_never_met(self, model_file, capsys):
+        argv = ["simulate", model_file, "--n", "10", "--seed", "1"]
+        assert main(argv + ["--threshold", "0"]) == 2
+        assert "within threshold 0: False" in capsys.readouterr().out
+
+    def test_threshold_is_compared_exactly(self, model_file, capsys):
+        # 20 agents at seed 4 give tv exactly 1/10, which lies below the
+        # double nearest 0.1; float(tv) rounds to that double itself
+        argv = ["simulate", model_file, "--n", "20", "--seed", "4"]
+        assert main(argv + ["--threshold", "0.1"]) == 0
+        out = capsys.readouterr().out
+        assert "tv distance to model-implied distribution: 0.1\n" in out
+        assert "within threshold 0.1: True" in out
