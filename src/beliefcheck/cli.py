@@ -38,16 +38,16 @@ from .io import (
 )
 from .known_omega import brute_force_known_omega, check_proposition1
 from .rationalize import (
+    _implied_posteriors,
     cell_table,
     check_condition1,
     construct_rationalization,
-    induced_observables,
     mix_label,
     target_mix,
     uniform_mix,
     verify_model,
 )
-from .simulate import MAX_AGENTS, simulate_panel, tv_distance
+from .simulate import MAX_AGENTS, _draw_panel, tv_distance
 
 PASS, FAIL, USAGE = 0, 2, 1
 
@@ -331,9 +331,9 @@ def cmd_simulate(args) -> int:
             % threshold
         )
     model, _ = load_model(args.model)
-    panel = simulate_panel(model, args.n, args.seed, workers=args.workers)
-    _, implied = induced_observables(model)
-    tv = tv_distance(panel.empirical, implied)
+    # One cell table serves the panel and the implied distribution.
+    panel, cells = _draw_panel(model, args.n, args.seed, args.workers)
+    tv = tv_distance(panel.empirical, _implied_posteriors(cells))
     tol = model.tol
     payload = {
         "n_agents": panel.n_agents,
@@ -478,10 +478,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reads_as_float(arg: str) -> bool:
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_thresholds(argv) -> list:
+    """argv with `--threshold VALUE` joined into `--threshold=VALUE` when
+    VALUE starts with "-" and reads as a float. argparse takes only
+    -<digits> and -<digits>.<digits> as values after an option, so it would
+    read "-1e-3" or "-inf" as an unknown option and print its usage block;
+    joined, the value reaches `cmd_simulate`'s one-line refusal."""
+    joined = []
+    for arg in argv:
+        flag = joined[-1] if joined else ""
+        # argparse also takes any unambiguous prefix of "--threshold".
+        if (
+            len(flag) > 2
+            and "--threshold".startswith(flag)
+            and arg.startswith("-")
+            and _reads_as_float(arg)
+        ):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_thresholds(argv))
     except _UsageError:
         return USAGE
     try:

@@ -480,6 +480,10 @@ def induced_observables(model: Model):
     Takes O(|omega| + cells * n) time and memory for n states: one pass of
     `cell_table` over omega, then one posterior of n weights per cell."""
     prior = pushforward(model.mu0, model.projection, model.states)
-    return prior, WeightedPosteriors(
-        tuple((c.obj_mass, c.posterior) for c in reachable_cells(model))
-    )
+    return prior, _implied_posteriors(reachable_cells(model))
+
+
+def _implied_posteriors(cells: list) -> WeightedPosteriors:
+    """The objective distribution of Bayes posteriors over the given
+    reachable cells."""
+    return WeightedPosteriors(tuple((c.obj_mass, c.posterior) for c in cells))

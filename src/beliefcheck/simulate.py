@@ -4,22 +4,28 @@ Each agent draws a signal cell from the objective distribution, updates by
 Bayes to the cell's induced posterior, and the empirical distribution of
 posteriors is compared to the model-implied one.
 
-Agent i's 64 uniform bits are the big-endian word i mod 8 of the keyed
-digest ``blake2b((i // 8).to_bytes(8, "big"), digest_size=64,
-key=seed.to_bytes(8, "big"))``, so they depend only on (seed, i). One
-digest serves a block of eight agents. This stream replaced a per-agent
-8-byte digest once, so a given seed draws a different panel than it did
-before that change. An agent draws the first cell whose cumulative
-objective mass exceeds its bits / 2^64. A 256-entry table on the word's
-top byte settles that choice for most agents in one `bytes.translate`;
-agents whose top byte a cell boundary splits take `bisect_right` on the
-whole word, the same rule. `workers` has no effect on the panel or on
-the work: the agent range is drawn once, in the calling thread.
+Agent i's 64 uniform bits are the big-endian word i mod 8192 of
+``shake_128(seed.to_bytes(8, "big") + (i // 8192).to_bytes(8, "big"))``,
+squeezed 8 bytes for each agent drawn from that chunk of 8192. A shorter
+squeeze is the start of a longer one, so the bits depend only on
+(seed, i). The XOF and the chunk size are part of the stream's
+definition. This is the second change of stream: a per-agent 8-byte
+digest gave way to one keyed BLAKE2b-512 digest per eight agents, and that
+to one SHAKE-128 squeeze per 8192, so a given seed draws a different panel
+than it did before either change. An agent draws the first cell whose
+cumulative objective mass exceeds its bits / 2^64. A 256-entry table on
+the word's top byte settles that choice for most agents in one
+`bytes.translate`; agents whose top byte a cell boundary splits take
+`bisect_right` on the whole word, the same rule. `workers` has no effect
+on the panel or on the work: the agent range is drawn once, in the calling
+thread.
 
-Drawing takes about 10 bytes per agent at its peak (about 13 with 256 or
-more reached cells; tracemalloc at 10^6 agents). A panel keeps each
+Drawing takes about 10 bytes per agent at its peak (about 12.5 with 256
+or more reached cells; tracemalloc at 10^6 agents). A panel keeps each
 agent's chosen cell in one byte while the model reaches fewer than 256
-cells, else in four; its `draws` are read through that array.
+cells, else in four; its `draws` are read through that array. A panel of
+10^7 agents takes about 0.5 s on a two-cell model and 0.75 s on an
+eight-cell one (Python 3.11, one core of a shared 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -29,19 +35,18 @@ import re
 import sys
 from array import array
 from bisect import bisect_right
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import methodcaller
 
 from .dist import WeightedPosteriors, group_beliefs
 from .errors import StructuralError
 from .rationalize import Model, reachable_cells
 
 _SCALE = 1 << 64
-_BLOCK = 8  # agents per digest: 64 digest bytes hold eight 64-bit words
+_CHUNK = 8192  # agents per SHAKE-128 squeeze; part of the stream's definition
 _WORD = 8  # bytes per agent's word
 # The top-byte table's mark for a bucket that a threshold splits. Cell
 # indices below it fit the table's one-byte codes.
@@ -49,31 +54,36 @@ _SPLIT = 255
 _SPLIT_MARK = re.compile(bytes([_SPLIT]))
 
 #: Largest panel `simulate_panel` draws. Drawing takes about 10 bytes per
-#: agent at its peak (each agent's 64 bits, its top byte and its chosen
-#: cell; about 13 with 256 or more reached cells; tracemalloc at 10^6
-#: agents), so this caps it near 130 MB; the panel keeps 1 byte per agent
-#: below 256 reached cells, else 4.
+#: agent at its peak (each agent's 64 bits from the SHAKE-128 squeezes,
+#: its top byte and its chosen cell; about 12.5 with 256 or more reached
+#: cells; tracemalloc at 10^6 agents), so this caps it near 125 MB and
+#: about 0.5-0.75 s; the panel keeps 1 byte per agent below 256 reached
+#: cells, else 4.
 MAX_AGENTS = 10**7
 
 
-def _digest_words(seed: int, first: int, last: int) -> array:
-    """The keyed 64-byte digests of blocks [first, last), concatenated in
-    an array of 64-bit words that holds their bytes as they are: each word
-    big-endian, so on a little-endian host the values are byte-swapped.
+def _digest_words(seed: int, lo: int, hi: int) -> array:
+    """The words of agents [lo, hi) as the squeezes hold them, in one array
+    of 64-bit words: each word big-endian, so on a little-endian host the
+    values are byte-swapped.
 
-    The key fills BLAKE2b's first message block, so one keyed state is set
-    up once and copied for each block: the same digests as one keyed
-    constructor per block, without parsing its arguments each time."""
-    copy = hashlib.blake2b(digest_size=64, key=seed.to_bytes(8, "big")).copy
-
-    def digest(block: bytes) -> bytes:
-        state = copy()
-        state.update(block)
-        return state.digest()
-
-    blocks = map(methodcaller("to_bytes", 8, "big"), range(first, last))
-    words = array("Q")
-    deque(map(words.frombytes, map(digest, blocks)), maxlen=0)
+    Each chunk of _CHUNK agents takes one SHAKE-128 squeeze, as long as
+    the agents drawn from it need: a shorter squeeze is the start of a
+    longer one, so agent i's word does not depend on lo or hi. Each squeeze
+    is written straight into the preallocated array."""
+    words = array("Q", [0]) * (hi - lo)
+    key = seed.to_bytes(8, "big")
+    with memoryview(words) as view, view.cast("B") as out:
+        at = 0
+        for chunk in range(lo // _CHUNK, -(-hi // _CHUNK)):
+            start = chunk * _CHUNK
+            skip = _WORD * max(lo - start, 0)
+            squeezed = hashlib.shake_128(key + chunk.to_bytes(8, "big")).digest(
+                _WORD * min(hi - start, _CHUNK)
+            )
+            end = at + len(squeezed) - skip
+            out[at:end] = memoryview(squeezed)[skip:]
+            at = end
     return words
 
 
@@ -86,11 +96,10 @@ def _native(words: array) -> array:
 
 def _agent_bits(seed: int, lo: int, hi: int) -> array:
     """64 uniform bits for each agent in [lo, hi), as a pure function of
-    (seed, agent index)."""
-    first = lo // _BLOCK
-    words = _native(_digest_words(seed, first, -(-hi // _BLOCK)))
-    offset = first * _BLOCK
-    return words[lo - offset : hi - offset]
+    (seed, agent index): agent i's bits are the big-endian word i mod 8192
+    of ``shake_128(seed.to_bytes(8, "big") + (i // 8192).to_bytes(8,
+    "big"))``, squeezed as far as the agents drawn from that chunk need."""
+    return _native(_digest_words(seed, lo, hi))
 
 
 def _top_byte_table(thresholds: list) -> bytes:
@@ -190,15 +199,28 @@ def simulate_panel(
     subjective probability, and StructuralError unless
     0 < n_agents <= MAX_AGENTS (10^7), 0 <= seed < 2^64 and workers >= 1.
 
+    Agent i's bits are word i mod 8192 of one SHAKE-128 squeeze per chunk
+    of 8192 agents, keyed by the seed and the chunk index (see the module
+    docstring); this is the sampler's second change of stream, so a seed
+    draws a different panel than before it.
+
     Takes O(n_agents * log cells + cells * log cells) time beyond the
-    model's cell table. The work per agent in Python is one hash per 8
-    agents, plus `bisect_right` for the agents the top-byte table leaves
-    over: about (cells - 1)/256 of them, or all of them with 256 or more
-    reached cells or more than a quarter left over. Counting takes one C
-    pass over the chosen bytes per cell the table settles. Memory peaks
-    near 10 bytes per agent (about 13 with 256 or more reached cells); the
-    panel keeps 1 byte per agent below 256 reached cells, else 4.
+    model's cell table. Hashing is one squeeze, in C, per 8192 agents;
+    the work per agent in Python is `bisect_right` for the agents the
+    top-byte table leaves over: about (cells - 1)/256 of them, or all of
+    them with 256 or more reached cells or more than a quarter left over.
+    Counting takes one C pass over the chosen bytes per cell the table
+    settles. Memory peaks near 10 bytes per agent (about 12.5 with 256 or
+    more reached cells); the panel keeps 1 byte per agent below 256
+    reached cells, else 4. 10^7 agents take about 0.5 s on two cells.
     """
+    return _draw_panel(model, n_agents, seed, workers)[0]
+
+
+def _draw_panel(model: Model, n_agents: int, seed: int, workers: int):
+    """`simulate_panel`'s panel and the reachable cells it was drawn from,
+    for a caller that also needs the implied distribution of posteriors
+    from the same cell table."""
     if n_agents <= 0:
         raise StructuralError("n_agents must be positive")
     if n_agents > MAX_AGENTS:
@@ -223,11 +245,11 @@ def simulate_panel(
         running += c.obj_parts.total
         thresholds.append(-(-running * _SCALE // den))
 
-    words = _digest_words(seed, 0, -(-n_agents // _BLOCK))
+    words = _digest_words(seed, 0, n_agents)
     # Each agent's top byte, read while its word is still big-endian.
     with memoryview(words) as view:
-        tops = bytearray(view.cast("B")[0 : _WORD * n_agents : _WORD])
-    del _native(words)[n_agents:]
+        tops = bytearray(view.cast("B")[::_WORD])
+    _native(words)
     by_top_byte = None
     if len(cells) <= _SPLIT:
         by_top_byte = _choose_by_top_byte(tops, words, thresholds)
@@ -253,7 +275,7 @@ def simulate_panel(
             if count > 0
         )
     )
-    return PanelSample(n_agents, seed, Draws(pairs, chosen), empirical)
+    return PanelSample(n_agents, seed, Draws(pairs, chosen), empirical), cells
 
 
 def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Fraction:

@@ -140,18 +140,57 @@ class TestSimulatePanel:
 
 class TestAgentBits:
     def test_golden_stream(self):
-        # agent i reads word i % 8 of the keyed 64-byte digest of block i // 8
+        # agent i reads word i % 8192 of the SHAKE-128 squeeze of
+        # seed || i // 8192, squeezed 8 bytes per agent drawn from the chunk
         for seed in (0, (1 << 64) - 1):
             key = seed.to_bytes(8, "big")
             expected = []
             for i in range(10):
-                digest = hashlib.blake2b(
-                    (i // 8).to_bytes(8, "big"), digest_size=64, key=key
-                ).digest()
-                word = digest[8 * (i % 8) : 8 * (i % 8) + 8]
+                squeeze = hashlib.shake_128(
+                    key + (i // 8192).to_bytes(8, "big")
+                ).digest(8 * 10)
+                word = squeeze[8 * (i % 8192) : 8 * (i % 8192) + 8]
                 expected.append(int.from_bytes(word, "big"))
             assert list(_agent_bits(seed, 0, 10)) == expected
             assert list(_agent_bits(seed, 3, 9)) == expected[3:9]
+
+
+class TestSqueezeChunks:
+    # agents per squeeze, and the bounds on either side of its edges
+    CHUNK = 8192
+    EDGES = (0, 5, 8189, 8191, 8192, 8193, 8200, 16383, 16384, 16387)
+
+    def test_any_range_reads_the_same_words(self):
+        for seed in (0, (1 << 64) - 1):
+            for hi in self.EDGES:
+                whole = _agent_bits(seed, 0, hi)
+                for lo in self.EDGES:
+                    if lo <= hi:
+                        assert _agent_bits(seed, lo, hi) == whole[lo:]
+
+    def test_no_word_repeats_across_chunks_or_seeds(self):
+        # a reused squeeze would repeat a whole chunk of words
+        seen = set()
+        for seed in (0, 1, (1 << 64) - 1):
+            for chunk in range(3):
+                lo = chunk * self.CHUNK
+                words = set(_agent_bits(seed, lo, lo + self.CHUNK))
+                assert len(words) == self.CHUNK
+                assert seen.isdisjoint(words)
+                seen |= words
+
+    def test_top_bytes_are_uniform(self):
+        # 2^16 agents put 256 in each top-byte bucket on average, with a
+        # standard deviation of about 16; a uniform source breaks either
+        # bound with probability below 10^-6, and a repeated or skewed
+        # squeeze breaks them by far
+        n = 1 << 16
+        for seed in (0, 1, (1 << 64) - 1):
+            counts = [0] * 256
+            for word in _agent_bits(seed, 0, n):
+                counts[word >> 56] += 1
+            assert max(abs(c - 256) for c in counts) <= 96
+            assert sum((c - 256) ** 2 for c in counts) / 256 < 400
 
 
 class TestTvDistance:

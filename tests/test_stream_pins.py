@@ -1,0 +1,67 @@
+"""Pinned words of the panel sampler's bit stream.
+
+Agent i's 64 bits are the big-endian word i mod 8192 of
+``shake_128(seed.to_bytes(8, "big") + (i // 8192).to_bytes(8, "big"))``,
+squeezed as far as the agents drawn from that chunk need. The pins hold
+the first words at seeds 0 and 2^64 - 1 and the words on either side of
+the first chunk edge (agents 8191 and 8192), so a SHA-3 backend that
+squeezed differently, or a sampler that cut chunks elsewhere, shows up
+here. The file needs only the standard library and also runs as a
+script, without site-packages:
+
+    python -S tests/test_stream_pins.py
+"""
+
+import hashlib
+import os
+import sys
+
+CHUNK = 8192  # agents per squeeze
+
+#: (seed, agent) -> the agent's 64 bits
+PINS = {
+    (0, 0): 0x8F8E4F612E61FFB9,
+    (0, 1): 0xD78C3EA707E37768,
+    (0, 2): 0x05A4F86E1D7371F4,
+    (0, 8191): 0x78B70F9823DBCB07,
+    (0, 8192): 0x2F49B2B32F0D2D65,
+    (0, 8193): 0xBB1BE2AC7D42A98E,
+    (2**64 - 1, 0): 0x788B791423670CDB,
+    (2**64 - 1, 1): 0xDBB16F8D339EFBE1,
+    (2**64 - 1, 2): 0x2D43DFEEF28BED5A,
+    (2**64 - 1, 8191): 0x53989EA3AE70A009,
+    (2**64 - 1, 8192): 0x8A1F56AA8FE16EB8,
+    (2**64 - 1, 8193): 0x5C15E95E4FA13A7D,
+}
+
+
+def squeezed_word(seed, i):
+    """Agent i's word from a full squeeze of its chunk."""
+    key = seed.to_bytes(8, "big") + (i // CHUNK).to_bytes(8, "big")
+    squeeze = hashlib.shake_128(key).digest(8 * CHUNK)
+    return int.from_bytes(squeeze[8 * (i % CHUNK) : 8 * (i % CHUNK) + 8], "big")
+
+
+def test_hashlib_squeezes_the_pinned_words():
+    for (seed, i), word in PINS.items():
+        assert squeezed_word(seed, i) == word
+
+
+def test_sampler_reads_the_pinned_words():
+    from beliefcheck.simulate import _agent_bits
+
+    for seed in (0, 2**64 - 1):
+        pinned = {i: word for (s, i), word in PINS.items() if s == seed}
+        whole = _agent_bits(seed, 0, 8194)
+        edge = _agent_bits(seed, 8191, 8193)
+        for i, word in pinned.items():
+            assert whole[i] == word
+        assert list(edge) == [pinned[8191], pinned[8192]]
+
+
+if __name__ == "__main__":
+    here = os.path.dirname(os.path.abspath(__file__))
+    sys.path.insert(0, os.path.join(here, os.pardir, "src"))
+    test_hashlib_squeezes_the_pinned_words()
+    test_sampler_reads_the_pinned_words()
+    print("stream pins hold on Python %s" % sys.version.split()[0])
