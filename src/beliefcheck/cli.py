@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .dist import Dist, Observation, martingale_mean
+from .dist import Dist, Observation, _martingale
 from .errors import (
     AbsoluteContinuityViolation,
     FormatError,
@@ -291,8 +291,8 @@ def cmd_martingale(args) -> int:
     obs, _ = load_observation(args.observation)
     tol = obs.tol
     if args.weights == "objective":
-        weights = list(obs.posteriors.weights)
-        posteriors = list(obs.posteriors.beliefs)
+        wnums, wden = obs.posteriors.nums, obs.posteriors.den
+        posteriors = obs.posteriors.beliefs
         source = "objective posterior weights"
     else:
         if not args.model:
@@ -301,11 +301,11 @@ def cmd_martingale(args) -> int:
             )
         model, _ = load_model(args.model)
         tol = max(tol, model.tol)
-        active = [c for c in cell_table(model) if c.mu_mass]
-        weights = [c.mu_mass for c in active]
+        active = [c for c in cell_table(model) if c.mu_parts.total]
+        wnums, wden = [c.mu_parts.total for c in active], model.mu0.den
         posteriors = [c.posterior for c in active]
         source = "subjective signal-cell weights from %s" % args.model
-    holds, mean = martingale_mean(weights, posteriors, obs.prior, tol)
+    holds, mean = _martingale(wnums, wden, posteriors, obs.prior, tol)
     mean = {s: format_number(x, tol) for s, x in zip(obs.space, mean)}
     payload = {
         "weights": args.weights,
@@ -332,7 +332,7 @@ def cmd_simulate(args) -> int:
         )
     model, _ = load_model(args.model)
     # One cell table serves the panel and the implied distribution.
-    panel, cells = _draw_panel(model, args.n, args.seed, args.workers)
+    panel, cells = _draw_panel(model, args.n, args.seed)
     tv = tv_distance(panel.empirical, _implied_posteriors(cells))
     tol = model.tol
     payload = {
@@ -458,13 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of agents, at most %d" % MAX_AGENTS,
     )
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility; must be at least 1 and has no "
-        "effect on the panel or on the work",
-    )
     p.add_argument(
         "--threshold",
         type=float,

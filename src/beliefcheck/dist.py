@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AbsoluteContinuityViolation,
@@ -41,7 +41,6 @@ from .errors import (
 TOL = 1e-9
 _TOL = Fraction(TOL)  # as objects record it, so comparisons stay exact
 _TOL_P, _TOL_Q = _TOL.as_integer_ratio()
-_ZERO = Fraction(0)
 _set = object.__setattr__
 # Exact (numerator, denominator) of a weight, by type; other types go
 # through Fraction.
@@ -73,14 +72,6 @@ def _vector(nums: Sequence, dens: Sequence) -> tuple:
     of the denominators: returns (numerators, lcm)."""
     den = lcm(*dens)
     return [n * (den // d) for n, d in zip(nums, dens)], den
-
-
-def exact_sum(weights: Sequence) -> Fraction:
-    """Sum of exact weights as a plain Fraction (0 for no weights)."""
-    if not weights:
-        return Fraction(0)
-    nums, den = _vector(*zip(*map(_ratio, weights)))
-    return Fraction(sum(nums), den)
 
 
 def _close(a: Sequence, da: int, b: Sequence, db: int, tol) -> bool:
@@ -193,17 +184,6 @@ class Dist:
         d = object.__new__(cls)
         d._settle(tuple(space), ratios, tol, index, None)
         return d
-
-    @classmethod
-    def from_mapping(cls, space: Sequence, mapping: Mapping) -> "Dist":
-        """Build a Dist from a label->weight mapping; missing labels get 0."""
-        unknown = set(mapping) - set(space)
-        if unknown:
-            raise StructuralError(
-                "weights given for labels outside the space: %s"
-                % ", ".join(repr(u) for u in sorted(unknown, key=repr))
-            )
-        return cls(tuple(space), tuple(mapping.get(s, _ZERO) for s in space))
 
     @classmethod
     def uniform(cls, space: Sequence) -> "Dist":
@@ -468,35 +448,22 @@ def group_beliefs(beliefs: Sequence[Dist], tol: Fraction = 0) -> tuple:
     return merged, [label[g] for g in groups]
 
 
-def _projector(proj) -> Callable:
-    if isinstance(proj, Mapping):
-        mapping = proj
-
-        def lookup(label):
-            try:
-                return mapping[label]
-            except KeyError:
-                raise StructuralError(
-                    "projection undefined at %r" % (label,)
-                ) from None
-
-        return lookup
-    return proj
-
-
-def pushforward(mu: Dist, proj, space: Sequence) -> Dist:
+def pushforward(mu: Dist, proj: Mapping, space: Sequence) -> Dist:
     """Distribution over `space` induced by `mu` through the projection.
 
-    `proj` maps each outcome of mu's space into `space`; it may be a mapping
-    or a callable. The weight of a target outcome is the total mu-weight of
-    its preimage.
+    `proj` maps each outcome of mu's space into `space`. The weight of a
+    target outcome is the total mu-weight of its preimage.
     """
-    lookup = _projector(proj)
     space = tuple(space)
     index = {s: i for i, s in enumerate(space)}
     acc = [0] * len(space)
     for label, n in zip(mu.space, mu.nums):
-        target = lookup(label)
+        try:
+            target = proj[label]
+        except KeyError:
+            raise StructuralError(
+                "projection undefined at %r" % (label,)
+            ) from None
         if target not in index:
             raise StructuralError(
                 "projection sends %r to %r, outside the declared space"
@@ -609,36 +576,22 @@ def rn_derivative(prior: Dist, belief: Dist) -> RnDerivative:
     return RnDerivative(prior, belief, best)
 
 
-def _mean(wnums: Sequence, wden: int, posteriors: Sequence[Dist], n: int):
-    """Mean of the posteriors under the weights wnums[i] / wden, as integer
-    numerators over one denominator: returns (numerators, denominator)."""
-    den = lcm(*(p.den for p in posteriors))
-    scale = [w * (den // p.den) for w, p in zip(wnums, posteriors)]
-    cols = zip(*(p.nums for p in posteriors)) if posteriors else [()] * n
-    return [sum(map(mul, scale, col)) for col in cols], wden * den
-
-
-def martingale_mean(
-    weights: Sequence, posteriors: Sequence[Dist], prior: Dist, tol: Fraction
-):
-    """Mean of the posteriors under `weights`, coordinate by coordinate
-    over the prior's space, and whether every coordinate equals the
-    prior's within `tol`. Returns (holds, mean weights); the mean is not
-    required to sum to 1."""
-    if len(weights) != len(posteriors):
+def _martingale(wnums, wden: int, posteriors: Sequence, prior: Dist, tol):
+    """Mean of the posteriors under the weights wnums[i] / wden, coordinate
+    by coordinate over the prior's space, and whether every coordinate
+    equals the prior's within `tol`. Returns (holds, mean weights); the
+    mean is not required to sum to 1."""
+    if len(wnums) != len(posteriors):
         raise StructuralError(
-            "got %d weights for %d posteriors"
-            % (len(weights), len(posteriors))
+            "got %d weights for %d posteriors" % (len(wnums), len(posteriors))
         )
     if any(post.space != prior.space for post in posteriors):
         raise StructuralError("posterior space differs from the prior's")
-    wnums, wden = _vector(*zip(*map(_ratio, weights))) if weights else ([], 1)
-    return _martingale(wnums, wden, posteriors, prior, tol)
-
-
-def _martingale(wnums, wden, posteriors, prior: Dist, tol):
-    """`martingale_mean` for weights wnums[i] / wden."""
-    acc, den = _mean(wnums, wden, posteriors, len(prior.space))
+    n, den = len(prior.space), lcm(*(p.den for p in posteriors))
+    scale = [w * (den // p.den) for w, p in zip(wnums, posteriors)]
+    cols = zip(*(p.nums for p in posteriors)) if posteriors else [()] * n
+    acc = [sum(map(mul, scale, col)) for col in cols]
+    den *= wden
     holds = _close(acc, den, prior.nums, prior.den, tol)
     return holds, tuple(Fraction(a, den) for a in acc)
 
@@ -651,9 +604,9 @@ def martingale_check(
     and the posteriors. Returns (holds, mean_posterior); raises
     StructuralError when the weights do not sum to 1."""
     tol = max([prior.tol] + [p.tol for p in posteriors])
-    holds, mean = martingale_mean(
-        list(map(Fraction, weights)), posteriors, prior, tol
-    )
+    ratios = [Fraction(w).as_integer_ratio() for w in weights]
+    wnums, wden = _vector(*zip(*ratios)) if ratios else ([], 1)
+    holds, mean = _martingale(wnums, wden, posteriors, prior, tol)
     return holds, Dist(prior.space, mean)
 
 
@@ -787,11 +740,6 @@ class RnReport:
 
     entries: tuple
     overall_pass: bool
-
-    def epsilons(self) -> tuple:
-        return tuple(
-            e.derivative.epsilon if e.ok else None for e in self.entries
-        )
 
     def violations(self) -> tuple:
         """All prior-null outcomes charged by some posterior."""

@@ -10,12 +10,13 @@ exact values as "p/q", float-origin ones as floats. See docs/format.md
 for the schemas.
 
 Files are written byte for byte in the layout of `json.dump(...,
-indent=2)` plus a final newline, applied to `observation_to_dict` or
-`model_to_dict`, which stay the reference: one fixed-schema writer per
-file kind joins the strings around json's C string encoder and writes
-them at once. `rationalize --json` prints the same bytes as the file
-`--out` writes. The loaders format an error's location (file, field,
-entry, state) only when they raise it.
+indent=2)` of the file's JSON object plus a final newline: one
+fixed-schema writer per file kind joins the strings around json's C string
+encoder and writes them at once. The writers refuse what the loaders would
+refuse to read back: a mode outside MODES and a label that is not a
+string. `rationalize --json` prints the same bytes as the file `--out`
+writes. The loaders format an error's location (file, field, entry, state)
+only when they raise it.
 """
 
 from __future__ import annotations
@@ -296,10 +297,7 @@ def load_observation(path) -> Tuple[Observation, str]:
 
 
 # The writers below lay files out exactly as json.dumps(..., indent=2)
-# lays out the reference dicts, `observation_to_dict` and `model_to_dict`,
-# with strings escaped by json's own C encoder. A label that is not a
-# str would be coerced or refused by json.dumps, so such a file is
-# written through the reference instead.
+# lays out the file's object, with strings escaped by json's own C encoder.
 _encode = json.encoder.encode_basestring_ascii
 
 
@@ -342,36 +340,22 @@ def _document(fields: list) -> str:
     return _block(['"%s": %s' % field for field in fields], 0, "{}") + "\n"
 
 
-def _all_str(*groups) -> bool:
-    return {str}.issuperset(map(type, chain(*groups)))
-
-
-def observation_to_dict(obs: Observation, mode: str) -> dict:
-    tol = obs.tol
-    return {
-        "mode": mode,
-        "states": list(obs.space),
-        "prior": {
-            s: format_number(w, tol)
-            for s, w in zip(obs.prior.space, obs.prior.weights)
-        },
-        "posteriors": [
-            {
-                "weight": format_number(w, tol),
-                "belief": {
-                    s: format_number(b[s], tol) for s in obs.space
-                },
-            }
-            for w, b in obs.posteriors.items
-        ],
-    }
+def _writable(mode: str, *labels) -> None:
+    """Raise StructuralError unless `mode` is one of MODES and every label
+    in the groups `labels` is a string, as the loaders require."""
+    if mode not in MODES:
+        raise StructuralError(
+            "cannot write mode %r: not one of %s" % (mode, "/".join(MODES))
+        )
+    if not all(map(isinstance, chain(*labels), repeat(str))):
+        bad = next(x for x in chain(*labels) if not isinstance(x, str))
+        raise StructuralError("cannot write label %r: not a string" % (bad,))
 
 
 def observation_json(obs: Observation, mode: str) -> str:
-    """An observation file's text: json.dumps(observation_to_dict(obs,
-    mode), indent=2) followed by a newline, byte for byte."""
-    if not _all_str((mode,), obs.space):
-        return json.dumps(observation_to_dict(obs, mode), indent=2) + "\n"
+    """An observation file's text, the layout of json.dumps(..., indent=2)
+    followed by a newline; see docs/format.md."""
+    _writable(mode, obs.space)
     states = list(map(_encode, obs.space))
     posteriors = [
         '{\n      "weight": "%s",\n      "belief": %s\n    }'
@@ -397,55 +381,13 @@ def save_observation(obs: Observation, path, mode: str = "rational") -> None:
     _write(path, observation_json(obs, mode))
 
 
-def model_to_dict(model: Model, mode: str) -> dict:
-    signal_of = {}
-    for label, cell in model.signal_partition.items():
-        for w in cell:
-            signal_of[w] = label
-    omega_index = {w: i for i, w in enumerate(model.omega)}
-
-    def text(dist: Dist) -> list:
-        return [format_number(w, model.tol) for w in dist.weights]
-
-    return {
-        "mode": mode,
-        "states": list(model.states),
-        "omega": [
-            {
-                "label": w,
-                "s": model.projection[w],
-                "signal": signal_of[w],
-            }
-            for w in model.omega
-        ],
-        "mu0": dict(zip(model.omega, text(model.mu0))),
-        "pObj": dict(zip(model.omega, text(model.pObj))),
-        "lambda": (
-            None
-            if model.lambda_mix is None
-            else dict(zip(model.lambda_mix.space, text(model.lambda_mix)))
-        ),
-        "partition": {
-            label: [omega_index[w] for w in cell]
-            for label, cell in model.signal_partition.items()
-        },
-    }
-
-
 def model_json(model: Model, mode: str) -> str:
-    """A model file's text: json.dumps(model_to_dict(model, mode),
-    indent=2) followed by a newline, byte for byte."""
+    """A model file's text, the layout of json.dumps(..., indent=2)
+    followed by a newline; see docs/format.md."""
     lam = model.lambda_mix
     projected = [model.projection[w] for w in model.omega]
-    if not _all_str(
-        (mode,),
-        model.states,
-        model.omega,
-        projected,
-        model.signal_partition,
-        () if lam is None else lam.space,
-    ):
-        return json.dumps(model_to_dict(model, mode), indent=2) + "\n"
+    labels = (model.states, model.omega, projected, model.signal_partition)
+    _writable(mode, *labels, () if lam is None else lam.space)
     omega = list(map(_encode, model.omega))
     omega_index = {w: i for i, w in enumerate(model.omega)}
     signal_of, partition = {}, []

@@ -4,21 +4,15 @@ Each agent draws a signal cell from the objective distribution, updates by
 Bayes to the cell's induced posterior, and the empirical distribution of
 posteriors is compared to the model-implied one.
 
-Agent i's 64 uniform bits are the big-endian word i mod 8192 of
-``shake_128(seed.to_bytes(8, "big") + (i // 8192).to_bytes(8, "big"))``,
-squeezed 8 bytes for each agent drawn from that chunk of 8192. A shorter
-squeeze is the start of a longer one, so the bits depend only on
-(seed, i). The XOF and the chunk size are part of the stream's
-definition. This is the second change of stream: a per-agent 8-byte
-digest gave way to one keyed BLAKE2b-512 digest per eight agents, and that
-to one SHAKE-128 squeeze per 8192, so a given seed draws a different panel
-than it did before either change. An agent draws the first cell whose
-cumulative objective mass exceeds its bits / 2^64. A 256-entry table on
-the word's top byte settles that choice for most agents in one
-`bytes.translate`; agents whose top byte a cell boundary splits take
-`bisect_right` on the whole word, the same rule. `workers` has no effect
-on the panel or on the work: the agent range is drawn once, in the calling
-thread.
+The panel stream: agent i's 64 uniform bits are the big-endian word
+i mod 8192 of ``shake_128(seed.to_bytes(8, "big") + (i // 8192).to_bytes(8,
+"big"))``, squeezed 8 bytes for each agent drawn from that chunk of 8192.
+A shorter squeeze is the start of a longer one, so the bits depend only on
+(seed, i). The XOF and the chunk size are part of the stream's definition.
+An agent draws the first cell whose cumulative objective mass exceeds its
+bits / 2^64. A 256-entry table on the word's top byte settles that choice
+for most agents in one `bytes.translate`; agents whose top byte a cell
+boundary splits take `bisect_right` on the whole word, the same rule.
 
 Drawing takes about 10 bytes per agent at its peak (about 12.5 with 256
 or more reached cells; tracemalloc at 10^6 agents). A panel keeps each
@@ -53,24 +47,17 @@ _WORD = 8  # bytes per agent's word
 _SPLIT = 255
 _SPLIT_MARK = re.compile(bytes([_SPLIT]))
 
-#: Largest panel `simulate_panel` draws. Drawing takes about 10 bytes per
-#: agent at its peak (each agent's 64 bits from the SHAKE-128 squeezes,
-#: its top byte and its chosen cell; about 12.5 with 256 or more reached
-#: cells; tracemalloc at 10^6 agents), so this caps it near 125 MB and
-#: about 0.5-0.75 s; the panel keeps 1 byte per agent below 256 reached
-#: cells, else 4.
+#: Largest panel `simulate_panel` draws. Drawing peaks near 10 bytes per
+#: agent (see the module docstring), so this caps it near 125 MB and about
+#: 0.5-0.75 s.
 MAX_AGENTS = 10**7
 
 
 def _digest_words(seed: int, lo: int, hi: int) -> array:
     """The words of agents [lo, hi) as the squeezes hold them, in one array
     of 64-bit words: each word big-endian, so on a little-endian host the
-    values are byte-swapped.
-
-    Each chunk of _CHUNK agents takes one SHAKE-128 squeeze, as long as
-    the agents drawn from it need: a shorter squeeze is the start of a
-    longer one, so agent i's word does not depend on lo or hi. Each squeeze
-    is written straight into the preallocated array."""
+    values are byte-swapped. Each chunk's squeeze, as long as the agents
+    drawn from it need, is written straight into the preallocated array."""
     words = array("Q", [0]) * (hi - lo)
     key = seed.to_bytes(8, "big")
     with memoryview(words) as view, view.cast("B") as out:
@@ -96,9 +83,7 @@ def _native(words: array) -> array:
 
 def _agent_bits(seed: int, lo: int, hi: int) -> array:
     """64 uniform bits for each agent in [lo, hi), as a pure function of
-    (seed, agent index): agent i's bits are the big-endian word i mod 8192
-    of ``shake_128(seed.to_bytes(8, "big") + (i // 8192).to_bytes(8,
-    "big"))``, squeezed as far as the agents drawn from that chunk need."""
+    (seed, agent index): the panel stream of the module docstring."""
     return _native(_digest_words(seed, lo, hi))
 
 
@@ -185,24 +170,17 @@ class PanelSample:
     empirical: WeightedPosteriors
 
 
-def simulate_panel(
-    model: Model, n_agents: int, seed: int, workers: int = 1
-) -> PanelSample:
+def simulate_panel(model: Model, n_agents: int, seed: int) -> PanelSample:
     """Draw an i.i.d. panel of agents from the model's objective signal
     distribution and record each agent's Bayes posterior.
 
-    Cell selection compares the agent's 64 uniform bits, read as an exact
-    rational in [0, 1), against exact cumulative cell weights, so exact-mode
-    models are sampled without float-boundary bias. `workers` is checked
-    but has no effect on the panel or on the work. Raises
-    UndefinedUpdateError when an objectively reachable signal has zero
-    subjective probability, and StructuralError unless
-    0 < n_agents <= MAX_AGENTS (10^7), 0 <= seed < 2^64 and workers >= 1.
-
-    Agent i's bits are word i mod 8192 of one SHAKE-128 squeeze per chunk
-    of 8192 agents, keyed by the seed and the chunk index (see the module
-    docstring); this is the sampler's second change of stream, so a seed
-    draws a different panel than before it.
+    Cell selection compares the agent's 64 uniform bits from the panel
+    stream (see the module docstring), read as an exact rational in
+    [0, 1), against exact cumulative cell weights, so exact-mode models
+    are sampled without float-boundary bias. Raises UndefinedUpdateError
+    when an objectively reachable signal has zero subjective probability,
+    and StructuralError unless 0 < n_agents <= MAX_AGENTS (10^7) and
+    0 <= seed < 2^64.
 
     Takes O(n_agents * log cells + cells * log cells) time beyond the
     model's cell table. Hashing is one squeeze, in C, per 8192 agents;
@@ -214,10 +192,10 @@ def simulate_panel(
     more reached cells); the panel keeps 1 byte per agent below 256
     reached cells, else 4. 10^7 agents take about 0.5 s on two cells.
     """
-    return _draw_panel(model, n_agents, seed, workers)[0]
+    return _draw_panel(model, n_agents, seed)[0]
 
 
-def _draw_panel(model: Model, n_agents: int, seed: int, workers: int):
+def _draw_panel(model: Model, n_agents: int, seed: int):
     """`simulate_panel`'s panel and the reachable cells it was drawn from,
     for a caller that also needs the implied distribution of posteriors
     from the same cell table."""
@@ -229,8 +207,6 @@ def _draw_panel(model: Model, n_agents: int, seed: int, workers: int):
         )
     if not 0 <= seed < _SCALE:
         raise StructuralError("seed must lie in [0, 2^64), got %d" % seed)
-    if workers < 1:
-        raise StructuralError("workers must be at least 1, got %d" % workers)
 
     cells = reachable_cells(model)
     # Cells that induce the same posterior share an index into the support.

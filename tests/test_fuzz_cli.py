@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from beliefcheck import Dist, Observation, WeightedPosteriors
 from beliefcheck.cli import main
-from beliefcheck.io import model_to_dict, observation_to_dict
 from beliefcheck.rationalize import construct_rationalization
+
+from reference_io import model_to_dict, observation_to_dict
 
 S2 = ("H", "L")
 WORKED = Observation(

@@ -253,18 +253,16 @@ class TestCliMalformedInput:
         assert reason in proc.stderr
         assert proc.stderr.count("\n") == 1
 
-    def test_zero_workers_is_rejected(self, tmp_path):
+    def test_workers_flag_is_refused(self, tmp_path):
         obs = write_json(tmp_path / "o.json", WORKED_RAW)
         model = str(tmp_path / "m.json")
         assert main(["rationalize", obs, "--out", model]) == 0
         proc = run_cli(
-            "simulate", model, "--n", "10", "--seed", "1", "--workers", "0"
+            "simulate", model, "--n", "10", "--seed", "1", "--workers", "2"
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
-        assert proc.stderr.count("\n") == 1
-        assert "workers" in proc.stderr
+        assert "error: unrecognized arguments: --workers 2" in proc.stderr
 
     def test_panel_above_the_agent_cap_is_rejected(self, tmp_path):
         obs = write_json(tmp_path / "o.json", WORKED_RAW)

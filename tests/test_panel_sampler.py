@@ -56,8 +56,8 @@ def reference_panel(model, n_agents, seed):
     return tuple(draws), items
 
 
-def assert_same_as_reference(model, n_agents, seed, workers=1):
-    panel = simulate_panel(model, n_agents, seed, workers=workers)
+def assert_same_as_reference(model, n_agents, seed):
+    panel = simulate_panel(model, n_agents, seed)
     draws, items = reference_panel(model, n_agents, seed)
     assert panel.draws == draws
     assert panel.empirical.items == items
@@ -148,19 +148,14 @@ class TestSameAsReference:
         model = construct_rationalization(worked_example)
         for seed in (0, 5, 2**64 - 1):
             for n_agents in (1, 7, 1001):
-                for workers in (1, 3, 8):
-                    assert_same_as_reference(model, n_agents, seed, workers)
-
-    def test_workers_equal_to_the_agent_count(self, worked_example):
-        model = construct_rationalization(worked_example)
-        assert_same_as_reference(model, 13, 21, workers=13)
+                assert_same_as_reference(model, n_agents, seed)
 
     @pytest.mark.parametrize("k", [2, 8, 32])
     def test_random_models(self, k):
         rng = random.Random(k)
         model = construct_rationalization(random_observation(rng, 4, k))
         for seed in (1, 302):
-            assert_same_as_reference(model, 2003, seed, workers=seed % 5 + 1)
+            assert_same_as_reference(model, 2003, seed)
 
     def test_masses_on_bucket_edges(self):
         # thresholds 128, 192 and 193 times 2^56, then 2^64: every cell
@@ -189,7 +184,7 @@ class TestSameAsReference:
         model = cell_model(random_masses(random.Random(m), m))
         assert len(reachable_cells(model)) == m
         for seed in (0, 9):
-            assert_same_as_reference(model, 2001, seed, workers=2)
+            assert_same_as_reference(model, 2001, seed)
         panel = simulate_panel(model, 2001, 9)
         assert panel.draws._chosen.itemsize == (1 if m < 256 else 4)
 

@@ -10,6 +10,7 @@ from beliefcheck import (
     InvalidMixError,
     Model,
     Observation,
+    StructuralError,
     WeightedPosteriors,
     ZeroProbabilityCell,
     check_condition1,
@@ -46,7 +47,10 @@ class TestCondition1:
     def test_worked_example_passes(self, worked_example):
         report = check_condition1(worked_example)
         assert report.overall_pass
-        assert report.epsilons() == (Fraction(5, 8), Fraction(1, 2))
+        assert [e.derivative.epsilon for e in report.entries] == [
+            Fraction(5, 8),
+            Fraction(1, 2),
+        ]
 
     def test_violation_is_reported_not_raised(self):
         obs = Observation(
@@ -62,7 +66,55 @@ class TestCondition1:
         obs = Observation(prior, WeightedPosteriors(((Fraction(1), prior),)))
         report = check_condition1(obs)
         assert report.overall_pass
-        assert report.epsilons() == (Fraction(1),)
+        assert report.entries[0].derivative.epsilon == Fraction(1)
+
+
+def _model_fields(**changes) -> dict:
+    """Fields of a valid two-state model with one signal cell per state,
+    with `changes` applied."""
+    omega = ("H|a", "L|b")
+    fields = dict(
+        states=S2,
+        omega=omega,
+        projection={"H|a": "H", "L|b": "L"},
+        signal_partition={"a": ("H|a",), "b": ("L|b",)},
+        mu0=dist(omega, "1/2", "1/2"),
+        pObj=dist(omega, "1/4", "3/4"),
+    )
+    fields.update(changes)
+    return fields
+
+
+class TestModelStructure:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                dict(mu0=dist(("H|a", "X"), "1/2", "1/2")),
+                "mu0 and pObj must be distributions over the model's omega",
+            ),
+            (
+                dict(signal_partition={"a": ("H|a", "L|b"), "b": ("L|b",)}),
+                "signal partition cells must be disjoint",
+            ),
+            (
+                dict(signal_partition={"a": ("H|a",)}),
+                "signal partition must cover omega",
+            ),
+            (
+                dict(projection={"H|a": "H"}),
+                "projection undefined at 'L|b'",
+            ),
+            (
+                dict(projection={"H|a": "H", "L|b": "X"}),
+                "projection sends 'L|b' outside the declared states",
+            ),
+        ],
+    )
+    def test_structural_errors(self, changes, message):
+        with pytest.raises(StructuralError) as err:
+            Model(**_model_fields(**changes))
+        assert str(err.value) == message
 
 
 class TestConstruction:
@@ -132,7 +184,8 @@ class TestConstruction:
             obs = random_observation(rng, rng.randint(2, 5), rng.randint(1, 4))
             model = construct_rationalization(obs)
             report = check_condition1(obs)
-            for k, eps in enumerate(report.epsilons()):
+            for k, entry in enumerate(report.entries):
+                eps = entry.derivative.epsilon
                 cell = model.signal_partition["nu%d-" % k]
                 if eps == 1:
                     assert model.mu0.mass(cell) == 0

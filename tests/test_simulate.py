@@ -70,25 +70,6 @@ class TestSimulatePanel:
             assert not belief.matches(phantom)
             assert any(belief.matches(t) for t in targets)
 
-    def test_serial_and_parallel_agree(self, worked_model):
-        serial = simulate_panel(worked_model, 3000, seed=77, workers=1)
-        parallel = simulate_panel(worked_model, 3000, seed=77, workers=4)
-        assert serial == parallel
-
-    def test_splits_inside_blocks_agree(self, worked_model):
-        # 1001 agents in 3, 7 or 13 ranges: ranges start and end inside
-        # the eight-agent blocks that share a digest
-        panels = [
-            simulate_panel(worked_model, 1001, seed=5, workers=w)
-            for w in (1, 3, 7, 13)
-        ]
-        assert all(p == panels[0] for p in panels)
-
-    def test_workers_below_one_rejected(self, worked_model):
-        for workers in (0, -1):
-            with pytest.raises(StructuralError, match="workers"):
-                simulate_panel(worked_model, 10, seed=0, workers=workers)
-
     def test_draws_follow_the_bits(self, worked_model):
         # each agent draws the first cell whose cumulative objective mass
         # exceeds its bits / 2^64, and records that cell's (label, index)

@@ -14,6 +14,7 @@ from beliefcheck import (
     Dist,
     FormatError,
     Observation,
+    StructuralError,
     WeightedPosteriors,
     construct_known_omega_model,
     construct_rationalization,
@@ -23,9 +24,9 @@ from beliefcheck import (
     save_observation,
 )
 from beliefcheck.cli import main
-from beliefcheck.io import model_to_dict, observation_to_dict
 
 import genobs
+from reference_io import model_to_dict, observation_to_dict
 
 MODES = ("rational", "float")
 # Characters json escapes in each of its ways: quote, backslash, control
@@ -127,14 +128,29 @@ def test_written_bytes_equal_the_reference(
             assert path.read_bytes() == reference(model_to_dict(m, mode))
 
 
-def test_labels_that_are_not_strings_go_through_the_reference(tmp_path):
-    obs = Observation(
+def test_writers_refuse_what_the_loaders_refuse(tmp_path, worked_example):
+    # An unknown mode, or labels that are not strings (here the states 1
+    # and 2), would make a file that the loaders refuse to read back.
+    numbered = Observation(
         Dist((1, 2), (Fraction(1, 2), Fraction(1, 2))),
         WeightedPosteriors(((1, Dist((1, 2), (Fraction(1), Fraction(0)))),)),
     )
-    path = tmp_path / "o.json"
-    save_observation(obs, path)
-    assert path.read_bytes() == reference(observation_to_dict(obs, "rational"))
+    cases = [
+        (save_observation, worked_example, "exact", "mode 'exact'"),
+        (save_observation, numbered, "rational", "label 1"),
+        (
+            save_model,
+            construct_rationalization(worked_example),
+            "Rational",
+            "mode 'Rational'",
+        ),
+        (save_model, construct_rationalization(numbered), "float", "label 1"),
+    ]
+    for i, (save, thing, mode, named) in enumerate(cases):
+        path = tmp_path / ("%d.json" % i)
+        with pytest.raises(StructuralError, match=named):
+            save(thing, path, mode)
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("mode", MODES)
