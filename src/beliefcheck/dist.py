@@ -62,8 +62,8 @@ def _ratio(w) -> tuple:
 
 
 def _shown(num: int, den: int, tol) -> str:
-    """A weight given as a reduced (num, den) pair, as an error message
-    shows it: as the float it came from when tol is set, else as p/q."""
+    """The weight num/den as an error message shows it: as the float it
+    came from when tol is set, else as p/q in lowest terms."""
     return str(num / den) if tol else str(Fraction(num, den))
 
 
@@ -149,12 +149,17 @@ class Dist:
                 "space has %d outcomes but %d weights were given"
                 % (len(space), len(ratios))
             )
+        nums, den = _vector(*zip(*ratios)) if ratios else ([], 1)
+        self._settle_vector(space, nums, den, tol, index, given)
+
+    def _settle_vector(self, space, nums, den, tol, index, given) -> None:
+        """_settle for weights given as integer numerators over `den`, the
+        lcm of their reduced denominators, one per outcome of `space`."""
         if index is None:
             index = _index_of(space)
-        nums, den = _vector(*zip(*ratios)) if ratios else ([], 1)
         if min(nums, default=0) < 0:
             i = next(i for i, x in enumerate(nums) if x < 0)
-            shown = given[i] if given else _shown(*ratios[i], tol)
+            shown = given[i] if given else _shown(nums[i], den, tol)
             raise StructuralError(
                 "negative weight %s at outcome %r" % (shown, space[i])
             )
@@ -183,6 +188,16 @@ class Dist:
         numbers. `index` is the space's label index when already checked."""
         d = object.__new__(cls)
         d._settle(tuple(space), ratios, tol, index, None)
+        return d
+
+    @classmethod
+    def _from_vector(
+        cls, space: tuple, nums: list, den: int, tol, index: dict = None
+    ) -> "Dist":
+        """_from_ratios for weights given as integer numerators `nums`, one
+        per outcome, over `den`, the lcm of their reduced denominators."""
+        d = object.__new__(cls)
+        d._settle_vector(space, nums, den, tol, index, None)
         return d
 
     @classmethod

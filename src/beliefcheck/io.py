@@ -9,14 +9,21 @@ between. Numbers are written by origin, from a `Dist`'s integer weights:
 exact values as "p/q", float-origin ones as floats. See docs/format.md
 for the schemas.
 
+The loaders parse each distinct number string once per file, scale a
+distribution's numerators to one denominator as a whole vector, and take
+weights whose keys are their space in order in file order. The omega
+entries are checked as three columns; only an omega list that holds a
+bad entry is gone through entry by entry, so that the first bad entry in
+file order raises. An error is located at its file, field, entry and
+state.
+
 Files are written byte for byte in the layout of `json.dump(...,
 indent=2)` of the file's JSON object plus a final newline: one
 fixed-schema writer per file kind joins the strings around json's C string
-encoder and writes them at once. The writers refuse what the loaders would
-refuse to read back: a mode outside MODES and a label that is not a
-string. `rationalize --json` prints the same bytes as the file `--out`
-writes. The loaders format an error's location (file, field, entry, state)
-only when they raise it.
+encoder and formats each distinct numerator of a distribution once. The
+writers refuse what the loaders would refuse to read back: a mode outside
+MODES and a label that is not a string. `rationalize --json` prints the
+same bytes as the file `--out` writes.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, isinf
+from math import gcd, isinf, lcm
+from operator import floordiv, itemgetter, mul
 from typing import Tuple
 
 from .dist import _TOL, Dist, Observation, WeightedPosteriors
@@ -37,11 +45,14 @@ MODES = ("rational", "float")
 #: Largest decimal exponent magnitude accepted: Python's default limit on
 #: int digits, which already bounds the "p/q" form.
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]*)\s*\Z", re.IGNORECASE)
+# The exponent's digits after its leading zeros. This pattern and the next
+# split a run of digits one way only, so they match in linear time.
+_EXPONENT = re.compile(r"e[-+]?[0_]*((?:[^\D0][\d_]*)?)\s*\Z", re.I)
 # A decimal in ASCII digits, as Fraction reads it; float() rounds it as
 # float(Fraction(text)) does, both correctly.
-_DECIMAL = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?\Z", re.I | re.A)
-_ZERO = (0, 1)
+_DECIMAL = re.compile(
+    r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?\Z", re.I | re.A
+)
 
 
 class _Misplaced(Exception):
@@ -127,22 +138,26 @@ def _float_tol(mode: str, numbers) -> Fraction:
     return _TOL if mode == "float" and numbers else 0
 
 
-def _numbers(raw: dict, mode: str, seen: dict) -> dict:
-    """Every value of `raw` parsed to a pair; a bad value is _Misplaced at
+def _numbers(raw: dict, mode: str, seen: dict) -> tuple:
+    """The values of `raw` as integer numerators over the lcm of their
+    reduced denominators: (numerators, lcm). A bad value is _Misplaced at
     ".<key>". `seen` maps strings parsed before, in the same file, to their
     pairs: a file repeats many, "0" above all."""
-    out = {}
+    pairs = []
     try:
         for key, value in raw.items():
             if type(value) is not str:
-                out[key] = _number(value, mode)
+                pair = _number(value, mode)
             elif value in seen:
-                out[key] = seen[value]
+                pair = seen[value]
             else:
-                out[key] = seen[value] = _number(value, mode)
+                pair = seen[value] = _number(value, mode)
+            pairs.append(pair)
     except _Misplaced as err:
         raise _Misplaced(err.message, ".%s" % key) from None
-    return out
+    nums, dens = zip(*pairs) if pairs else ((), ())
+    den = lcm(*dens)
+    return list(map(mul, nums, map(floordiv, repeat(den), dens))), den
 
 
 def format_number(x: Fraction, tol: Fraction) -> str:
@@ -219,34 +234,38 @@ def _parse_states(data: dict, where: str) -> tuple:
 
 
 def _parse_dist(
-    raw, states: tuple, index: dict, mode: str, seen: dict, suffix=""
+    raw, space: tuple, index: dict, mode: str, seen: dict, what, suffix=""
 ) -> Dist:
-    """A distribution over `states` (whose label index is `index`); a bad
-    one is _Misplaced at `suffix`."""
+    """A distribution over `space`, a space of `what` labels whose label
+    index is `index`; a bad one is _Misplaced at `suffix`."""
     if not isinstance(raw, dict):
         raise _Misplaced(
-            "expected an object mapping state labels to numbers", suffix
+            "expected an object mapping %s labels to numbers" % what, suffix
         )
-    extra = set(raw) - set(states)
-    if extra:
+    if not index.keys() >= raw.keys():
         raise _Misplaced(
-            "unknown state labels %s" % ", ".join(sorted(extra)), suffix
+            "unknown %s labels %s"
+            % (what, ", ".join(sorted(raw.keys() - index.keys()))),
+            suffix,
         )
     try:
-        weights = _numbers(raw, mode, seen)
+        nums, den = _numbers(raw, mode, seen)
     except _Misplaced as err:
         raise _Misplaced(err.message, suffix + err.suffix) from None
-    ratios = [weights.get(s, _ZERO) for s in states]
+    labels = tuple(raw)
+    if labels != space:
+        nums = list(map(dict(zip(labels, nums)).get, space, repeat(0)))
+    tol = _float_tol(mode, labels)
     try:
-        return Dist._from_ratios(
-            states, ratios, _float_tol(mode, weights), index
-        )
+        return Dist._from_vector(space, nums, den, tol, index)
     except StructuralError as err:
         raise _Misplaced(str(err), suffix) from None
 
 
 def load_observation(path) -> Tuple[Observation, str]:
-    """Read an observation file; returns (observation, mode)."""
+    """Read an observation file; returns (observation, mode). Takes time
+    and memory linear in the file's size, plus one parse per distinct
+    number string."""
     data = _load_json(path)
     where = str(path)
     mode = _parse_mode(data, where)
@@ -255,7 +274,7 @@ def load_observation(path) -> Tuple[Observation, str]:
     seen = {}
     try:
         prior = _parse_dist(
-            _require(data, "prior", where), states, index, mode, seen
+            _require(data, "prior", where), states, index, mode, seen, "state"
         )
     except _Misplaced as err:
         raise err.at(where + ":prior") from None
@@ -281,6 +300,7 @@ def load_observation(path) -> Tuple[Observation, str]:
                     index,
                     mode,
                     seen,
+                    "state",
                     ".belief",
                 )
             )
@@ -315,18 +335,18 @@ def _block(items: list, depth: int, brackets: str) -> str:
 
 def _weights_text(dist: Dist, tol: Fraction) -> list:
     """A distribution's weights as JSON strings, as format_number writes
-    them, from its integer numerators: digits, signs, "/", "." or "e",
-    which json escapes to themselves."""
+    them, from its integer numerators, each distinct one formatted once:
+    digits, signs, "/", "." or "e", which json escapes to themselves."""
     den = dist.den
+    distinct = list(set(dist.nums))
     if tol:
-        return ['"%r"' % (n / den) for n in dist.nums]
-    text = []
-    for n, g in zip(dist.nums, map(gcd, dist.nums, repeat(den))):
-        if g == den:
-            text.append('"%d"' % (n // g))
-        else:
-            text.append('"%d/%d"' % (n // g, den // g))
-    return text
+        text = ['"%r"' % (n / den) for n in distinct]
+    else:
+        text = [
+            '"%d"' % (n // g) if g == den else '"%d/%d"' % (n // g, den // g)
+            for n, g in zip(distinct, map(gcd, distinct, repeat(den)))
+        ]
+    return list(map(dict(zip(distinct, text)).__getitem__, dist.nums))
 
 
 def _dist_text(keys, dist: Dist, depth: int, tol: Fraction) -> str:
@@ -378,6 +398,9 @@ def _write(path, text: str) -> None:
 
 
 def save_observation(obs: Observation, path, mode: str = "rational") -> None:
+    """Write an observation file. Takes time and memory linear in the
+    file's size, plus one formatting per distinct numerator of each
+    distribution."""
     _write(path, observation_json(obs, mode))
 
 
@@ -419,10 +442,14 @@ def model_json(model: Model, mode: str) -> str:
 
 
 def save_model(model: Model, path, mode: str = "rational") -> None:
+    """Write a model file. Takes time and memory linear in the file's
+    size, plus one formatting per distinct numerator of each
+    distribution."""
     _write(path, model_json(model, mode))
 
 
 _OMEGA_FIELDS = ("label", "s", "signal")
+_OMEGA = [itemgetter(key) for key in _OMEGA_FIELDS]
 
 
 def _omega_entry(entry, states: tuple) -> list:
@@ -439,8 +466,34 @@ def _omega_entry(entry, states: tuple) -> list:
     return values
 
 
+def _omega_columns(raw_omega: list, states: tuple, where: str) -> list:
+    """The omega entries' labels, states and signals as three lists,
+    checked column by column as _omega_entry checks each entry. A bad
+    entry, the first in file order, is refused by _omega_entry."""
+    try:
+        columns = [list(map(get, raw_omega)) for get in _OMEGA]
+        labels, projected, signals = columns
+        if (
+            set(map(type, chain(labels, signals))) == {str}
+            and "" not in labels
+            and "" not in signals
+            and set(states).issuperset(projected)
+        ):
+            return columns
+    except (TypeError, KeyError):  # an entry not an object, or short
+        pass
+    for i, entry in enumerate(raw_omega):
+        try:
+            _omega_entry(entry, states)
+        except _Misplaced as err:
+            raise err.at("%s:omega[%d]" % (where, i)) from None
+    raise AssertionError("the columns refused entries _omega_entry accepts")
+
+
 def load_model(path) -> Tuple[Model, str]:
-    """Read a model file; returns (model, mode)."""
+    """Read a model file; returns (model, mode). Takes time and memory
+    linear in the file's size, plus one parse per distinct number
+    string."""
     data = _load_json(path)
     where = str(path)
     mode = _parse_mode(data, where)
@@ -448,47 +501,20 @@ def load_model(path) -> Tuple[Model, str]:
     raw_omega = _require(data, "omega", where)
     if not isinstance(raw_omega, list) or not raw_omega:
         raise FormatError("%s: field 'omega' must be a non-empty list" % where)
-    state_set = set(states)
-    omega = []
-    projection = {}
-    partition: dict = {}
-    try:
-        for i, entry in enumerate(raw_omega):
-            # One lean test passes a well-formed entry; any other entry
-            # takes the full checks, which raise in their fixed order.
-            if type(entry) is dict:
-                label = entry.get("label")
-                s = entry.get("s")
-                signal = entry.get("signal")
-            if not (
-                type(entry) is dict
-                and type(label) is str
-                and type(s) is str
-                and type(signal) is str
-                and label
-                and signal
-                and s in state_set
-            ):
-                label, s, signal = _omega_entry(entry, states)
-            omega.append(label)
-            projection[label] = s
-            partition.setdefault(signal, []).append(label)
-    except _Misplaced as err:
-        raise err.at("%s:omega[%d]" % (where, i)) from None
+    omega, projected, signals = _omega_columns(raw_omega, states, where)
     omega = tuple(omega)
     index = {w: i for i, w in enumerate(omega)}
     if len(index) != len(omega):
         raise FormatError("%s: omega labels must be distinct" % where)
+    cells: dict = {}  # signal -> the positions of its outcomes in omega
+    for i, signal in enumerate(signals):
+        cells.setdefault(signal, []).append(i)
 
     if "partition" in data:
         declared = data["partition"]
         if not isinstance(declared, dict):
             raise FormatError("%s: field 'partition' must be an object" % where)
-        rebuilt = {
-            label: [index[w] for w in cell]
-            for label, cell in partition.items()
-        }
-        if declared != rebuilt:
+        if declared != cells:
             raise FormatError(
                 "%s: field 'partition' disagrees with the omega entries'"
                 " signal labels" % where
@@ -498,27 +524,10 @@ def load_model(path) -> Tuple[Model, str]:
 
     def dist_over_omega(key: str) -> Dist:
         raw = _require(data, key, where)
-        if not isinstance(raw, dict):
-            raise FormatError(
-                "%s:%s: expected an object mapping omega labels to numbers"
-                % (where, key)
-            )
-        if not index.keys() >= raw.keys():
-            raise FormatError(
-                "%s:%s: unknown omega labels %s"
-                % (where, key, ", ".join(sorted(set(raw) - set(index))))
-            )
         try:
-            weights = _numbers(raw, mode, seen)
+            return _parse_dist(raw, omega, index, mode, seen, "omega")
         except _Misplaced as err:
             raise err.at("%s:%s" % (where, key)) from None
-        ratios = list(map(weights.get, omega, repeat(_ZERO)))
-        try:
-            return Dist._from_ratios(
-                omega, ratios, _float_tol(mode, weights), index
-            )
-        except StructuralError as err:
-            raise FormatError("%s:%s: %s" % (where, key, err)) from None
 
     mu0 = dist_over_omega("mu0")
     p_obj = dist_over_omega("pObj")
@@ -531,26 +540,35 @@ def load_model(path) -> Tuple[Model, str]:
                 "%s: field 'lambda' must be an object or null" % where
             )
         try:
-            weights = _numbers(raw_lambda, mode, seen)
+            nums, den = _numbers(raw_lambda, mode, seen)
         except _Misplaced as err:
             raise err.at("%s:lambda" % where) from None
         try:
-            lambda_mix = Dist._from_ratios(
-                tuple(weights),
-                list(weights.values()),
-                _float_tol(mode, weights),
+            lambda_mix = Dist._from_vector(
+                tuple(raw_lambda), nums, den, _float_tol(mode, nums)
             )
         except StructuralError as err:
             raise FormatError("%s:lambda: %s" % (where, err)) from None
 
+    # Lists equal to the indices may still hold 0.0 for 0 or true for 1.
+    # Checked last, so that a file with another fault reports that one.
+    if "partition" in data:
+        indices = chain.from_iterable(data["partition"].values())
+        if set(map(type, indices)) != {int}:
+            raise FormatError(
+                "%s: field 'partition' must list integer indices into"
+                " 'omega'" % where
+            )
+
     # The entries above give a partition of omega and a projection into
-    # the states, checked entry by entry, so Model need not check them.
+    # the states, checked as columns, so Model need not check them.
     model = Model._assembled(
         states=states,
         omega=omega,
-        projection=projection,
+        projection=dict(zip(omega, projected)),
         signal_partition={
-            label: tuple(cell) for label, cell in partition.items()
+            label: tuple(map(omega.__getitem__, cell))
+            for label, cell in cells.items()
         },
         mu0=mu0,
         pObj=p_obj,

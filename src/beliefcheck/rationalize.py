@@ -29,7 +29,6 @@ from .dist import (
     _martingale,
     _same,
     group_beliefs,
-    pushforward,
     rn_derivative,
 )
 from .errors import (
@@ -333,10 +332,24 @@ def cell_table(model: Model) -> list:
     return table
 
 
+def _projected(rows: list, states: tuple) -> Dist:
+    """The distribution over the states whose numerators, over the rows'
+    one denominator, are the column sums of the cell rows `rows`: the
+    pushforward of mu0 or pObj onto the states, as `pushforward` builds it
+    (reduced, tol 0)."""
+    sums = list(map(sum, zip(*(r.acc for r in rows))))
+    return _dist(states, sums, rows[0].den)
+
+
 def reachable_cells(model: Model) -> list:
     """The cells of positive objective mass. Raises UndefinedUpdateError if
     one of them has zero subjective probability."""
-    reached = [c for c in cell_table(model) if c.obj_parts.total]
+    return _reached(cell_table(model))
+
+
+def _reached(cells: list) -> list:
+    """reachable_cells among the cells `cells` of a cell table."""
+    reached = [c for c in cells if c.obj_parts.total]
     for c in reached:
         if c.posterior is None:
             raise UndefinedUpdateError(
@@ -410,7 +423,7 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     tol = max(model.tol, obs.tol)
     cells = cell_table(model)
 
-    induced_prior = pushforward(model.mu0, model.projection, obs.space)
+    induced_prior = _projected([c.mu_parts for c in cells], obs.space)
     prior_matches = _same(induced_prior, obs.prior, tol)
 
     # An objectively reachable cell with zero subjective probability has no
@@ -439,7 +452,7 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
         for g, w in wanted.items()
     )
 
-    objective_prior = pushforward(model.pObj, model.projection, obs.space)
+    objective_prior = _projected([c.obj_parts for c in cells], obs.space)
     objective_agrees = _same(objective_prior, obs.prior, tol)
 
     # The mean of the cell posteriors under their mu0 masses.
@@ -478,9 +491,11 @@ def induced_observables(model: Model):
     signal has zero subjective probability.
 
     Takes O(|omega| + cells * n) time and memory for n states: one pass of
-    `cell_table` over omega, then one posterior of n weights per cell."""
-    prior = pushforward(model.mu0, model.projection, model.states)
-    return prior, _implied_posteriors(reachable_cells(model))
+    `cell_table` over omega, then the prior and one posterior of n weights
+    per cell from its rows."""
+    cells = cell_table(model)
+    prior = _projected([c.mu_parts for c in cells], tuple(model.states))
+    return prior, _implied_posteriors(_reached(cells))
 
 
 def _implied_posteriors(cells: list) -> WeightedPosteriors:

@@ -1,11 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beliefcheck
 from beliefcheck import (
@@ -21,7 +25,7 @@ from beliefcheck import (
     verify_model,
 )
 from beliefcheck.cli import main
-from beliefcheck.io import parse_number
+from beliefcheck.io import _DECIMAL, _EXPONENT, parse_number
 
 S2 = ("H", "L")
 
@@ -62,6 +66,49 @@ def test_parse_number_agrees_with_fraction(text, mode):
     expected = value if mode == "rational" else float(value)
     got = parse_number(text, mode, "prior.H")
     assert got == expected and type(got) is type(expected)
+
+
+# The number patterns written with a run of digits split two ways: the
+# same matches, in time quadratic in the length of the run.
+SPLIT_EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]*)\s*\Z", re.I)
+SPLIT_DECIMAL = re.compile(
+    r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?\Z", re.I | re.A
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(
+            ["0", "1", "7", "00", "_", "e", "E", "-", "+", ".", " ", "\n",
+             "\u0663", "\u0660", "x"]
+        ),
+        max_size=10,
+    ).map("".join)
+)
+def test_number_patterns_match_as_their_split_forms(text):
+    for linear, split, find in (
+        (_EXPONENT, SPLIT_EXPONENT, re.Pattern.search),
+        (_DECIMAL, SPLIT_DECIMAL, re.Pattern.match),
+    ):
+        got, expected = find(linear, text), find(split, text)
+        assert (got and (got.span(), got.groups())) == (
+            expected and (expected.span(), expected.groups())
+        )
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 100_000 + "x", "1." + "1" * 100_000 + "x", "e" + "0" * 100_000 + "x"],
+)
+def test_long_number_strings_are_refused_in_linear_time(text, mode):
+    # A pattern that can split a run of digits two ways backtracks in time
+    # quadratic in the run: about 10 s for 20,000 digits.
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="not a valid number"):
+        parse_number(text, mode, "prior.H")
+    assert time.perf_counter() - start < 2
 
 
 class TestObservationFiles:
@@ -137,6 +184,30 @@ class TestModelFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(FormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("index", [0.0, True])
+    def test_partition_indices_must_be_integers(
+        self, tmp_path, capsys, worked_example, index
+    ):
+        # [0.0, true] == [0, 1] in Python, but the file's indices into
+        # omega must be JSON integers.
+        path = tmp_path / "m.json"
+        save_model(construct_rationalization(worked_example), path)
+        data = json.loads(path.read_text())
+        cell = data["partition"]["nu0+"]
+        cell[cell.index(int(index))] = index
+        path.write_text(json.dumps(data))
+        message = (
+            "%s: field 'partition' must list integer indices into 'omega'"
+            % path
+        )
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == message
+        obs = tmp_path / "o.json"
+        save_observation(worked_example, obs)
+        assert main(["verify", str(path), str(obs)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     def test_non_list_partition_cell_is_a_format_error(
         self, tmp_path, worked_example

@@ -24,6 +24,7 @@ from beliefcheck import (
     save_observation,
 )
 from beliefcheck.cli import main
+from beliefcheck.rationalize import target_mix
 
 import genobs
 from reference_io import model_to_dict, observation_to_dict
@@ -128,6 +129,27 @@ def test_written_bytes_equal_the_reference(
             assert path.read_bytes() == reference(model_to_dict(m, mode))
 
 
+@pytest.mark.parametrize("k", [48, 64])
+@pytest.mark.parametrize("floats", [False, True])
+def test_large_files_equal_the_reference(tmp_path, k, floats):
+    # Wide enough that mu0 repeats many numerators and the file spans many
+    # blocks; float-origin data in both modes.
+    obs = genobs.random_observation(random.Random(k), 12, k)
+    if floats:
+        obs = floated(obs)
+    models = [
+        construct_rationalization(obs),
+        construct_rationalization(obs, target_mix(obs)),
+    ]
+    path = tmp_path / "f.json"
+    for mode in MODES:
+        save_observation(obs, path, mode)
+        assert path.read_bytes() == reference(observation_to_dict(obs, mode))
+        for model in models:
+            save_model(model, path, mode)
+            assert path.read_bytes() == reference(model_to_dict(model, mode))
+
+
 def test_writers_refuse_what_the_loaders_refuse(tmp_path, worked_example):
     # An unknown mode, or labels that are not strings (here the states 1
     # and 2), would make a file that the loaders refuse to read back.
@@ -191,46 +213,55 @@ def _posterior(i, **fields):
     return doc
 
 
-@pytest.mark.parametrize(
-    "doc, message",
-    [
-        (
-            dict(WORKED, prior={"H": "x", "L": "1/2"}),
-            "{path}:prior.H: 'x' is not a valid number (use 'p/q' or a "
-            "decimal)",
-        ),
-        (
-            dict(WORKED, prior={"H": "1/2", "L": "1/4"}),
-            "{path}:prior: weights sum to 3/4, expected 1",
-        ),
-        (
-            _posterior(1, weight=True),
-            "{path}:posteriors[1].weight: expected a number, got a boolean",
-        ),
-        (
-            _posterior(0, belief={"H": "4/5", "L": "1e9999"}),
-            "{path}:posteriors[0].belief.L: decimal exponent above 4300 in "
-            "magnitude",
-        ),
-        (
-            _posterior(1, belief={"H": "1", "X": "0"}),
-            "{path}:posteriors[1].belief: unknown state labels X",
-        ),
-        (
-            _posterior(1, belief=["H"]),
-            "{path}:posteriors[1].belief: expected an object mapping state "
-            "labels to numbers",
-        ),
-        (
-            dict(WORKED, posteriors=[WORKED["posteriors"][0], {"weight": 1}]),
-            "{path}:posteriors[1]: missing required field 'belief'",
-        ),
-        (
-            dict(WORKED, posteriors=[WORKED["posteriors"][0], 3]),
-            "{path}:posteriors[1]: expected an object",
-        ),
-    ],
-)
+# Malformed observation files and the error each raises, by location.
+OBSERVATION_ERRORS = [
+    (
+        dict(WORKED, prior={"H": "x", "L": "1/2"}),
+        "{path}:prior.H: 'x' is not a valid number (use 'p/q' or a "
+        "decimal)",
+    ),
+    (
+        dict(WORKED, prior={"H": "1/2", "L": "1/4"}),
+        "{path}:prior: weights sum to 3/4, expected 1",
+    ),
+    (
+        _posterior(1, weight=True),
+        "{path}:posteriors[1].weight: expected a number, got a boolean",
+    ),
+    (
+        _posterior(0, belief={"H": "4/5", "L": "1e9999"}),
+        "{path}:posteriors[0].belief.L: decimal exponent above 4300 in "
+        "magnitude",
+    ),
+    (
+        _posterior(1, belief={"H": "1", "X": "0"}),
+        "{path}:posteriors[1].belief: unknown state labels X",
+    ),
+    (
+        _posterior(1, belief=["H"]),
+        "{path}:posteriors[1].belief: expected an object mapping state "
+        "labels to numbers",
+    ),
+    (
+        dict(WORKED, posteriors=[WORKED["posteriors"][0], {"weight": 1}]),
+        "{path}:posteriors[1]: missing required field 'belief'",
+    ),
+    (
+        dict(WORKED, posteriors=[WORKED["posteriors"][0], 3]),
+        "{path}:posteriors[1]: expected an object",
+    ),
+    (
+        dict(WORKED, prior={"H": "-1/2", "L": "3/2"}),
+        "{path}:prior: negative weight -1/2 at outcome 'H'",
+    ),
+    (
+        dict(WORKED, mode="float", prior={"H": "1.25", "L": "-0.25"}),
+        "{path}:prior: negative weight -0.25 at outcome 'L'",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, message", OBSERVATION_ERRORS)
 def test_observation_error_locations(tmp_path, doc, message):
     path = tmp_path / "o.json"
     assert _load_error(load_observation, path, doc) == message.format(
@@ -245,45 +276,50 @@ def model_doc(tmp_path, worked_example):
     return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (
-            lambda d: d["omega"][2].update(s="X"),
-            "{path}:omega[2]: state 'X' is not in 'states'",
-        ),
-        (
-            lambda d: d["omega"][3].update(signal=""),
-            "{path}:omega[3]: field 'signal' must be a non-empty string",
-        ),
-        (
-            lambda d: d["omega"][1].pop("label"),
-            "{path}:omega[1]: missing required field 'label'",
-        ),
-        (
-            lambda d: d["omega"].__setitem__(0, ["H"]),
-            "{path}:omega[0]: expected an object",
-        ),
-        (
-            lambda d: d["mu0"].update({"L|nu1-": "1/0"}),
-            "{path}:mu0.L|nu1-: '1/0' is not a valid number (use 'p/q' or a "
-            "decimal)",
-        ),
-        (
-            lambda d: d["pObj"].update({"H|nu0+": 0.5}),
-            "{path}:pObj: weights sum to 11/8, expected 1",
-        ),
-        (
-            lambda d: d["pObj"].update({"H|nu0+": False}),
-            "{path}:pObj.H|nu0+: expected a number, got a boolean",
-        ),
-        (
-            lambda d: d["lambda"].update(nu1="nan"),
-            "{path}:lambda.nu1: 'nan' is not a valid number (use 'p/q' or a "
-            "decimal)",
-        ),
-    ],
-)
+# Edits of the worked example's model file and the error each raises.
+MODEL_ERRORS = [
+    (
+        lambda d: d["omega"][2].update(s="X"),
+        "{path}:omega[2]: state 'X' is not in 'states'",
+    ),
+    (
+        lambda d: d["omega"][3].update(signal=""),
+        "{path}:omega[3]: field 'signal' must be a non-empty string",
+    ),
+    (
+        lambda d: d["omega"][1].pop("label"),
+        "{path}:omega[1]: missing required field 'label'",
+    ),
+    (
+        lambda d: d["omega"].__setitem__(0, ["H"]),
+        "{path}:omega[0]: expected an object",
+    ),
+    (
+        lambda d: d["mu0"].update({"L|nu1-": "1/0"}),
+        "{path}:mu0.L|nu1-: '1/0' is not a valid number (use 'p/q' or a "
+        "decimal)",
+    ),
+    (
+        lambda d: d["pObj"].update({"H|nu0+": 0.5}),
+        "{path}:pObj: weights sum to 11/8, expected 1",
+    ),
+    (
+        lambda d: d["pObj"].update({"H|nu0+": False}),
+        "{path}:pObj.H|nu0+: expected a number, got a boolean",
+    ),
+    (
+        lambda d: d["lambda"].update(nu1="nan"),
+        "{path}:lambda.nu1: 'nan' is not a valid number (use 'p/q' or a "
+        "decimal)",
+    ),
+    (
+        lambda d: d["mu0"].update({"H|nu0+": "-1/2"}),
+        "{path}:mu0: negative weight -1/2 at outcome 'H|nu0+'",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, message", MODEL_ERRORS)
 def test_model_error_locations(tmp_path, model_doc, edit, message):
     edit(model_doc)
     path = tmp_path / "bad.json"
@@ -299,3 +335,4 @@ def test_float_mode_overflow_names_the_lambda_weight(tmp_path, model_doc):
     assert _load_error(load_model, path, model_doc) == (
         "%s:lambda.nu0: '1e400' is out of range for float mode" % path
     )
+
