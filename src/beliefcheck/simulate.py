@@ -11,15 +11,18 @@ A shorter squeeze is the start of a longer one, so the bits depend only on
 (seed, i). The XOF and the chunk size are part of the stream's definition.
 An agent draws the first cell whose cumulative objective mass exceeds its
 bits / 2^64. A 256-entry table on the word's top byte settles that choice
-for most agents in one `bytes.translate`; agents whose top byte a cell
-boundary splits take `bisect_right` on the whole word, the same rule.
+for most agents in one `bytes.translate` of the top bytes, which are
+sliced from the squeezes as they are written; agents whose top byte a
+cell boundary splits take `bisect_right` on the whole word, the same
+rule. The cells' counts are then taken in one C pass over the chosen
+bytes per cell.
 
-Drawing takes about 10 bytes per agent at its peak (about 12.5 with 256
-or more reached cells; tracemalloc at 10^6 agents). A panel keeps each
-agent's chosen cell in one byte while the model reaches fewer than 256
-cells, else in four; its `draws` are read through that array. A panel of
-10^7 agents takes about 0.5 s on a two-cell model and 0.75 s on an
-eight-cell one (Python 3.11, one core of a shared 2-vCPU host).
+Drawing takes about 10.1 bytes per agent at its peak (about 12.4 with
+256 or more reached cells; tracemalloc at 10^6 agents). A panel keeps
+each agent's chosen cell in one byte while the model reaches fewer than
+256 cells, else in four; its `draws` are read through that array. A
+panel of 10^7 agents takes about 0.5 s on a two-cell model and 0.8 s on
+an eight-cell one (Python 3.11.7, one core of a shared 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -48,17 +51,20 @@ _SPLIT = 255
 _SPLIT_MARK = re.compile(bytes([_SPLIT]))
 
 #: Largest panel `simulate_panel` draws. Drawing peaks near 10 bytes per
-#: agent (see the module docstring), so this caps it near 125 MB and about
-#: 0.5-0.75 s.
+#: agent, 12.4 with 256 or more reached cells (see the module docstring),
+#: so this caps it near 125 MB and about 0.5-0.8 s on two to eight cells.
 MAX_AGENTS = 10**7
 
 
-def _digest_words(seed: int, lo: int, hi: int) -> array:
+def _digest_words(seed: int, lo: int, hi: int) -> tuple:
     """The words of agents [lo, hi) as the squeezes hold them, in one array
     of 64-bit words: each word big-endian, so on a little-endian host the
     values are byte-swapped. Each chunk's squeeze, as long as the agents
-    drawn from it need, is written straight into the preallocated array."""
+    drawn from it need, is written straight into the preallocated array.
+    Also returns each agent's top byte, one byte per agent, sliced from
+    every eighth byte of the same squeezes."""
     words = array("Q", [0]) * (hi - lo)
+    tops = bytearray(hi - lo)
     key = seed.to_bytes(8, "big")
     with memoryview(words) as view, view.cast("B") as out:
         at = 0
@@ -70,8 +76,9 @@ def _digest_words(seed: int, lo: int, hi: int) -> array:
             )
             end = at + len(squeezed) - skip
             out[at:end] = memoryview(squeezed)[skip:]
+            tops[at // _WORD : end // _WORD] = squeezed[skip::_WORD]
             at = end
-    return words
+    return words, tops
 
 
 def _native(words: array) -> array:
@@ -84,7 +91,7 @@ def _native(words: array) -> array:
 def _agent_bits(seed: int, lo: int, hi: int) -> array:
     """64 uniform bits for each agent in [lo, hi), as a pure function of
     (seed, agent index): the panel stream of the module docstring."""
-    return _native(_digest_words(seed, lo, hi))
+    return _native(_digest_words(seed, lo, hi)[0])
 
 
 def _top_byte_table(thresholds: list) -> bytes:
@@ -108,19 +115,19 @@ def _choose_by_top_byte(tops: bytearray, words: array, thresholds: list):
     on every word is faster."""
     table = _top_byte_table(thresholds)
     chosen = tops.translate(table)
-    left = chosen.count(_SPLIT)
-    if 4 * left > len(chosen):
+    if 4 * chosen.count(_SPLIT) > len(chosen):
         return None
-    counts = [0] * len(thresholds)
-    for j in set(table).difference((_SPLIT,)):
-        counts[j] = chosen.count(j)
-    if left:
-        # Patching a found mark leaves the scan ahead of it unchanged.
-        cell_of = partial(bisect_right, thresholds)
-        for match in _SPLIT_MARK.finditer(chosen):
-            i = match.start()
-            chosen[i] = j = cell_of(words[i])
-            counts[j] += 1
+    # Patching a found mark leaves the scan ahead of it unchanged.
+    cell_of = partial(bisect_right, thresholds)
+    for match in _SPLIT_MARK.finditer(chosen):
+        i = match.start()
+        chosen[i] = cell_of(words[i])
+    # One C pass per cell, except the cell that settles the most buckets,
+    # which likely holds the most agents: its count is the rest.
+    cells = range(len(thresholds))
+    most = max(cells, key=table.count)
+    counts = [0 if j == most else chosen.count(j) for j in cells]
+    counts[most] = len(chosen) - sum(counts)
     return chosen, counts
 
 
@@ -179,18 +186,19 @@ def simulate_panel(model: Model, n_agents: int, seed: int) -> PanelSample:
     [0, 1), against exact cumulative cell weights, so exact-mode models
     are sampled without float-boundary bias. Raises UndefinedUpdateError
     when an objectively reachable signal has zero subjective probability,
-    and StructuralError unless 0 < n_agents <= MAX_AGENTS (10^7) and
-    0 <= seed < 2^64.
+    and StructuralError unless n_agents and seed are integers (not
+    bools), 0 < n_agents <= MAX_AGENTS (10^7) and 0 <= seed < 2^64.
 
-    Takes O(n_agents * log cells + cells * log cells) time beyond the
-    model's cell table. Hashing is one squeeze, in C, per 8192 agents;
-    the work per agent in Python is `bisect_right` for the agents the
-    top-byte table leaves over: about (cells - 1)/256 of them, or all of
-    them with 256 or more reached cells or more than a quarter left over.
-    Counting takes one C pass over the chosen bytes per cell the table
-    settles. Memory peaks near 10 bytes per agent (about 12.5 with 256 or
-    more reached cells); the panel keeps 1 byte per agent below 256
-    reached cells, else 4. 10^7 agents take about 0.5 s on two cells.
+    Takes O(n_agents * cells + cells * log cells) time beyond the model's
+    cell table, where the n_agents * cells part is byte work in C: one
+    counting pass over the chosen bytes per cell, below 256 reached
+    cells. Hashing is one squeeze, in C, per 8192 agents; the work per
+    agent in Python is `bisect_right` for the agents the top-byte table
+    leaves over: about (cells - 1)/256 of them, or all of them with 256
+    or more reached cells or more than a quarter left over. Memory peaks
+    near 10 bytes per agent (about 12.4 with 256 or more reached cells);
+    the panel keeps 1 byte per agent below 256 reached cells, else 4.
+    10^7 agents take about 0.5 s on two cells.
     """
     return _draw_panel(model, n_agents, seed)[0]
 
@@ -199,6 +207,11 @@ def _draw_panel(model: Model, n_agents: int, seed: int):
     """`simulate_panel`'s panel and the reachable cells it was drawn from,
     for a caller that also needs the implied distribution of posteriors
     from the same cell table."""
+    for name, value in (("n_agents", n_agents), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise StructuralError(
+                "%s must be an integer, got %r" % (name, value)
+            )
     if n_agents <= 0:
         raise StructuralError("n_agents must be positive")
     if n_agents > MAX_AGENTS:
@@ -221,10 +234,7 @@ def _draw_panel(model: Model, n_agents: int, seed: int):
         running += c.obj_parts.total
         thresholds.append(-(-running * _SCALE // den))
 
-    words = _digest_words(seed, 0, n_agents)
-    # Each agent's top byte, read while its word is still big-endian.
-    with memoryview(words) as view:
-        tops = bytearray(view.cast("B")[::_WORD])
+    words, tops = _digest_words(seed, 0, n_agents)
     _native(words)
     by_top_byte = None
     if len(cells) <= _SPLIT:

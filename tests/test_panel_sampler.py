@@ -142,6 +142,29 @@ class TestTopByteTable:
         assert list(codes) == expected
         assert counts == [expected.count(j) for j in range(len(thresholds))]
 
+    @pytest.mark.parametrize(
+        "thresholds, lo",
+        [
+            # cell 0 settles 192 buckets and splits bucket 192, yet every
+            # word lies above its threshold, so it draws none of them
+            ([192 * TOP + 5, 2**64], 192 * TOP + 5),
+            # one reached cell settles all 256 buckets
+            ([2**64], 0),
+        ],
+    )
+    def test_counts_of_the_cell_that_settles_most_buckets(
+        self, thresholds, lo
+    ):
+        rng = random.Random(1)
+        words = [rng.randrange(lo, 2**64) for _ in range(1000)]
+        words += [lo, lo + 1, 2**64 - 1]
+        tops = bytearray(w >> 56 for w in words)
+        codes, counts = _choose_by_top_byte(tops, words, thresholds)
+        expected = [bisect_right(thresholds, w) for w in words]
+        assert list(codes) == expected
+        assert counts == [expected.count(j) for j in range(len(thresholds))]
+        assert counts[0] == (len(words) if len(thresholds) == 1 else 0)
+
 
 class TestSameAsReference:
     def test_worked_model(self, worked_example):

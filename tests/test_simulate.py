@@ -17,7 +17,7 @@ from beliefcheck import (
 )
 from beliefcheck.dist import group_beliefs
 from beliefcheck.rationalize import reachable_cells
-from beliefcheck.simulate import _agent_bits
+from beliefcheck.simulate import _agent_bits, _digest_words
 
 S2 = ("H", "L")
 
@@ -95,6 +95,18 @@ class TestSimulatePanel:
                 simulate_panel(worked_model, 10, seed=seed)
         simulate_panel(worked_model, 10, seed=(1 << 64) - 1)
 
+    @pytest.mark.parametrize("value", [1e3, 1.5, True, "10"])
+    def test_non_integer_arguments_rejected(self, worked_model, value):
+        # a float or string would fail inside the sampler with a raw
+        # TypeError or AttributeError, and a bool would pass as 0 or 1
+        for name, args in (("n_agents", (value, 0)), ("seed", (10, value))):
+            with pytest.raises(StructuralError) as info:
+                simulate_panel(worked_model, *args)
+            assert str(info.value) == "%s must be an integer, got %r" % (
+                name,
+                value,
+            )
+
     def test_convergence_single_seed(self, worked_model):
         start = time.monotonic()
         panel = simulate_panel(worked_model, 100_000, seed=123)
@@ -147,7 +159,11 @@ class TestSqueezeChunks:
                 whole = _agent_bits(seed, 0, hi)
                 for lo in self.EDGES:
                     if lo <= hi:
-                        assert _agent_bits(seed, lo, hi) == whole[lo:]
+                        words = _agent_bits(seed, lo, hi)
+                        assert words == whole[lo:]
+                        # the top bytes sliced from the same squeezes
+                        tops = _digest_words(seed, lo, hi)[1]
+                        assert list(tops) == [w >> 56 for w in words]
 
     def test_no_word_repeats_across_chunks_or_seeds(self):
         # a reused squeeze would repeat a whole chunk of words

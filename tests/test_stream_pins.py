@@ -6,8 +6,9 @@ squeezed as far as the agents drawn from that chunk need. The pins hold
 the first words at seeds 0 and 2^64 - 1 and the words on either side of
 the first chunk edge (agents 8191 and 8192), so a SHA-3 backend that
 squeezed differently, or a sampler that cut chunks elsewhere, shows up
-here. The file needs only the standard library and also runs as a
-script, without site-packages:
+here. A two-cell panel at both seeds checks the top bytes the sampler
+slices from the same squeezes. The file needs only the standard library
+and also runs as a script, without site-packages:
 
     python -S tests/test_stream_pins.py
 """
@@ -59,9 +60,37 @@ def test_sampler_reads_the_pinned_words():
         assert list(edge) == [pinned[8191], pinned[8192]]
 
 
+def test_two_cell_panel_reads_the_pinned_top_bits():
+    # Two cells of mass 1/2 put the threshold at 2^63, on a top-byte
+    # bucket edge, so the top-byte table settles every agent from the top
+    # bytes sliced out of the squeezes: agent i's cell is its word's top
+    # bit.
+    from fractions import Fraction
+
+    from beliefcheck import Dist, Model
+    from beliefcheck.simulate import _draw_panel
+
+    states = ("H", "L")
+    half = Dist(states, (Fraction(1, 2), Fraction(1, 2)))
+    model = Model(
+        states=states,
+        omega=states,
+        projection={s: s for s in states},
+        signal_partition={"h": ("H",), "l": ("L",)},
+        mu0=half,
+        pObj=half,
+    )
+    for seed in (0, 2**64 - 1):
+        panel, cells = _draw_panel(model, 8194, seed)
+        for (s, i), word in PINS.items():
+            if s == seed:
+                assert panel.draws[i][0] == cells[word >> 63].label
+
+
 if __name__ == "__main__":
     here = os.path.dirname(os.path.abspath(__file__))
     sys.path.insert(0, os.path.join(here, os.pardir, "src"))
     test_hashlib_squeezes_the_pinned_words()
     test_sampler_reads_the_pinned_words()
+    test_two_cell_panel_reads_the_pinned_top_bits()
     print("stream pins hold on Python %s" % sys.version.split()[0])
