@@ -22,8 +22,11 @@ indent=2)` of the file's JSON object plus a final newline: one
 fixed-schema writer per file kind joins the strings around json's C string
 encoder and formats each distinct numerator of a distribution once. The
 writers refuse what the loaders would refuse to read back: a mode outside
-MODES and a label that is not a string. `rationalize --json` prints the
-same bytes as the file `--out` writes.
+MODES and a label that is not a string. They list each signal cell's
+indices in omega order, as the loader requires, so a model's bytes do not
+depend on the order in which a cell lists its outcomes, nor on whether it
+is a tuple, a list or a set. `rationalize --json` prints the same bytes as
+the file `--out` writes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Tuple
 
 from .dist import _TOL, Dist, Observation, WeightedPosteriors
 from .errors import FormatError, StructuralError
-from .rationalize import Model
+from .rationalize import Model, _run
 
 MODES = ("rational", "float")
 
@@ -412,18 +415,25 @@ def model_json(model: Model, mode: str) -> str:
     labels = (model.states, model.omega, projected, model.signal_partition)
     _writable(mode, *labels, () if lam is None else lam.space)
     omega = list(map(_encode, model.omega))
-    omega_index = {w: i for i, w in enumerate(model.omega)}
-    signal_of, partition = {}, []
+    at = model.mu0._index
+    signal_of, partition = [None] * len(omega), []
     for label, cell in model.signal_partition.items():
-        signal = _encode(label)
-        for w in cell:
-            signal_of[w] = signal
-        indices = [str(omega_index[w]) for w in cell]
+        # A cell's indices are written in omega order: a run of omega is
+        # a range, any other cell is sorted.
+        signal, run = _encode(label), _run(model, cell)
+        if run is not None:
+            positions = range(run.start, run.stop)
+            signal_of[run] = [signal] * len(positions)
+        else:
+            positions = sorted(map(at.__getitem__, cell))
+            for i in positions:
+                signal_of[i] = signal
+        indices = list(map(str, positions))
         partition.append("%s: %s" % (signal, _block(indices, 2, "[]")))
     entries = [
         '{\n      "label": %s,\n      "s": %s,\n      "signal": %s\n    }'
-        % (label, _encode(s), signal_of[w])
-        for w, label, s in zip(model.omega, omega, projected)
+        % (label, _encode(s), signal)
+        for label, s, signal in zip(omega, projected, signal_of)
     ]
     mix = "null"
     if lam is not None:

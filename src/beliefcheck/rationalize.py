@@ -41,6 +41,9 @@ from .errors import (
 PLUS = "+"
 MINUS = "-"
 
+# An outcome's label from its state's and its signal's labels.
+_OMEGA_LABEL = "%s|%s"
+
 
 def mix_label(k: int) -> str:
     """Label of the k-th observed posterior in the mixing distribution."""
@@ -54,7 +57,7 @@ def signal_label(k: int, sign: str) -> str:
 def omega_label(s, k: int, sign: str) -> str:
     """Fixed labeling scheme for the enlarged state space: it depends only
     on the payoff-relevant label, the posterior index, and the sign tag."""
-    return "%s|%s" % (s, signal_label(k, sign))
+    return _OMEGA_LABEL % (s, signal_label(k, sign))
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class Model:
     TOL for float-origin data, else 0 (by default, `mu0`'s or `pObj`'s).
 
     The constructor checks that mu0 and pObj live on omega, that the
-    partition's cells are disjoint and cover omega, and that the
+    partition's cells are non-empty, disjoint and cover omega, and that the
     projection sends omega into the states. `load_model` and
     `construct_rationalization` build their models by `_assembled`
     instead: they own those checks for what they build.
@@ -95,6 +98,10 @@ class Model:
             )
         covered = []
         for label, cell in self.signal_partition.items():
+            if not cell:
+                raise StructuralError(
+                    "signal partition cells must be non-empty"
+                )
             covered.extend(cell)
         if len(covered) != len(set(covered)):
             raise StructuralError("signal partition cells must be disjoint")
@@ -171,6 +178,12 @@ def construct_rationalization(
     B * P[s*] * L and the "-" row (P * B[s*] - P[s*] * B) * L, both over
     B[s*] * Dp * Dl; the "+" rows of pObj are P * W[i] over Dp * Dw.
 
+    Takes O(k n) time and memory for k posteriors over n states, besides
+    the screen: 2k signal labels, one label per (signal, state) outcome
+    of omega, and one slice of omega per cell. The integers are those of
+    the rows above: a common denominator grows with the lcm of the k
+    B[s*], so up to about k times a belief's denominator in bits.
+
     Raises AbsoluteContinuityViolation if the screen fails, and
     InvalidMixError if `lambda_mix` does not give every observed posterior
     positive weight.
@@ -215,17 +228,23 @@ def construct_rationalization(
         )
     p_obj = [p * w for w in obs.posteriors.nums for p in prior]
 
+    # Omega is one run of outcomes per signal, one outcome per state in
+    # state order, each labeled as omega_label labels it: each state's
+    # part of the label is formatted once.
     n = len(states)
-    cells = [(i, sign) for sign in (PLUS, MINUS) for i in range(k)]
-    omega = tuple(omega_label(s, i, sign) for i, sign in cells for s in states)
-    index = {w: i for i, w in enumerate(omega)}
+    signals = [
+        signal_label(i, sign) for sign in (PLUS, MINUS) for i in range(k)
+    ]
+    heads = [_OMEGA_LABEL % (s, "") for s in states]
+    omega = tuple([head + signal for signal in signals for head in heads])
+    index = dict(zip(omega, range(len(omega))))
     return Model._assembled(
         states=states,
         omega=omega,
-        projection=dict(zip(omega, states * len(cells))),
+        projection=dict(zip(omega, states * len(signals))),
         signal_partition={
-            signal_label(i, sign): omega[j * n : (j + 1) * n]
-            for j, (i, sign) in enumerate(cells)
+            signal: omega[j * n : (j + 1) * n]
+            for j, signal in enumerate(signals)
         },
         mu0=_dist(
             omega, plus + minus, top * obs.prior.den * lambda_mix.den, 0, index
@@ -292,33 +311,49 @@ class CellDiagnostic:
         )
 
 
+def _run(model: Model, cell) -> Optional[slice]:
+    """The slice of omega that the signal cell `cell` is, when the cell
+    lists a run of omega's outcomes in omega order; else None."""
+    cell = tuple(cell)
+    a = model.mu0._index[cell[0]]
+    run = slice(a, a + len(cell))
+    return run if model.omega[run] == cell else None
+
+
 def cell_table(model: Model) -> list:
-    """The model's signal cell x state mass tables of mu0 and pObj, read in
-    one pass over omega, one CellDiagnostic per cell in partition order:
-    each row sums the omega points' integer numerators per state, over
-    mu0's or pObj's one denominator.
+    """The model's signal cell x state mass tables of mu0 and pObj, one
+    CellDiagnostic per cell in partition order: each row sums the cell's
+    outcomes' integer numerators per state, over mu0's or pObj's one
+    denominator.
+
+    A cell that is a run of omega, one outcome per state in state order
+    (every cell of a constructed model), has rows that are slices of mu0's
+    and pObj's numerators; any other cell's outcomes are summed one by one.
+    Takes O(|omega| + cells * n) time and memory for n states: one C-level
+    pass over omega for the projections, then O(n) or O(len(cell)) work
+    per cell, on integers no longer than the numerators' sums.
 
     Everything observable about the model's signals derives from these
     rows: a cell's Bayes posterior is its mu0 row over the row's total.
     """
-    labels = list(model.signal_partition)
-    row_of = {
-        w: i for i, cell in enumerate(model.signal_partition.values())
-        for w in cell
-    }
     states = tuple(model.states)
     col = _index_of(states)
     n = len(col)
-    mus, objs = ([[0] * n for _ in labels] for _ in range(2))
-    projection = model.projection
-    for w, mw, pw in zip(model.omega, model.mu0.nums, model.pObj.nums):
-        i, j = row_of[w], col[projection[w]]
-        mus[i][j] += mw
-        if pw:
-            objs[i][j] += pw
+    at = model.mu0._index
+    projected = tuple(map(model.projection.__getitem__, model.omega))
+    mu_nums, obj_nums = model.mu0.nums, model.pObj.nums
     mu_den, obj_den = model.mu0.den, model.pObj.den
     table = []
-    for label, mu_acc, obj_acc in zip(labels, mus, objs):
+    for label, cell in model.signal_partition.items():
+        run = _run(model, cell)
+        if run is not None and projected[run] == states:
+            mu_acc, obj_acc = mu_nums[run], obj_nums[run]
+        else:
+            mu_acc, obj_acc = [0] * n, [0] * n
+            for i in map(at.__getitem__, cell):
+                j = col[projected[i]]
+                mu_acc[j] += mu_nums[i]
+                obj_acc[j] += obj_nums[i]
         total = sum(mu_acc)  # zero exactly when the cell's mu0 mass is
         posterior = _dist(states, mu_acc, total, 0, col) if total else None
         table.append(
@@ -415,6 +450,12 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     signal-weighted average of posteriors under the subjective prior equals
     the observed prior (the martingale identity). Comparisons are made
     within the larger of the model's and the observation's tolerance.
+
+    Takes O(|omega| + (k + cells) * n) time and memory for k observed
+    posteriors over n states: the cell table (see cell_table), one
+    grouping of the k observed beliefs with the reached cells' posteriors
+    (one dict pass for exact data; see group_beliefs under a tolerance),
+    and the induced priors and the martingale mean from the cell rows.
     """
     if tuple(model.states) != obs.space:
         raise StructuralError(
@@ -490,8 +531,8 @@ def induced_observables(model: Model):
     posteriors. Raises UndefinedUpdateError if an objectively reachable
     signal has zero subjective probability.
 
-    Takes O(|omega| + cells * n) time and memory for n states: one pass of
-    `cell_table` over omega, then the prior and one posterior of n weights
+    Takes O(|omega| + cells * n) time and memory for n states: the cell
+    table (see cell_table), then the prior and one posterior of n weights
     per cell from its rows."""
     cells = cell_table(model)
     prior = _projected([c.mu_parts for c in cells], tuple(model.states))

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import beliefcheck
 from beliefcheck import (
     AbsoluteContinuityViolation,
     Dist,
@@ -28,7 +33,14 @@ from beliefcheck import (
     verify_model,
 )
 from beliefcheck.cli import main
-from beliefcheck.rationalize import cell_table
+from beliefcheck.io import model_json
+from beliefcheck.rationalize import (
+    MINUS,
+    PLUS,
+    cell_table,
+    omega_label,
+    signal_label,
+)
 from genobs import (
     random_dist,
     random_observation,
@@ -108,6 +120,12 @@ class TestModelStructure:
             (
                 dict(projection={"H|a": "H", "L|b": "X"}),
                 "projection sends 'L|b' outside the declared states",
+            ),
+            (
+                dict(
+                    signal_partition={"a": ("H|a",), "b": ("L|b",), "c": ()}
+                ),
+                "signal partition cells must be non-empty",
             ),
         ],
     )
@@ -324,6 +342,77 @@ def assert_table_matches_conditioning(model):
             )
 
 
+def hand_built_model():
+    """Several outcomes per (cell, state), partition cells listed out of
+    omega order, and a cell with zero subjective mass."""
+    omega = ("a1", "b1", "a2", "a3", "b2", "c1", "b3")
+    projection = {
+        "a1": "H", "a2": "H", "a3": "L",
+        "b1": "L", "b2": "L", "b3": "H",
+        "c1": "H",
+    }
+    return Model(
+        states=S2,
+        omega=omega,
+        projection=projection,
+        signal_partition={
+            "x": ("a3", "a1", "a2"),
+            "y": ("b2", "b3", "b1"),
+            "z": ("c1",),
+        },
+        mu0=dist(omega, "1/8", "1/4", "1/8", "1/8", "1/8", 0, "1/4"),
+        pObj=dist(omega, "1/6", "1/6", "1/6", 0, "1/6", "1/6", "1/6"),
+    )
+
+
+def relaid(model, omega, partition):
+    """`model` with its outcomes listed in the order `omega` and the signal
+    partition `partition`: the same masses on the same outcomes."""
+    return Model(
+        states=model.states,
+        omega=omega,
+        projection=model.projection,
+        signal_partition=partition,
+        mu0=Dist(omega, [model.mu0[w] for w in omega]),
+        pObj=Dist(omega, [model.pObj[w] for w in omega]),
+    )
+
+
+def layouts(model, rng):
+    """`model` rebuilt with the same cells laid out in other ways, by name.
+    A constructed model puts each cell in one run of omega, one outcome per
+    state in state order: "lists" keeps that layout, "sets" keeps it or not
+    as the hash order falls, and the others break it."""
+    cells = model.signal_partition
+    shuffled = list(model.omega)
+    rng.shuffle(shuffled)
+    # each cell still a run of omega, its states in reverse order
+    reversed_cells = {label: cell[::-1] for label, cell in cells.items()}
+    # neighbouring cells joined: several outcomes per state in one run
+    labels = list(cells)
+    pairs = [labels[i : i + 2] for i in range(0, len(labels), 2)]
+    merged = {
+        "+".join(pair): sum((cells[c] for c in pair), ()) for pair in pairs
+    }
+    return {
+        "shuffled": relaid(model, shuffled, dict(cells)),
+        "reversed": relaid(
+            model, sum(reversed_cells.values(), ()), reversed_cells
+        ),
+        "lists": relaid(
+            model, model.omega, {c: list(v) for c, v in cells.items()}
+        ),
+        "sets": relaid(
+            model, model.omega, {c: set(v) for c, v in cells.items()}
+        ),
+        "merged": relaid(model, model.omega, merged),
+    }
+
+
+def by_label(cell):
+    return cell.label
+
+
 class TestCellTable:
     def test_constructed_models(self, worked_example):
         rng = random.Random(31)
@@ -361,32 +450,89 @@ class TestCellTable:
             assert verify_model(model, obs).consistent
 
     def test_hand_built_model(self):
-        # several outcomes per (cell, state), partition cells listed out of
-        # omega order, and a cell with zero subjective mass
-        omega = ("a1", "b1", "a2", "a3", "b2", "c1", "b3")
-        projection = {
-            "a1": "H", "a2": "H", "a3": "L",
-            "b1": "L", "b2": "L", "b3": "H",
-            "c1": "H",
-        }
-        model = Model(
-            states=S2,
-            omega=omega,
-            projection=projection,
-            signal_partition={
-                "x": ("a3", "a1", "a2"),
-                "y": ("b2", "b3", "b1"),
-                "z": ("c1",),
-            },
-            mu0=dist(omega, "1/8", "1/4", "1/8", "1/8", "1/8", 0, "1/4"),
-            pObj=dist(omega, "1/6", "1/6", "1/6", 0, "1/6", "1/6", "1/6"),
-        )
+        model = hand_built_model()
         assert_table_matches_conditioning(model)
         x, y, z = cell_table(model)
         assert x.mu_row == (Fraction(1, 4), Fraction(1, 8))
         assert x.posterior == dist(S2, "2/3", "1/3")
         assert y.obj_row == (Fraction(1, 6), Fraction(1, 3))
         assert z.posterior is None and z.obj_mass == Fraction(1, 6)
+
+    @pytest.mark.parametrize(
+        "layout", ["shuffled", "reversed", "lists", "sets", "merged"]
+    )
+    def test_relaid_constructed_models(self, layout, worked_example):
+        rng = random.Random(41)
+        observations = [worked_example] + [
+            random_observation(rng, rng.randint(2, 6), rng.randint(1, 6))
+            for _ in range(10)
+        ]
+        for obs in observations:
+            model = construct_rationalization(obs)
+            other = layouts(model, rng)[layout]
+            assert_table_matches_conditioning(other)
+            if layout == "merged":
+                continue
+            assert cell_table(other) == cell_table(model)
+            report, again = verify_model(model, obs), verify_model(other, obs)
+            assert again.as_dict() == report.as_dict()
+            assert again.details == report.details
+
+    def test_loaded_models(self, tmp_path, worked_example):
+        rng = random.Random(43)
+        model = construct_rationalization(worked_example)
+        prior = dist(("a", "b", "c"), "1/4", "1/4", "1/2")
+        known = construct_known_omega_model(
+            Observation(
+                prior,
+                WeightedPosteriors(
+                    (
+                        (Fraction(3, 4), condition(prior, ("a", "c"))),
+                        (Fraction(1, 4), condition(prior, ("b",))),
+                    )
+                ),
+            )
+        )
+        models = dict(layouts(model, rng), constructed=model, known=known)
+        models["hand"] = hand_built_model()
+        for name, other in models.items():
+            path = tmp_path / ("%s.json" % name)
+            save_model(other, path)
+            loaded, _ = load_model(path)
+            assert_table_matches_conditioning(loaded)
+            # the file lists the cells in order of first appearance
+            assert sorted(cell_table(loaded), key=by_label) == sorted(
+                cell_table(other), key=by_label
+            )
+
+    def test_constructed_labels_follow_omega_label(self, worked_example):
+        # states that are not strings are formatted as omega_label does
+        odd = Observation(
+            dist((1, (2, 3)), "1/2", "1/2"),
+            WeightedPosteriors(
+                ((Fraction(1), dist((1, (2, 3)), "1/3", "2/3")),)
+            ),
+        )
+        rng = random.Random(47)
+        for obs in (worked_example, odd, random_observation(rng, 5, 4)):
+            model = construct_rationalization(obs)
+            k = len(obs.posteriors)
+            signals = [(i, sign) for sign in (PLUS, MINUS) for i in range(k)]
+            assert list(model.signal_partition) == [
+                signal_label(i, sign) for i, sign in signals
+            ]
+            for (i, sign), cell in zip(
+                signals, model.signal_partition.values()
+            ):
+                assert cell == tuple(
+                    omega_label(s, i, sign) for s in obs.space
+                )
+            assert model.omega == sum(model.signal_partition.values(), ())
+            assert model.projection == {
+                omega_label(s, i, sign): s
+                for i, sign in signals
+                for s in obs.space
+            }
 
     def test_tampered_saved_model_fails_verify(self, tmp_path, worked_example):
         path = tmp_path / "m.json"
@@ -405,6 +551,66 @@ class TestCellTable:
         assert not report.consistent
         assert not report.posterior_distribution_matches
         assert not report.subjective_martingale_holds
+
+
+# A model whose cells are sets, which iterate in an order that depends on
+# the string hash seed; its file lists each cell in omega order.
+_SET_CELLED = """
+from fractions import Fraction
+from beliefcheck import Dist, Model
+from beliefcheck.io import model_json
+omega = tuple("w%d" % i for i in range(12))
+model = Model(
+    states=("H", "L"),
+    omega=omega,
+    projection={w: "HL"[i % 2] for i, w in enumerate(omega)},
+    signal_partition={"c%d" % c: set(omega[c::3]) for c in range(3)},
+    mu0=Dist(omega, [Fraction(1, 12)] * 12),
+    pObj=Dist(omega, [Fraction(1, 12)] * 12),
+)
+"""
+
+
+class TestPartitionOrder:
+    def test_hand_built_model_round_trips(self, tmp_path):
+        model = hand_built_model()
+        obs = Observation(
+            pushforward(model.mu0, model.projection, model.states),
+            WeightedPosteriors(((Fraction(1), dist(S2, "2/3", "1/3")),)),
+        )
+        model_path, obs_path = tmp_path / "m.json", tmp_path / "o.json"
+        save_model(model, model_path)
+        save_observation(obs, obs_path)
+        assert json.loads(model_path.read_text())["partition"] == {
+            "x": [0, 2, 3],
+            "y": [1, 4, 6],
+            "z": [5],
+        }
+        loaded, _ = load_model(model_path)
+        report, again = verify_model(model, obs), verify_model(loaded, obs)
+        assert again.as_dict() == report.as_dict()
+        assert again.details == report.details
+        assert main(["verify", str(model_path), str(obs_path)]) == (
+            0 if report.consistent else 2
+        )
+
+    def test_set_cells_write_the_same_bytes_under_any_hash_seed(self):
+        namespace = {}
+        exec(_SET_CELLED, namespace)
+        here = model_json(namespace["model"], "rational")
+        src = str(Path(beliefcheck.__file__).resolve().parent.parent)
+        script = _SET_CELLED + "print(model_json(model, 'rational'), end='')"
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == here
 
 
 class TestLambdaAndUniversality:
