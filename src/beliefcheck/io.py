@@ -41,7 +41,7 @@ from typing import Tuple
 
 from .dist import _TOL, Dist, Observation, WeightedPosteriors
 from .errors import FormatError, StructuralError
-from .rationalize import Model, _run
+from .rationalize import Model
 
 MODES = ("rational", "float")
 
@@ -418,16 +418,11 @@ def model_json(model: Model, mode: str) -> str:
     at = model.mu0._index
     signal_of, partition = [None] * len(omega), []
     for label, cell in model.signal_partition.items():
-        # A cell's indices are written in omega order: a run of omega is
-        # a range, any other cell is sorted.
-        signal, run = _encode(label), _run(model, cell)
-        if run is not None:
-            positions = range(run.start, run.stop)
-            signal_of[run] = [signal] * len(positions)
-        else:
-            positions = sorted(map(at.__getitem__, cell))
-            for i in positions:
-                signal_of[i] = signal
+        # a cell's indices are written in omega order
+        signal = _encode(label)
+        positions = sorted(map(at.__getitem__, cell))
+        for i in positions:
+            signal_of[i] = signal
         indices = list(map(str, positions))
         partition.append("%s: %s" % (signal, _block(indices, 2, "[]")))
     entries = [

@@ -311,27 +311,15 @@ class CellDiagnostic:
         )
 
 
-def _run(model: Model, cell) -> Optional[slice]:
-    """The slice of omega that the signal cell `cell` is, when the cell
-    lists a run of omega's outcomes in omega order; else None."""
-    cell = tuple(cell)
-    a = model.mu0._index[cell[0]]
-    run = slice(a, a + len(cell))
-    return run if model.omega[run] == cell else None
-
-
 def cell_table(model: Model) -> list:
     """The model's signal cell x state mass tables of mu0 and pObj, one
     CellDiagnostic per cell in partition order: each row sums the cell's
     outcomes' integer numerators per state, over mu0's or pObj's one
     denominator.
 
-    A cell that is a run of omega, one outcome per state in state order
-    (every cell of a constructed model), has rows that are slices of mu0's
-    and pObj's numerators; any other cell's outcomes are summed one by one.
-    Takes O(|omega| + cells * n) time and memory for n states: one C-level
-    pass over omega for the projections, then O(n) or O(len(cell)) work
-    per cell, on integers no longer than the numerators' sums.
+    Takes O(|omega| + cells * n) time and memory for n states: each cell
+    sums its own outcomes, found by their positions in mu0, into rows of
+    n integers no longer than the numerators' sums.
 
     Everything observable about the model's signals derives from these
     rows: a cell's Bayes posterior is its mu0 row over the row's total.
@@ -339,21 +327,16 @@ def cell_table(model: Model) -> list:
     states = tuple(model.states)
     col = _index_of(states)
     n = len(col)
-    at = model.mu0._index
-    projected = tuple(map(model.projection.__getitem__, model.omega))
+    at, projection = model.mu0._index, model.projection
     mu_nums, obj_nums = model.mu0.nums, model.pObj.nums
     mu_den, obj_den = model.mu0.den, model.pObj.den
     table = []
     for label, cell in model.signal_partition.items():
-        run = _run(model, cell)
-        if run is not None and projected[run] == states:
-            mu_acc, obj_acc = mu_nums[run], obj_nums[run]
-        else:
-            mu_acc, obj_acc = [0] * n, [0] * n
-            for i in map(at.__getitem__, cell):
-                j = col[projected[i]]
-                mu_acc[j] += mu_nums[i]
-                obj_acc[j] += obj_nums[i]
+        mu_acc, obj_acc = [0] * n, [0] * n
+        for w in cell:
+            i, j = at[w], col[projection[w]]
+            mu_acc[j] += mu_nums[i]
+            obj_acc[j] += obj_nums[i]
         total = sum(mu_acc)  # zero exactly when the cell's mu0 mass is
         posterior = _dist(states, mu_acc, total, 0, col) if total else None
         table.append(
