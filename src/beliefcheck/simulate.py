@@ -14,15 +14,25 @@ bits / 2^64. A 256-entry table on the word's top byte settles that choice
 for most agents in one `bytes.translate` of the top bytes, which are
 sliced from the squeezes as they are written; agents whose top byte a
 cell boundary splits take `bisect_right` on the whole word, the same
-rule. The cells' counts are then taken in one C pass over the chosen
-bytes per cell.
+rule. When the table splits 10 or more buckets, a carry pass replaces
+that loop and never builds the array of words: per squeeze, one 16-bit
+lane per agent holds its bucket's first cell over its word's second
+byte, and one integer addition carries a lane into the next cell where
+that byte exceeds the second byte of the bucket's threshold. Only the
+words of a bucket with two or more thresholds and those whose lane's
+low byte reads 0xFF take `bisect_right`: words tied with their bucket's
+threshold on the top two bytes, and the 1/256 of an unsplit bucket's
+words whose second byte is 0xFF. The cells' counts are then taken in
+one C pass over the chosen bytes per cell.
 
-Drawing takes about 10.1 bytes per agent at its peak (about 12.4 with
-256 or more reached cells; tracemalloc at 10^6 agents). A panel keeps
-each agent's chosen cell in one byte while the model reaches fewer than
-256 cells, else in four; its `draws` are read through that array. A
-panel of 10^7 agents takes about 0.5 s on a two-cell model and 0.8 s on
-an eight-cell one (Python 3.11.7, one core of a shared 2-vCPU host).
+Drawing takes about 10.0 bytes per agent at its peak below 10 split
+buckets, about 2.1 with the carry pass, and about 12.3 with 256 or more
+reached cells (tracemalloc at 10^6 agents). A panel keeps each agent's
+chosen cell in one byte while the model reaches fewer than 256 cells,
+else in four; its `draws` are read through that array. A panel of 10^7
+agents takes about 0.5 s on a two-cell model, 0.8 s on an eight-cell one
+and 0.85 s on a 32-cell one (Python 3.11.7, one core of a shared 2-vCPU
+host).
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from .dist import WeightedPosteriors, group_beliefs
 from .errors import StructuralError
@@ -48,35 +59,51 @@ _WORD = 8  # bytes per agent's word
 # The top-byte table's mark for a bucket that a threshold splits. Cell
 # indices below it fit the table's one-byte codes.
 _SPLIT = 255
-_SPLIT_MARK = re.compile(bytes([_SPLIT]))
+# Finds _SPLIT in the top-byte table's codes, and both _SPLIT and a tie in
+# the carry pass's lanes.
+_MARK = re.compile(bytes([_SPLIT]))
+# Split top-byte buckets from which the carry pass replaces bisecting their
+# agents one by one. Its byte work per agent is fixed, the loop's grows by
+# about 1/256 of the agents per split bucket. On 10^5 agents the loop was
+# 5-15% faster at 7 split buckets, the two took the same time at 9 and
+# 10, and the carry pass was 3-15% faster from 11 on (medians of 15,
+# Python 3.11.7, shared 2-vCPU host), so a model of up to 10 cells keeps
+# the loop.
+_CARRY_SPLITS = 10
 
 #: Largest panel `simulate_panel` draws. Drawing peaks near 10 bytes per
-#: agent, 12.4 with 256 or more reached cells (see the module docstring),
-#: so this caps it near 125 MB and about 0.5-0.8 s on two to eight cells.
+#: agent, 12.3 with 256 or more reached cells (see the module docstring),
+#: so this caps it near 125 MB and about 0.5-0.9 s on two to 32 cells.
 MAX_AGENTS = 10**7
+
+
+def _squeezes(seed: int, lo: int, hi: int):
+    """The words of agents [lo, hi), 8 big-endian bytes each, chunk by
+    chunk: each chunk's squeeze as long as the agents drawn from it need,
+    from the first agent at or above lo."""
+    key = seed.to_bytes(8, "big")
+    for chunk in range(lo // _CHUNK, -(-hi // _CHUNK)):
+        start = chunk * _CHUNK
+        squeezed = hashlib.shake_128(key + chunk.to_bytes(8, "big")).digest(
+            _WORD * min(hi - start, _CHUNK)
+        )
+        yield squeezed[_WORD * max(lo - start, 0) :]
 
 
 def _digest_words(seed: int, lo: int, hi: int) -> tuple:
     """The words of agents [lo, hi) as the squeezes hold them, in one array
     of 64-bit words: each word big-endian, so on a little-endian host the
-    values are byte-swapped. Each chunk's squeeze, as long as the agents
-    drawn from it need, is written straight into the preallocated array.
-    Also returns each agent's top byte, one byte per agent, sliced from
-    every eighth byte of the same squeezes."""
+    values are byte-swapped. Each squeeze is written straight into the
+    preallocated array. Also returns each agent's top byte, one byte per
+    agent, sliced from every eighth byte of the same squeezes."""
     words = array("Q", [0]) * (hi - lo)
     tops = bytearray(hi - lo)
-    key = seed.to_bytes(8, "big")
     with memoryview(words) as view, view.cast("B") as out:
         at = 0
-        for chunk in range(lo // _CHUNK, -(-hi // _CHUNK)):
-            start = chunk * _CHUNK
-            skip = _WORD * max(lo - start, 0)
-            squeezed = hashlib.shake_128(key + chunk.to_bytes(8, "big")).digest(
-                _WORD * min(hi - start, _CHUNK)
-            )
-            end = at + len(squeezed) - skip
-            out[at:end] = memoryview(squeezed)[skip:]
-            tops[at // _WORD : end // _WORD] = squeezed[skip::_WORD]
+        for squeezed in _squeezes(seed, lo, hi):
+            end = at + len(squeezed)
+            out[at:end] = squeezed
+            tops[at // _WORD : end // _WORD] = squeezed[::_WORD]
             at = end
     return words, tops
 
@@ -94,41 +121,144 @@ def _agent_bits(seed: int, lo: int, hi: int) -> array:
     return _native(_digest_words(seed, lo, hi)[0])
 
 
+def _bucket_tables(thresholds: list) -> tuple:
+    """Three 256-entry tables on the top byte v of an agent's word, built
+    in one pass over the sorted thresholds, O(cells + 256) steps:
+
+    - the top-byte table: the cell that every word in [v*2^56,
+      (v+1)*2^56) draws, or _SPLIT when a threshold falls inside that
+      range, so that the word's other bytes decide;
+    - the carry pass's codes: the bucket's first cell, or _SPLIT when two
+      or more thresholds fall inside it;
+    - the carry pass's addends: 255 - s for a bucket with one inner
+      threshold t whose second byte is s, else 0. Added to a word's
+      second byte b, it carries exactly when b > s, where the word lies
+      above t; the sum's low byte reads 0xFF when b == s, a tie that the
+      word's lower bytes decide."""
+    table, codes, addends = bytearray(256), bytearray(256), bytearray(256)
+    first = 0  # thresholds at or below the bucket: bisect_right's count
+    for v in range(256):
+        low, high = v << 56, (v + 1) << 56
+        while thresholds[first] <= low:
+            first += 1
+        last = first
+        while thresholds[last] < high:
+            last += 1
+        table[v] = first if last == first else _SPLIT
+        codes[v] = first if last - first < 2 else _SPLIT
+        if last - first == 1:
+            addends[v] = 255 - (thresholds[first] >> 48 & 0xFF)
+    return table, codes, addends
+
+
 def _top_byte_table(thresholds: list) -> bytes:
     """Maps each top byte v of an agent's word to the cell that every word
     in [v*2^56, (v+1)*2^56) draws, or to _SPLIT when a threshold falls
     inside that range, so that the word's other bytes decide."""
-    table = bytearray()
-    for v in range(256):
-        cell = bisect_right(thresholds, v << 56)
-        last = bisect_right(thresholds, ((v + 1) << 56) - 1)
-        table.append(cell if cell == last else _SPLIT)
-    return bytes(table)
+    return bytes(_bucket_tables(thresholds)[0])
 
 
-def _choose_by_top_byte(tops: bytearray, words: array, thresholds: list):
+def _cell_counts(chosen: bytearray, table: bytes, cells: int) -> list:
+    """The number of agents in each of `cells` cells, from each agent's
+    cell index in one byte. One C pass per cell, except the cell that
+    settles the most top-byte buckets, which likely holds the most agents:
+    its count is the rest."""
+    most = max(range(cells), key=table.count)
+    counts = [0 if j == most else chosen.count(j) for j in range(cells)]
+    counts[most] = len(chosen) - sum(counts)
+    return counts
+
+
+def _choose_by_top_byte(
+    tops: bytearray, words: array, thresholds: list, table: bytes | None = None
+):
     """Each agent's cell index, one byte per agent, and the number of agents
     in each cell, for at most _SPLIT cells, from each agent's top byte and
     word. One `bytes.translate` of the top bytes settles most agents; the
     rest take `bisect_right` on their word. Returns None when more than a
     quarter of the agents are left over (many cells), where `bisect_right`
-    on every word is faster."""
-    table = _top_byte_table(thresholds)
+    on every word is faster. `table` is `_top_byte_table(thresholds)` when
+    already built."""
+    if table is None:
+        table = _top_byte_table(thresholds)
     chosen = tops.translate(table)
     if 4 * chosen.count(_SPLIT) > len(chosen):
         return None
     # Patching a found mark leaves the scan ahead of it unchanged.
     cell_of = partial(bisect_right, thresholds)
-    for match in _SPLIT_MARK.finditer(chosen):
+    for match in _MARK.finditer(chosen):
         i = match.start()
         chosen[i] = cell_of(words[i])
-    # One C pass per cell, except the cell that settles the most buckets,
-    # which likely holds the most agents: its count is the rest.
-    cells = range(len(thresholds))
-    most = max(cells, key=table.count)
-    counts = [0 if j == most else chosen.count(j) for j in cells]
-    counts[most] = len(chosen) - sum(counts)
-    return chosen, counts
+    return chosen, _cell_counts(chosen, table, len(thresholds))
+
+
+def _choose_by_carry(
+    squeezes, n_agents: int, thresholds: list, tables: tuple
+) -> tuple:
+    """`_choose_by_top_byte` for the agents whose words the squeezes hold,
+    8 big-endian bytes each, without an array of the words; `tables` is
+    `_bucket_tables(thresholds)`. For each squeeze, one big-endian 16-bit
+    lane per agent holds the code of its top byte's bucket over its second
+    byte. The lanes are read as one integer, the addends of the agents'
+    top bytes are added to their low bytes, and the sum's high bytes,
+    carried where the threshold lies at or below the word, are the cells.
+    Agents of a bucket with two or more inner thresholds (high byte
+    _SPLIT) and agents whose low byte reads 0xFF (a tie with the bucket's
+    threshold, or a second byte 0xFF in an unsplit bucket) take
+    `bisect_right` on their word, read from the squeeze."""
+    table, codes, addends = tables
+    chosen = bytearray(n_agents)
+    cell_of = partial(bisect_right, thresholds)
+    at = 0
+    for squeezed in squeezes:
+        tops = squeezed[::_WORD]
+        size = 2 * len(tops)
+        lane, carry = bytearray(size), bytearray(size)
+        lane[::2] = tops.translate(codes)
+        lane[1::2] = squeezed[1::_WORD]
+        carry[1::2] = tops.translate(addends)
+        lanes = int.from_bytes(lane, "big") + int.from_bytes(carry, "big")
+        lanes = lanes.to_bytes(size, "big")
+        chosen[at : at + len(tops)] = lanes[::2]
+        for match in _MARK.finditer(lanes):
+            i = match.start() >> 1
+            word = squeezed[_WORD * i : _WORD * (i + 1)]
+            chosen[at + i] = cell_of(int.from_bytes(word, "big"))
+        at += len(tops)
+    return chosen, _cell_counts(chosen, table, len(thresholds))
+
+
+def _choose(seed: int, n_agents: int, thresholds: list) -> tuple:
+    """The cell index of each of agents [0, n_agents), in an array of one
+    byte each below 256 cells, else four, and the number of agents in
+    each cell: by the carry pass when the top-byte table splits at least
+    _CARRY_SPLITS buckets, else by the top-byte table, else by
+    `bisect_right` on every word."""
+    cells, table = len(thresholds), None
+    if cells <= _SPLIT:
+        tables = _bucket_tables(thresholds)
+        table = tables[0]
+        if table.count(_SPLIT) >= _CARRY_SPLITS:
+            squeezes = _squeezes(seed, 0, n_agents)
+            chosen, counts = _choose_by_carry(
+                squeezes, n_agents, thresholds, tables
+            )
+            return array("B", chosen), counts
+    words, tops = _digest_words(seed, 0, n_agents)
+    _native(words)
+    by_top_byte = None
+    if table is not None:
+        by_top_byte = _choose_by_top_byte(tops, words, thresholds, table)
+    del tops
+    if by_top_byte is None:
+        chosen = array(
+            "B" if cells <= _SPLIT else "I",
+            map(partial(bisect_right, thresholds), words),
+        )
+        tally = Counter(chosen)
+        return chosen, [tally[j] for j in range(cells)]
+    del words
+    return array("B", by_top_byte[0]), by_top_byte[1]
 
 
 class Draws(Sequence):
@@ -192,13 +322,16 @@ def simulate_panel(model: Model, n_agents: int, seed: int) -> PanelSample:
     Takes O(n_agents * cells + cells * log cells) time beyond the model's
     cell table, where the n_agents * cells part is byte work in C: one
     counting pass over the chosen bytes per cell, below 256 reached
-    cells. Hashing is one squeeze, in C, per 8192 agents; the work per
+    cells. Hashing is one squeeze, in C, per 8192 agents. The work per
     agent in Python is `bisect_right` for the agents the top-byte table
-    leaves over: about (cells - 1)/256 of them, or all of them with 256
-    or more reached cells or more than a quarter left over. Memory peaks
-    near 10 bytes per agent (about 12.4 with 256 or more reached cells);
-    the panel keeps 1 byte per agent below 256 reached cells, else 4.
-    10^7 agents take about 0.5 s on two cells.
+    leaves over: about (cells - 1)/256 of them below 10 split top-byte
+    buckets; with more, the carry pass leaves about 1/256 of them, plus
+    those of buckets with two or more thresholds; all of them with 256 or
+    more reached cells. Memory peaks near 10 bytes per agent below 10
+    split buckets, 2.1 with the carry pass and 12.3 with 256 or more
+    reached cells; the panel keeps 1 byte per agent below 256 reached
+    cells, else 4. 10^7 agents take about 0.5 s on two cells and 0.85 s
+    on 32.
     """
     return _draw_panel(model, n_agents, seed)[0]
 
@@ -234,33 +367,17 @@ def _draw_panel(model: Model, n_agents: int, seed: int):
         running += c.obj_parts.total
         thresholds.append(-(-running * _SCALE // den))
 
-    words, tops = _digest_words(seed, 0, n_agents)
-    _native(words)
-    by_top_byte = None
-    if len(cells) <= _SPLIT:
-        by_top_byte = _choose_by_top_byte(tops, words, thresholds)
-    del tops
-    if by_top_byte is None:
-        chosen = array(
-            "B" if len(cells) <= _SPLIT else "I",
-            map(partial(bisect_right, thresholds), words),
-        )
-        tally = Counter(chosen)
-        cell_counts = [tally[j] for j in range(len(cells))]
-    else:
-        codes, cell_counts = by_top_byte
-        chosen = array("B", codes)
-
+    chosen, cell_counts = _choose(seed, n_agents, thresholds)
     counts = [0] * len(support)
     for index, count in zip(cell_post_index, cell_counts):
         counts[index] += count
-    empirical = WeightedPosteriors(
-        tuple(
-            (Fraction(count, n_agents), post)
-            for count, post in zip(counts, support)
-            if count > 0
-        )
-    )
+    ratios, beliefs = [], []
+    for count, post in zip(counts, support):
+        if count:
+            g = gcd(count, n_agents)
+            ratios.append((count // g, n_agents // g))
+            beliefs.append(post)
+    empirical = WeightedPosteriors._from_ratios(ratios, 0, beliefs)
     return PanelSample(n_agents, seed, Draws(pairs, chosen), empirical), cells
 
 

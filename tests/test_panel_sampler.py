@@ -6,7 +6,9 @@ every panel comes out the same."""
 import hashlib
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +23,19 @@ from beliefcheck import (
 from beliefcheck.cli import main
 from beliefcheck.dist import group_beliefs
 from beliefcheck.rationalize import reachable_cells
-from beliefcheck.simulate import _SPLIT, _choose_by_top_byte, _top_byte_table
+from beliefcheck.simulate import (
+    _CARRY_SPLITS,
+    _SPLIT,
+    _bucket_tables,
+    _choose_by_carry,
+    _choose_by_top_byte,
+    _top_byte_table,
+)
 from genobs import random_observation
 
 S2 = ("H", "L")
 TOP = 1 << 56  # words per top-byte bucket
+SECOND = 1 << 48  # words per second-byte step within a bucket
 
 
 def reference_panel(model, n_agents, seed):
@@ -280,3 +290,116 @@ class TestThresholdFlag:
         out = capsys.readouterr().out
         assert "tv distance to model-implied distribution: 0.1\n" in out
         assert "within threshold 0.1: True" in out
+
+
+@st.composite
+def carry_cases(draw):
+    """Sorted thresholds ending in 2^64: on or one off second-byte edges
+    v*2^56 + u*2^48, crowded two to four into one top-byte bucket, in
+    bucket 255, and anywhere. Words at and one off every threshold, tied
+    with it on the top two bytes, at bucket 255's edges, and anywhere,
+    shuffled and cut into squeezes at random agent counts."""
+    edge = st.builds(
+        lambda v, u, d: v * TOP + u * SECOND + d,
+        st.integers(0, 255),
+        st.integers(0, 255),
+        st.sampled_from([-1, 0, 1]),
+    )
+    top_bucket = st.integers(255 * TOP, 2**64 - 1)
+    inner = st.one_of(edge, top_bucket, st.integers(0, 2**64 - 1))
+    thresholds = draw(st.lists(inner, max_size=40))
+    for v in draw(st.lists(st.integers(0, 255), max_size=3)):
+        inside = st.integers(v * TOP + 1, (v + 1) * TOP - 1)
+        thresholds += draw(st.lists(inside, min_size=2, max_size=4))
+    thresholds = sorted(t for t in thresholds if 0 <= t < 2**64) + [2**64]
+    words = set(draw(st.lists(st.integers(0, 2**64 - 1), max_size=40)))
+    words.update([0, 255 * TOP - 1, 255 * TOP, 2**64 - 1])
+    for t in thresholds[:-1]:
+        head = t - t % SECOND
+        tied = head + draw(st.integers(0, SECOND - 1))
+        words.update([t - 1, t, t + 1, head, head + SECOND - 1, tied])
+    words = sorted(w for w in words if 0 <= w < 2**64)
+    draw(st.randoms()).shuffle(words)
+    cuts = sorted(draw(st.lists(st.integers(0, len(words)), max_size=3)))
+    return thresholds, words, cuts
+
+
+def carry(words, cuts, thresholds):
+    """`_choose_by_carry` on the words, 8 big-endian bytes each, cut into
+    squeezes after the agents at `cuts`."""
+    data = b"".join(w.to_bytes(8, "big") for w in words)
+    bounds = [0] + cuts + [len(words)]
+    squeezes = [data[8 * a : 8 * b] for a, b in zip(bounds, bounds[1:])]
+    tables = _bucket_tables(thresholds)
+    return _choose_by_carry(squeezes, len(words), thresholds, tables)
+
+
+def assert_carry_equals_bisect(thresholds, words, cuts=()):
+    chosen, counts = carry(words, list(cuts), thresholds)
+    expected = [bisect_right(thresholds, w) for w in words]
+    assert list(chosen) == expected
+    assert counts == [expected.count(j) for j in range(len(thresholds))]
+
+
+class TestCarryPass:
+    """The carry pass chooses `bisect_right(thresholds, word)` for every
+    word, and counts the agents of each cell from those choices."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(carry_cases())
+    def test_codes_and_counts_equal_bisect(self, case):
+        assert_carry_equals_bisect(*case)
+
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            # one threshold per bucket: on a second-byte edge at u = 1 and
+            # u = 255, one above an edge at u = 0 and u = 255, and one
+            # below an edge
+            [3 * TOP + SECOND, 9 * TOP + 255 * SECOND],
+            [3 * TOP + 1, 9 * TOP + 255 * SECOND + 1],
+            [7 * TOP + 40 * SECOND - 1],
+            # two and three thresholds inside one bucket
+            [5 * TOP + 9 * SECOND, 5 * TOP + 9 * SECOND + 7],
+            [5 * TOP + 1, 5 * TOP + 128 * SECOND, 6 * TOP - 1],
+            # bucket 255
+            [255 * TOP + 17 * SECOND + 3],
+            [2**64 - 1],
+            [255 * TOP + 1, 2**64 - SECOND],
+        ],
+    )
+    def test_every_second_byte_of_a_split_bucket(self, inner):
+        # every second byte of each threshold's bucket, with the lower
+        # bytes at 0, one off the threshold's, equal to them and all 1s
+        thresholds = inner + [2**64]
+        words = set()
+        for t in inner:
+            head, low = t - t % TOP, t % SECOND
+            for u in range(256):
+                for r in {0, low - 1, low, low + 1, SECOND - 1}:
+                    if 0 <= r < SECOND:
+                        words.add(head + u * SECOND + r)
+        assert_carry_equals_bisect(thresholds, sorted(words), [100, 600])
+
+    def test_panels_on_either_side_of_a_squeeze_edge(self):
+        # 40 cells split 38 top-byte buckets, so the carry pass draws them
+        model = cell_model(random_masses(random.Random(40), 40))
+        cells = reachable_cells(model)
+        thresholds, running = [], Fraction(0)
+        for c in cells:
+            running += c.obj_mass
+            thresholds.append(ceil(running * 2**64))
+        split = _top_byte_table(thresholds).count(_SPLIT)
+        assert split >= _CARRY_SPLITS
+        support, index = group_beliefs([c.posterior for c in cells])
+        for seed in (0, 2**64 - 1):
+            draws, _ = reference_panel(model, 8193, seed)
+            for n_agents in (1, 8191, 8192, 8193):
+                panel = simulate_panel(model, n_agents, seed)
+                assert panel.draws == draws[:n_agents]
+                counts = Counter(j for _, j in draws[:n_agents])
+                assert panel.empirical.items == tuple(
+                    (Fraction(counts[j], n_agents), support[j])
+                    for j in range(len(support))
+                    if counts[j]
+                )

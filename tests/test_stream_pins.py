@@ -7,7 +7,8 @@ the first words at seeds 0 and 2^64 - 1 and the words on either side of
 the first chunk edge (agents 8191 and 8192), so a SHA-3 backend that
 squeezed differently, or a sampler that cut chunks elsewhere, shows up
 here. A two-cell panel at both seeds checks the top bytes the sampler
-slices from the same squeezes. The file needs only the standard library
+slices from the same squeezes, and a 40-cell panel the carry pass that
+reads each word's second byte. The file needs only the standard library
 and also runs as a script, without site-packages:
 
     python -S tests/test_stream_pins.py
@@ -87,10 +88,74 @@ def test_two_cell_panel_reads_the_pinned_top_bits():
                 assert panel.draws[i][0] == cells[word >> 63].label
 
 
+def carry_thresholds():
+    """40 cells' thresholds, times 2^64, that split the pinned words'
+    buckets, plus one inside each of 27 other buckets so that the carry
+    pass draws the panel. Around the pinned words they lie one above a
+    word on its top two bytes (a second-byte tie) or on the word itself,
+    on the second-byte edge at or above a word, one below an edge, just
+    inside a bucket, and two in bucket 0x78, which holds two words."""
+    inner = [
+        0x8F8E4F612E61FFBA,  # one above (0, 0): a tie on 0x8F8E
+        0xD78C3EA707E37768,  # (0, 1) itself, which draws the next cell
+        0x05A5000000000000,  # the edge above (0, 2)
+        0x7880000000000000,  # two in bucket 0x78: (2^64 - 1, 0) lies
+        0x78A0000000000001,  # between them, (0, 8191) above both
+        0x2F49000000000000,  # the edge of (0, 8192)'s second byte
+        0xBB10000000000005,
+        0xDBB1FFFFFFFFFFFF,  # one below an edge, above (2^64 - 1, 1): a tie
+        0x2D43DFEEF28BED59,  # one below (2^64 - 1, 2): a tie
+        0x5300000000000001,  # just inside the bucket
+        0x8A1FFFFFFFFFFFFF,  # above (2^64 - 1, 8192): a tie
+        0x5C15E95E4FA13A7E,  # one above (2^64 - 1, 8193): a tie
+    ]
+    pinned = {word >> 56 for word in PINS.values()}
+    spare = [v for v in range(1, 256) if v not in pinned]
+    inner += [(v << 56) + (v << 40) + 12345 for v in spare[::8][:27]]
+    return sorted(inner) + [2**64]
+
+
+def test_carry_pass_reads_the_pinned_words():
+    from bisect import bisect_right
+    from fractions import Fraction
+
+    from beliefcheck import Dist, Model
+    from beliefcheck.simulate import (
+        _CARRY_SPLITS,
+        _SPLIT,
+        _draw_panel,
+        _top_byte_table,
+    )
+
+    thresholds = carry_thresholds()
+    assert _top_byte_table(thresholds).count(_SPLIT) >= _CARRY_SPLITS
+    masses = [
+        Fraction(hi - lo, 2**64)
+        for lo, hi in zip([0] + thresholds, thresholds)
+    ]
+    omega = tuple("w%d" % j for j in range(len(masses)))
+    model = Model(
+        states=("H", "L"),
+        omega=omega,
+        projection={w: "HL"[j % 2] for j, w in enumerate(omega)},
+        signal_partition={"c%d" % j: (w,) for j, w in enumerate(omega)},
+        mu0=Dist(omega, tuple(Fraction(1, len(omega)) for _ in omega)),
+        pObj=Dist(omega, tuple(masses)),
+    )
+    for seed in (0, 2**64 - 1):
+        panel, cells = _draw_panel(model, 8194, seed)
+        assert len(cells) == 40
+        for (s, i), word in PINS.items():
+            if s == seed:
+                cell = cells[bisect_right(thresholds, word)]
+                assert panel.draws[i][0] == cell.label
+
+
 if __name__ == "__main__":
     here = os.path.dirname(os.path.abspath(__file__))
     sys.path.insert(0, os.path.join(here, os.pardir, "src"))
     test_hashlib_squeezes_the_pinned_words()
     test_sampler_reads_the_pinned_words()
     test_two_cell_panel_reads_the_pinned_top_bits()
+    test_carry_pass_reads_the_pinned_words()
     print("stream pins hold on Python %s" % sys.version.split()[0])
