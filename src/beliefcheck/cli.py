@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .dist import Dist, Observation, _martingale
+from .dist import Dist, Observation, _same, martingale_check
 from .errors import (
     AbsoluteContinuityViolation,
     FormatError,
@@ -39,6 +39,7 @@ from .io import (
 from .known_omega import brute_force_known_omega, check_proposition1
 from .rationalize import (
     _implied_posteriors,
+    _projected,
     cell_table,
     check_condition1,
     construct_rationalization,
@@ -291,8 +292,11 @@ def cmd_martingale(args) -> int:
     obs, _ = load_observation(args.observation)
     tol = obs.tol
     if args.weights == "objective":
-        wnums, wden = obs.posteriors.nums, obs.posteriors.den
-        posteriors = obs.posteriors.beliefs
+        # A loaded file's mode sets every tolerance in it, so the check's
+        # tolerance is obs.tol.
+        holds, mean = martingale_check(
+            obs.posteriors.weights, obs.posteriors.beliefs, obs.prior
+        )
         source = "objective posterior weights"
     else:
         if not args.model:
@@ -300,13 +304,15 @@ def cmd_martingale(args) -> int:
                 "--weights subjective-from requires --model MODEL.json"
             )
         model, _ = load_model(args.model)
+        if tuple(model.states) != obs.space:
+            raise StructuralError("posterior space differs from the prior's")
         tol = max(tol, model.tol)
-        active = [c for c in cell_table(model) if c.mu_parts.total]
-        wnums, wden = [c.mu_parts.total for c in active], model.mu0.den
-        posteriors = [c.posterior for c in active]
+        # The cell posteriors under their mu0 masses average to mu0's
+        # projection onto the states, by Bayes' law.
+        mean = _projected([c.mu_parts for c in cell_table(model)], obs.space)
+        holds = _same(mean, obs.prior, tol)
         source = "subjective signal-cell weights from %s" % args.model
-    holds, mean = _martingale(wnums, wden, posteriors, obs.prior, tol)
-    mean = {s: format_number(x, tol) for s, x in zip(obs.space, mean)}
+    mean = _dist_strings(mean, tol)
     payload = {
         "weights": args.weights,
         "holds": holds,

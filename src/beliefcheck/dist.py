@@ -591,11 +591,19 @@ def rn_derivative(prior: Dist, belief: Dist) -> RnDerivative:
     return RnDerivative(prior, belief, best)
 
 
-def _martingale(wnums, wden: int, posteriors: Sequence, prior: Dist, tol):
-    """Mean of the posteriors under the weights wnums[i] / wden, coordinate
-    by coordinate over the prior's space, and whether every coordinate
-    equals the prior's within `tol`. Returns (holds, mean weights); the
-    mean is not required to sum to 1."""
+def martingale_check(
+    weights: Sequence, posteriors: Sequence[Dist], prior: Dist
+):
+    """Mean of the posteriors under `weights` (converted exactly), and
+    whether it equals the prior within the largest tolerance of the prior
+    and the posteriors. Returns (holds, mean_posterior); raises
+    StructuralError when the weights do not sum to 1.
+
+    Takes O(k * n) operations on integers of the lcm of the k posteriors'
+    and the weights' denominators, for n outcomes."""
+    tol = max([prior.tol] + [p.tol for p in posteriors])
+    ratios = [Fraction(w).as_integer_ratio() for w in weights]
+    wnums, wden = _vector(*zip(*ratios)) if ratios else ([], 1)
     if len(wnums) != len(posteriors):
         raise StructuralError(
             "got %d weights for %d posteriors" % (len(wnums), len(posteriors))
@@ -608,21 +616,7 @@ def _martingale(wnums, wden: int, posteriors: Sequence, prior: Dist, tol):
     acc = [sum(map(mul, scale, col)) for col in cols]
     den *= wden
     holds = _close(acc, den, prior.nums, prior.den, tol)
-    return holds, tuple(Fraction(a, den) for a in acc)
-
-
-def martingale_check(
-    weights: Sequence, posteriors: Sequence[Dist], prior: Dist
-):
-    """Mean of the posteriors under `weights` (converted exactly), and
-    whether it equals the prior within the largest tolerance of the prior
-    and the posteriors. Returns (holds, mean_posterior); raises
-    StructuralError when the weights do not sum to 1."""
-    tol = max([prior.tol] + [p.tol for p in posteriors])
-    ratios = [Fraction(w).as_integer_ratio() for w in weights]
-    wnums, wden = _vector(*zip(*ratios)) if ratios else ([], 1)
-    holds, mean = _martingale(wnums, wden, posteriors, prior, tol)
-    return holds, Dist(prior.space, mean)
+    return holds, Dist(prior.space, tuple(Fraction(a, den) for a in acc))
 
 
 @dataclass(frozen=True)

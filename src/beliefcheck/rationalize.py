@@ -26,7 +26,6 @@ from .dist import (
     _close,
     _dist,
     _index_of,
-    _martingale,
     _same,
     group_beliefs,
     rn_derivative,
@@ -386,6 +385,10 @@ class VerifyReport:
     and `subjective_martingale_holds` together are the consistency
     requirement; `objective_agrees_with_prior` is the stronger condition
     that the objective distribution also projects onto the observed prior.
+    `subjective_martingale_holds` always equals `prior_matches`: by Bayes'
+    law the mu0-weighted mean of the cell posteriors is mu0's projection
+    onto the states, so it is reported for the record, not as an
+    independent check.
     """
 
     prior_matches: bool
@@ -431,14 +434,17 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     induced posterior recovers the observed posterior distribution; (d) the
     objective distribution also projects onto the observed prior; (e) the
     signal-weighted average of posteriors under the subjective prior equals
-    the observed prior (the martingale identity). Comparisons are made
-    within the larger of the model's and the observation's tolerance.
+    the observed prior (the martingale identity). By Bayes' law a cell's
+    mu0 mass times its posterior is its mu0 row, so that average is the
+    induced prior of (a), and (e) equals (a). Comparisons are made within
+    the larger of the model's and the observation's tolerance.
 
     Takes O(|omega| + (k + cells) * n) time and memory for k observed
     posteriors over n states: the cell table (see cell_table), one
     grouping of the k observed beliefs with the reached cells' posteriors
     (one dict pass for exact data; see group_beliefs under a tolerance),
-    and the induced priors and the martingale mean from the cell rows.
+    and the two induced priors as column sums of the cell rows, on
+    integers no larger than mu0's and pObj's denominators.
     """
     if tuple(model.states) != obs.space:
         raise StructuralError(
@@ -479,22 +485,12 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     objective_prior = _projected([c.obj_parts for c in cells], obs.space)
     objective_agrees = _same(objective_prior, obs.prior, tol)
 
-    # The mean of the cell posteriors under their mu0 masses.
-    active = [c for c in cells if c.mu_parts.total]
-    martingale_holds, mean = _martingale(
-        [c.mu_parts.total for c in active],
-        model.mu0.den,
-        [c.posterior for c in active],
-        obs.prior,
-        tol,
-    )
-
     return VerifyReport(
         prior_matches=prior_matches,
         posteriors_match=posteriors_match,
         posterior_distribution_matches=distribution_matches,
         objective_agrees_with_prior=objective_agrees,
-        subjective_martingale_holds=martingale_holds,
+        subjective_martingale_holds=prior_matches,
         details={
             "induced_prior": induced_prior,
             "objective_prior": objective_prior,
@@ -503,7 +499,8 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
                 (post, Fraction(mass, obj_den))
                 for post, mass in induced.values()
             ],
-            "mean_posterior": mean,  # weights over obs.space
+            # (e)'s mean: the induced prior, by Bayes' law (see above)
+            "mean_posterior": induced_prior.weights,
         },
     )
 

@@ -151,14 +151,7 @@ def _bucket_tables(thresholds: list) -> tuple:
     return table, codes, addends
 
 
-def _top_byte_table(thresholds: list) -> bytes:
-    """Maps each top byte v of an agent's word to the cell that every word
-    in [v*2^56, (v+1)*2^56) draws, or to _SPLIT when a threshold falls
-    inside that range, so that the word's other bytes decide."""
-    return bytes(_bucket_tables(thresholds)[0])
-
-
-def _cell_counts(chosen: bytearray, table: bytes, cells: int) -> list:
+def _cell_counts(chosen: bytearray, table: bytearray, cells: int) -> list:
     """The number of agents in each of `cells` cells, from each agent's
     cell index in one byte. One C pass per cell, except the cell that
     settles the most top-byte buckets, which likely holds the most agents:
@@ -170,17 +163,14 @@ def _cell_counts(chosen: bytearray, table: bytes, cells: int) -> list:
 
 
 def _choose_by_top_byte(
-    tops: bytearray, words: array, thresholds: list, table: bytes | None = None
+    tops: bytearray, words: array, thresholds: list, table: bytearray
 ):
     """Each agent's cell index, one byte per agent, and the number of agents
     in each cell, for at most _SPLIT cells, from each agent's top byte and
     word. One `bytes.translate` of the top bytes settles most agents; the
     rest take `bisect_right` on their word. Returns None when more than a
     quarter of the agents are left over (many cells), where `bisect_right`
-    on every word is faster. `table` is `_top_byte_table(thresholds)` when
-    already built."""
-    if table is None:
-        table = _top_byte_table(thresholds)
+    on every word is faster. `table` is `_bucket_tables(thresholds)[0]`."""
     chosen = tops.translate(table)
     if 4 * chosen.count(_SPLIT) > len(chosen):
         return None

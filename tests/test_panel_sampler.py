@@ -29,7 +29,6 @@ from beliefcheck.simulate import (
     _bucket_tables,
     _choose_by_carry,
     _choose_by_top_byte,
-    _top_byte_table,
 )
 from genobs import random_observation
 
@@ -123,7 +122,7 @@ class TestTopByteTable:
     @given(thresholds_and_words())
     def test_table_choice_equals_bisect(self, case):
         thresholds, words = case
-        table = _top_byte_table(thresholds)
+        table = _bucket_tables(thresholds)[0]
         for w in words:
             cell = table[w >> 56]
             assert cell == _SPLIT or cell == bisect_right(thresholds, w)
@@ -142,8 +141,8 @@ class TestTopByteTable:
         rng.shuffle(words)
         tops = bytearray(w >> 56 for w in words)
         expected = [bisect_right(thresholds, w) for w in words]
-        chosen = _choose_by_top_byte(tops, words, thresholds)
-        table = _top_byte_table(thresholds)
+        table = _bucket_tables(thresholds)[0]
+        chosen = _choose_by_top_byte(tops, words, thresholds, table)
         left = sum(table[t] == _SPLIT for t in tops)
         if 4 * left > len(words):
             assert chosen is None
@@ -169,7 +168,8 @@ class TestTopByteTable:
         words = [rng.randrange(lo, 2**64) for _ in range(1000)]
         words += [lo, lo + 1, 2**64 - 1]
         tops = bytearray(w >> 56 for w in words)
-        codes, counts = _choose_by_top_byte(tops, words, thresholds)
+        table = _bucket_tables(thresholds)[0]
+        codes, counts = _choose_by_top_byte(tops, words, thresholds, table)
         expected = [bisect_right(thresholds, w) for w in words]
         assert list(codes) == expected
         assert counts == [expected.count(j) for j in range(len(thresholds))]
@@ -211,9 +211,9 @@ class TestSameAsReference:
 
     @pytest.mark.parametrize("m", [40, 200, 255, 256, 300])
     def test_many_cells(self, m):
-        # 40 cells split 38 top-byte buckets, about 15% of the agents; 200
-        # or 255 split more than a quarter, so every agent is bisected; 256
-        # or more do not fit the one-byte codes
+        # 40, 200 and 255 cells split at least _CARRY_SPLITS top-byte
+        # buckets, so the carry pass draws them; 256 or more do not fit the
+        # one-byte codes, so every agent is bisected
         model = cell_model(random_masses(random.Random(m), m))
         assert len(reachable_cells(model)) == m
         for seed in (0, 9):
@@ -389,7 +389,7 @@ class TestCarryPass:
         for c in cells:
             running += c.obj_mass
             thresholds.append(ceil(running * 2**64))
-        split = _top_byte_table(thresholds).count(_SPLIT)
+        split = _bucket_tables(thresholds)[0].count(_SPLIT)
         assert split >= _CARRY_SPLITS
         support, index = group_beliefs([c.posterior for c in cells])
         for seed in (0, 2**64 - 1):

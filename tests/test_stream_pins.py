@@ -123,12 +123,12 @@ def test_carry_pass_reads_the_pinned_words():
     from beliefcheck.simulate import (
         _CARRY_SPLITS,
         _SPLIT,
+        _bucket_tables,
         _draw_panel,
-        _top_byte_table,
     )
 
     thresholds = carry_thresholds()
-    assert _top_byte_table(thresholds).count(_SPLIT) >= _CARRY_SPLITS
+    assert _bucket_tables(thresholds)[0].count(_SPLIT) >= _CARRY_SPLITS
     masses = [
         Fraction(hi - lo, 2**64)
         for lo, hi in zip([0] + thresholds, thresholds)
