@@ -10,29 +10,28 @@ i mod 8192 of ``shake_128(seed.to_bytes(8, "big") + (i // 8192).to_bytes(8,
 A shorter squeeze is the start of a longer one, so the bits depend only on
 (seed, i). The XOF and the chunk size are part of the stream's definition.
 An agent draws the first cell whose cumulative objective mass exceeds its
-bits / 2^64. A 256-entry table on the word's top byte settles that choice
-for most agents in one `bytes.translate` of the top bytes, which are
-sliced from the squeezes as they are written; agents whose top byte a
-cell boundary splits take `bisect_right` on the whole word, the same
-rule. When the table splits 10 or more buckets, a carry pass replaces
-that loop and never builds the array of words: per squeeze, one 16-bit
-lane per agent holds its bucket's first cell over its word's second
-byte, and one integer addition carries a lane into the next cell where
-that byte exceeds the second byte of the bucket's threshold. Only the
-words of a bucket with two or more thresholds and those whose lane's
-low byte reads 0xFF take `bisect_right`: words tied with their bucket's
-threshold on the top two bytes, and the 1/256 of an unsplit bucket's
-words whose second byte is 0xFF. The cells' counts are then taken in
-one C pass over the chosen bytes per cell.
+bits / 2^64. The draw runs one squeeze at a time. Below 256 reached cells
+one of two rules settles most agents of a squeeze from the top bytes
+sliced out of it, and the rest take `bisect_right` on their whole word,
+read from the squeeze's words. The table rule is one `bytes.translate`
+of the top bytes through a 256-entry table of the cell each top byte
+settles; it leaves the agents whose top byte a cell boundary splits.
+From 10 such split buckets on, the carry rule takes over: one 16-bit lane
+per agent holds its bucket's first cell over its word's second byte, and
+one integer addition carries a lane into the next cell where that byte
+exceeds the second byte of the bucket's threshold. It leaves only the
+words of a bucket with two or more thresholds and the words tied with
+their bucket's threshold on the top two bytes. The cells' counts are
+then taken in one C pass over the chosen bytes per cell. With 256 or
+more reached cells every word takes `bisect_right`.
 
-Drawing takes about 10.0 bytes per agent at its peak below 10 split
-buckets, about 2.1 with the carry pass, and about 12.3 with 256 or more
-reached cells (tracemalloc at 10^6 agents). A panel keeps each agent's
-chosen cell in one byte while the model reaches fewer than 256 cells,
-else in four; its `draws` are read through that array. A panel of 10^7
-agents takes about 0.5 s on a two-cell model, 0.8 s on an eight-cell one
-and 0.85 s on a 32-cell one (Python 3.11.7, one core of a shared 2-vCPU
-host).
+Drawing takes about 2.1 bytes per agent at its peak below 256 reached
+cells and about 4.4 with more (tracemalloc at 10^6 agents). A panel keeps
+each agent's chosen cell in one byte while the model reaches fewer than
+256 cells, else in four; its `draws` are read through that array. A
+panel of 10^7 agents takes about 0.35-0.45 s on a two-cell model,
+0.6-0.75 s on an eight-cell one, 0.8-1.05 s on a 32-cell one and 4.6 s on
+a 300-cell one (Python 3.11.7, one core of a shared 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -59,21 +58,22 @@ _WORD = 8  # bytes per agent's word
 # The top-byte table's mark for a bucket that a threshold splits. Cell
 # indices below it fit the table's one-byte codes.
 _SPLIT = 255
-# Finds _SPLIT in the top-byte table's codes, and both _SPLIT and a tie in
-# the carry pass's lanes.
+# Finds _SPLIT in the table rule's cells, and both _SPLIT and a tie in the
+# carry rule's lanes.
 _MARK = re.compile(bytes([_SPLIT]))
-# Split top-byte buckets from which the carry pass replaces bisecting their
-# agents one by one. Its byte work per agent is fixed, the loop's grows by
-# about 1/256 of the agents per split bucket. On 10^5 agents the loop was
-# 5-15% faster at 7 split buckets, the two took the same time at 9 and
-# 10, and the carry pass was 3-15% faster from 11 on (medians of 15,
-# Python 3.11.7, shared 2-vCPU host), so a model of up to 10 cells keeps
-# the loop.
+# Split top-byte buckets from which the carry rule replaces the table rule.
+# Its byte work per agent is fixed, the table rule's bisecting grows by
+# about 1/256 of the agents per split bucket. On 10^5 agents (`_choose` on
+# prebuilt squeezes, medians of 15, three runs, Python 3.11.7, shared
+# 2-vCPU host; table vs carry) 7 split buckets took 3.8-4.4 vs 4.2-4.9 ms,
+# 8 and 9 took the same time within 0.25 ms, 10 took 5.1-5.2 vs 4.3-5.1 ms,
+# 12 took 5.7-6.2 vs 5.2-5.5 ms and 32 took 12.3-13.5 vs 6.5-7.2 ms, so a
+# model of up to 10 cells keeps the table rule.
 _CARRY_SPLITS = 10
 
-#: Largest panel `simulate_panel` draws. Drawing peaks near 10 bytes per
-#: agent, 12.3 with 256 or more reached cells (see the module docstring),
-#: so this caps it near 125 MB and about 0.5-0.9 s on two to 32 cells.
+#: Largest panel `simulate_panel` draws. Drawing peaks near 2.1 bytes per
+#: agent, 4.4 with 256 or more reached cells (see the module docstring),
+#: so this caps it near 45 MB and about 0.35-1.05 s on two to 32 cells.
 MAX_AGENTS = 10**7
 
 
@@ -90,26 +90,9 @@ def _squeezes(seed: int, lo: int, hi: int):
         yield squeezed[_WORD * max(lo - start, 0) :]
 
 
-def _digest_words(seed: int, lo: int, hi: int) -> tuple:
-    """The words of agents [lo, hi) as the squeezes hold them, in one array
-    of 64-bit words: each word big-endian, so on a little-endian host the
-    values are byte-swapped. Each squeeze is written straight into the
-    preallocated array. Also returns each agent's top byte, one byte per
-    agent, sliced from every eighth byte of the same squeezes."""
-    words = array("Q", [0]) * (hi - lo)
-    tops = bytearray(hi - lo)
-    with memoryview(words) as view, view.cast("B") as out:
-        at = 0
-        for squeezed in _squeezes(seed, lo, hi):
-            end = at + len(squeezed)
-            out[at:end] = squeezed
-            tops[at // _WORD : end // _WORD] = squeezed[::_WORD]
-            at = end
-    return words, tops
-
-
-def _native(words: array) -> array:
-    """Read big-endian words in place as integers."""
+def _words(squeezed: bytes) -> array:
+    """A squeeze's big-endian words, read in place as integers."""
+    words = array("Q", squeezed)
     if sys.byteorder == "little":
         words.byteswap()
     return words
@@ -118,7 +101,7 @@ def _native(words: array) -> array:
 def _agent_bits(seed: int, lo: int, hi: int) -> array:
     """64 uniform bits for each agent in [lo, hi), as a pure function of
     (seed, agent index): the panel stream of the module docstring."""
-    return _native(_digest_words(seed, lo, hi)[0])
+    return _words(b"".join(_squeezes(seed, lo, hi)))
 
 
 def _bucket_tables(thresholds: list) -> tuple:
@@ -128,9 +111,9 @@ def _bucket_tables(thresholds: list) -> tuple:
     - the top-byte table: the cell that every word in [v*2^56,
       (v+1)*2^56) draws, or _SPLIT when a threshold falls inside that
       range, so that the word's other bytes decide;
-    - the carry pass's codes: the bucket's first cell, or _SPLIT when two
+    - the carry rule's codes: the bucket's first cell, or _SPLIT when two
       or more thresholds fall inside it;
-    - the carry pass's addends: 255 - s for a bucket with one inner
+    - the carry rule's addends: 255 - s for a bucket with one inner
       threshold t whose second byte is s, else 0. Added to a word's
       second byte b, it carries exactly when b > s, where the word lies
       above t; the sum's low byte reads 0xFF when b == s, a tie that the
@@ -162,93 +145,65 @@ def _cell_counts(chosen: bytearray, table: bytearray, cells: int) -> list:
     return counts
 
 
-def _choose_by_top_byte(
-    tops: bytearray, words: array, thresholds: list, table: bytearray
-):
-    """Each agent's cell index, one byte per agent, and the number of agents
-    in each cell, for at most _SPLIT cells, from each agent's top byte and
-    word. One `bytes.translate` of the top bytes settles most agents; the
-    rest take `bisect_right` on their word. Returns None when more than a
-    quarter of the agents are left over (many cells), where `bisect_right`
-    on every word is faster. `table` is `_bucket_tables(thresholds)[0]`."""
-    chosen = tops.translate(table)
-    if 4 * chosen.count(_SPLIT) > len(chosen):
-        return None
-    # Patching a found mark leaves the scan ahead of it unchanged.
+def _choose(squeezes, n_agents: int, thresholds: list, carry=None) -> tuple:
+    """The cell index of each of the n_agents agents whose words the
+    squeezes hold, 8 big-endian bytes each, in an array of one byte each
+    below 256 cells, else four, and the number of agents in each cell.
+
+    With 256 or more cells every word takes `bisect_right`. Below that,
+    each squeeze's slice of the chosen bytes comes from its agents' top
+    bytes, by the carry rule when the top-byte table splits at least
+    _CARRY_SPLITS buckets, else by the table rule (`carry` forces either):
+
+    - the table rule translates the top bytes through the top-byte table,
+      which marks the agents of a split bucket with _SPLIT;
+    - the carry rule reads one big-endian 16-bit lane per agent, the code
+      of its bucket over its second byte, as one integer and adds the
+      addends of the agents' top bytes to the low bytes; the sum's high
+      bytes, carried where the threshold lies at or below the word, are
+      the cells. A high byte _SPLIT (two or more thresholds in the bucket)
+      or a low byte 0xFF (a tie on the top two bytes) marks a lane, except
+      a low byte 0xFF in a bucket the table settles, where it is a second
+      byte 0xFF and the cell is already right.
+
+    Marked agents take `bisect_right` on their word, read from the
+    squeeze's words, which are built only for a squeeze with a mark."""
+    cells = len(thresholds)
     cell_of = partial(bisect_right, thresholds)
-    for match in _MARK.finditer(chosen):
-        i = match.start()
-        chosen[i] = cell_of(words[i])
-    return chosen, _cell_counts(chosen, table, len(thresholds))
-
-
-def _choose_by_carry(
-    squeezes, n_agents: int, thresholds: list, tables: tuple
-) -> tuple:
-    """`_choose_by_top_byte` for the agents whose words the squeezes hold,
-    8 big-endian bytes each, without an array of the words; `tables` is
-    `_bucket_tables(thresholds)`. For each squeeze, one big-endian 16-bit
-    lane per agent holds the code of its top byte's bucket over its second
-    byte. The lanes are read as one integer, the addends of the agents'
-    top bytes are added to their low bytes, and the sum's high bytes,
-    carried where the threshold lies at or below the word, are the cells.
-    Agents of a bucket with two or more inner thresholds (high byte
-    _SPLIT) and agents whose low byte reads 0xFF (a tie with the bucket's
-    threshold, or a second byte 0xFF in an unsplit bucket) take
-    `bisect_right` on their word, read from the squeeze."""
-    table, codes, addends = tables
+    if cells > _SPLIT:
+        chosen = array("I")
+        for squeezed in squeezes:
+            chosen.extend(map(cell_of, _words(squeezed)))
+        tally = Counter(chosen)
+        return chosen, [tally[j] for j in range(cells)]
+    table, codes, addends = _bucket_tables(thresholds)
+    if carry is None:
+        carry = table.count(_SPLIT) >= _CARRY_SPLITS
     chosen = bytearray(n_agents)
-    cell_of = partial(bisect_right, thresholds)
     at = 0
     for squeezed in squeezes:
         tops = squeezed[::_WORD]
-        size = 2 * len(tops)
-        lane, carry = bytearray(size), bytearray(size)
-        lane[::2] = tops.translate(codes)
-        lane[1::2] = squeezed[1::_WORD]
-        carry[1::2] = tops.translate(addends)
-        lanes = int.from_bytes(lane, "big") + int.from_bytes(carry, "big")
-        lanes = lanes.to_bytes(size, "big")
-        chosen[at : at + len(tops)] = lanes[::2]
-        for match in _MARK.finditer(lanes):
-            i = match.start() >> 1
-            word = squeezed[_WORD * i : _WORD * (i + 1)]
-            chosen[at + i] = cell_of(int.from_bytes(word, "big"))
-        at += len(tops)
-    return chosen, _cell_counts(chosen, table, len(thresholds))
-
-
-def _choose(seed: int, n_agents: int, thresholds: list) -> tuple:
-    """The cell index of each of agents [0, n_agents), in an array of one
-    byte each below 256 cells, else four, and the number of agents in
-    each cell: by the carry pass when the top-byte table splits at least
-    _CARRY_SPLITS buckets, else by the top-byte table, else by
-    `bisect_right` on every word."""
-    cells, table = len(thresholds), None
-    if cells <= _SPLIT:
-        tables = _bucket_tables(thresholds)
-        table = tables[0]
-        if table.count(_SPLIT) >= _CARRY_SPLITS:
-            squeezes = _squeezes(seed, 0, n_agents)
-            chosen, counts = _choose_by_carry(
-                squeezes, n_agents, thresholds, tables
-            )
-            return array("B", chosen), counts
-    words, tops = _digest_words(seed, 0, n_agents)
-    _native(words)
-    by_top_byte = None
-    if table is not None:
-        by_top_byte = _choose_by_top_byte(tops, words, thresholds, table)
-    del tops
-    if by_top_byte is None:
-        chosen = array(
-            "B" if cells <= _SPLIT else "I",
-            map(partial(bisect_right, thresholds), words),
-        )
-        tally = Counter(chosen)
-        return chosen, [tally[j] for j in range(cells)]
-    del words
-    return array("B", by_top_byte[0]), by_top_byte[1]
+        end = at + len(tops)
+        if carry:
+            size = 2 * len(tops)
+            lane, addend = bytearray(size), bytearray(size)
+            lane[::2] = tops.translate(codes)
+            lane[1::2] = squeezed[1::_WORD]
+            addend[1::2] = tops.translate(addends)
+            lanes = int.from_bytes(lane, "big") + int.from_bytes(addend, "big")
+            lanes = lanes.to_bytes(size, "big")
+            chosen[at:end] = lanes[::2]
+            marks = [m.start() >> 1 for m in _MARK.finditer(lanes)]
+            marks = [i for i in marks if table[tops[i]] == _SPLIT]
+        else:
+            chosen[at:end] = tops.translate(table)
+            marks = [m.start() - at for m in _MARK.finditer(chosen, at, end)]
+        if marks:
+            words = _words(squeezed)
+            for i in marks:
+                chosen[at + i] = cell_of(words[i])
+        at = end
+    return array("B", chosen), _cell_counts(chosen, table, cells)
 
 
 class Draws(Sequence):
@@ -313,15 +268,14 @@ def simulate_panel(model: Model, n_agents: int, seed: int) -> PanelSample:
     cell table, where the n_agents * cells part is byte work in C: one
     counting pass over the chosen bytes per cell, below 256 reached
     cells. Hashing is one squeeze, in C, per 8192 agents. The work per
-    agent in Python is `bisect_right` for the agents the top-byte table
-    leaves over: about (cells - 1)/256 of them below 10 split top-byte
-    buckets; with more, the carry pass leaves about 1/256 of them, plus
-    those of buckets with two or more thresholds; all of them with 256 or
-    more reached cells. Memory peaks near 10 bytes per agent below 10
-    split buckets, 2.1 with the carry pass and 12.3 with 256 or more
-    reached cells; the panel keeps 1 byte per agent below 256 reached
-    cells, else 4. 10^7 agents take about 0.5 s on two cells and 0.85 s
-    on 32.
+    agent in Python is `bisect_right` for the agents the top bytes leave
+    over: about (cells - 1)/256 of them below 10 split top-byte buckets;
+    with more, about 1/65536 of them per split bucket plus those of
+    buckets with two or more thresholds; all of them with 256 or more
+    reached cells. Memory peaks near 2.1 bytes per agent below 256
+    reached cells and 4.4 with more; the panel keeps 1 byte per agent
+    below 256 reached cells, else 4. 10^7 agents take about 0.35-0.45 s
+    on two cells and 0.8-1.05 s on 32.
     """
     return _draw_panel(model, n_agents, seed)[0]
 
@@ -357,7 +311,8 @@ def _draw_panel(model: Model, n_agents: int, seed: int):
         running += c.obj_parts.total
         thresholds.append(-(-running * _SCALE // den))
 
-    chosen, cell_counts = _choose(seed, n_agents, thresholds)
+    squeezes = _squeezes(seed, 0, n_agents)
+    chosen, cell_counts = _choose(squeezes, n_agents, thresholds)
     counts = [0] * len(support)
     for index, count in zip(cell_post_index, cell_counts):
         counts[index] += count

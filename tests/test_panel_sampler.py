@@ -1,10 +1,11 @@
 """The panel sampler against a plain reference: one SHAKE-128 squeeze
-per agent and `bisect_right` on every agent's word. The
-sampler's top-byte table must choose the same cell for every word, so
-every panel comes out the same."""
+per agent and `bisect_right` on every agent's word. The sampler's table
+and carry rules must choose the same cell for every word, so every panel
+comes out the same."""
 
 import hashlib
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +19,7 @@ from beliefcheck import (
     Dist,
     Model,
     construct_rationalization,
+    simulate,
     simulate_panel,
 )
 from beliefcheck.cli import main
@@ -26,9 +28,10 @@ from beliefcheck.rationalize import reachable_cells
 from beliefcheck.simulate import (
     _CARRY_SPLITS,
     _SPLIT,
+    _agent_bits,
     _bucket_tables,
-    _choose_by_carry,
-    _choose_by_top_byte,
+    _choose,
+    _squeezes,
 )
 from genobs import random_observation
 
@@ -117,6 +120,22 @@ def thresholds_and_words(draw):
     return thresholds, sorted(words)
 
 
+def choose(words, thresholds, carry, cuts=()):
+    """`_choose` by the carry rule or the table rule on the words, 8
+    big-endian bytes each, cut into squeezes after the agents at `cuts`."""
+    data = b"".join(w.to_bytes(8, "big") for w in words)
+    bounds = [0] + list(cuts) + [len(words)]
+    squeezes = [data[8 * a : 8 * b] for a, b in zip(bounds, bounds[1:])]
+    return _choose(squeezes, len(words), thresholds, carry)
+
+
+def assert_choice_equals_bisect(thresholds, words, carry, cuts=()):
+    chosen, counts = choose(words, thresholds, carry, cuts)
+    expected = [bisect_right(thresholds, w) for w in words]
+    assert list(chosen) == expected
+    assert counts == [expected.count(j) for j in range(len(thresholds))]
+
+
 class TestTopByteTable:
     @settings(max_examples=300, deadline=None)
     @given(thresholds_and_words())
@@ -136,20 +155,9 @@ class TestTopByteTable:
     def test_chosen_cells_and_counts_equal_bisect(self, case, seed):
         thresholds, words = case
         rng = random.Random(seed)
-        # mostly words of settled buckets, so the table path is taken
         words = words + [rng.randrange(2**64) for _ in range(4 * len(words))]
         rng.shuffle(words)
-        tops = bytearray(w >> 56 for w in words)
-        expected = [bisect_right(thresholds, w) for w in words]
-        table = _bucket_tables(thresholds)[0]
-        chosen = _choose_by_top_byte(tops, words, thresholds, table)
-        left = sum(table[t] == _SPLIT for t in tops)
-        if 4 * left > len(words):
-            assert chosen is None
-            return
-        codes, counts = chosen
-        assert list(codes) == expected
-        assert counts == [expected.count(j) for j in range(len(thresholds))]
+        assert_choice_equals_bisect(thresholds, words, carry=False)
 
     @pytest.mark.parametrize(
         "thresholds, lo",
@@ -167,13 +175,14 @@ class TestTopByteTable:
         rng = random.Random(1)
         words = [rng.randrange(lo, 2**64) for _ in range(1000)]
         words += [lo, lo + 1, 2**64 - 1]
-        tops = bytearray(w >> 56 for w in words)
-        table = _bucket_tables(thresholds)[0]
-        codes, counts = _choose_by_top_byte(tops, words, thresholds, table)
         expected = [bisect_right(thresholds, w) for w in words]
-        assert list(codes) == expected
-        assert counts == [expected.count(j) for j in range(len(thresholds))]
-        assert counts[0] == (len(words) if len(thresholds) == 1 else 0)
+        for carry in (False, True):
+            codes, counts = choose(words, thresholds, carry)
+            assert list(codes) == expected
+            assert counts == [
+                expected.count(j) for j in range(len(thresholds))
+            ]
+            assert counts[0] == (len(words) if len(thresholds) == 1 else 0)
 
 
 class TestSameAsReference:
@@ -212,7 +221,7 @@ class TestSameAsReference:
     @pytest.mark.parametrize("m", [40, 200, 255, 256, 300])
     def test_many_cells(self, m):
         # 40, 200 and 255 cells split at least _CARRY_SPLITS top-byte
-        # buckets, so the carry pass draws them; 256 or more do not fit the
+        # buckets, so the carry rule draws them; 256 or more do not fit the
         # one-byte codes, so every agent is bisected
         model = cell_model(random_masses(random.Random(m), m))
         assert len(reachable_cells(model)) == m
@@ -220,6 +229,32 @@ class TestSameAsReference:
             assert_same_as_reference(model, 2001, seed)
         panel = simulate_panel(model, 2001, 9)
         assert panel.draws._chosen.itemsize == (1 if m < 256 else 4)
+
+
+def traced_peak(model, n_agents):
+    tracemalloc.start()
+    try:
+        simulate_panel(model, n_agents, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_draw_peaks_near_two_bytes_per_agent():
+    # Per agent: the chosen cells in one byte, the panel's copy of them and
+    # one squeeze's buffers; four bytes from 256 cells on. The peak of a
+    # one-agent panel holds the model's cell table, whose objects' size
+    # differs between Python versions (134 KB on 300 cells on 3.11).
+    n_agents = 200_000
+    cases = []
+    for k in (2, 8, 32):
+        obs = random_observation(random.Random(k), 4, k)
+        cases.append((construct_rationalization(obs), k, 3))
+    cases.append((cell_model(random_masses(random.Random(300), 300)), 300, 6))
+    for model, cells, bound in cases:
+        assert len(reachable_cells(model)) == cells
+        peak = traced_peak(model, n_agents) - traced_peak(model, 1)
+        assert peak < bound * n_agents, (cells, peak / n_agents)
 
 
 class TestThresholdFlag:
@@ -324,31 +359,15 @@ def carry_cases(draw):
     return thresholds, words, cuts
 
 
-def carry(words, cuts, thresholds):
-    """`_choose_by_carry` on the words, 8 big-endian bytes each, cut into
-    squeezes after the agents at `cuts`."""
-    data = b"".join(w.to_bytes(8, "big") for w in words)
-    bounds = [0] + cuts + [len(words)]
-    squeezes = [data[8 * a : 8 * b] for a, b in zip(bounds, bounds[1:])]
-    tables = _bucket_tables(thresholds)
-    return _choose_by_carry(squeezes, len(words), thresholds, tables)
-
-
-def assert_carry_equals_bisect(thresholds, words, cuts=()):
-    chosen, counts = carry(words, list(cuts), thresholds)
-    expected = [bisect_right(thresholds, w) for w in words]
-    assert list(chosen) == expected
-    assert counts == [expected.count(j) for j in range(len(thresholds))]
-
-
 class TestCarryPass:
-    """The carry pass chooses `bisect_right(thresholds, word)` for every
+    """The carry rule chooses `bisect_right(thresholds, word)` for every
     word, and counts the agents of each cell from those choices."""
 
     @settings(max_examples=300, deadline=None)
     @given(carry_cases())
     def test_codes_and_counts_equal_bisect(self, case):
-        assert_carry_equals_bisect(*case)
+        thresholds, words, cuts = case
+        assert_choice_equals_bisect(thresholds, words, True, cuts)
 
     @pytest.mark.parametrize(
         "inner",
@@ -379,10 +398,35 @@ class TestCarryPass:
                 for r in {0, low - 1, low, low + 1, SECOND - 1}:
                     if 0 <= r < SECOND:
                         words.add(head + u * SECOND + r)
-        assert_carry_equals_bisect(thresholds, sorted(words), [100, 600])
+        words = sorted(words)
+        assert_choice_equals_bisect(thresholds, words, True, [100, 600])
+
+    @pytest.mark.parametrize(
+        "thresholds",
+        [[2**64], [128 * TOP, 192 * TOP, 193 * TOP, 2**64]],
+    )
+    def test_settled_buckets_are_never_bisected(self, thresholds, monkeypatch):
+        # every bucket is settled, so no word is bisected, not even the
+        # 1/256 of them whose second byte is 0xFF and whose lane's low byte
+        # reads 0xFF
+        n = 3 * 8192 + 5
+        words = list(_agent_bits(0, 0, n))
+        assert sum(w >> 48 & 0xFF == 0xFF for w in words) > 50
+        expected = [bisect_right(thresholds, w) for w in words]
+
+        def refuse(*args):
+            raise AssertionError("bisect_right called")
+
+        monkeypatch.setattr(simulate, "bisect_right", refuse)
+        for carry in (False, True):
+            chosen, counts = _choose(_squeezes(0, 0, n), n, thresholds, carry)
+            assert list(chosen) == expected
+            assert counts == [
+                expected.count(j) for j in range(len(thresholds))
+            ]
 
     def test_panels_on_either_side_of_a_squeeze_edge(self):
-        # 40 cells split 38 top-byte buckets, so the carry pass draws them
+        # 40 cells split 38 top-byte buckets, so the carry rule draws them
         model = cell_model(random_masses(random.Random(40), 40))
         cells = reachable_cells(model)
         thresholds, running = [], Fraction(0)

@@ -7,9 +7,10 @@ the first words at seeds 0 and 2^64 - 1 and the words on either side of
 the first chunk edge (agents 8191 and 8192), so a SHA-3 backend that
 squeezed differently, or a sampler that cut chunks elsewhere, shows up
 here. A two-cell panel at both seeds checks the top bytes the sampler
-slices from the same squeezes, and a 40-cell panel the carry pass that
-reads each word's second byte. The file needs only the standard library
-and also runs as a script, without site-packages:
+slices from the same squeezes, a 40-cell panel the carry rule that reads
+each word's second byte, and a 300-cell panel the words that the sampler
+reads from each squeeze to bisect every agent. The file needs only the
+standard library and also runs as a script, without site-packages:
 
     python -S tests/test_stream_pins.py
 """
@@ -115,26 +116,19 @@ def carry_thresholds():
     return sorted(inner) + [2**64]
 
 
-def test_carry_pass_reads_the_pinned_words():
-    from bisect import bisect_right
+def threshold_model(thresholds):
+    """A model with one signal cell per threshold, times 2^64, whose
+    objective mass is the gap below it."""
     from fractions import Fraction
 
     from beliefcheck import Dist, Model
-    from beliefcheck.simulate import (
-        _CARRY_SPLITS,
-        _SPLIT,
-        _bucket_tables,
-        _draw_panel,
-    )
 
-    thresholds = carry_thresholds()
-    assert _bucket_tables(thresholds)[0].count(_SPLIT) >= _CARRY_SPLITS
     masses = [
         Fraction(hi - lo, 2**64)
         for lo, hi in zip([0] + thresholds, thresholds)
     ]
     omega = tuple("w%d" % j for j in range(len(masses)))
-    model = Model(
+    return Model(
         states=("H", "L"),
         omega=omega,
         projection={w: "HL"[j % 2] for j, w in enumerate(omega)},
@@ -142,13 +136,42 @@ def test_carry_pass_reads_the_pinned_words():
         mu0=Dist(omega, tuple(Fraction(1, len(omega)) for _ in omega)),
         pObj=Dist(omega, tuple(masses)),
     )
+
+
+def assert_panel_bisects_the_pinned_words(thresholds):
+    from bisect import bisect_right
+
+    from beliefcheck.simulate import _draw_panel
+
+    model = threshold_model(thresholds)
     for seed in (0, 2**64 - 1):
         panel, cells = _draw_panel(model, 8194, seed)
-        assert len(cells) == 40
+        assert len(cells) == len(thresholds)
         for (s, i), word in PINS.items():
             if s == seed:
                 cell = cells[bisect_right(thresholds, word)]
                 assert panel.draws[i][0] == cell.label
+
+
+def test_carry_pass_reads_the_pinned_words():
+    from beliefcheck.simulate import _CARRY_SPLITS, _SPLIT, _bucket_tables
+
+    thresholds = carry_thresholds()
+    assert len(thresholds) == 40
+    assert _bucket_tables(thresholds)[0].count(_SPLIT) >= _CARRY_SPLITS
+    assert_panel_bisects_the_pinned_words(thresholds)
+
+
+def test_many_cell_panel_reads_the_pinned_words():
+    # 300 cells do not fit one-byte codes, so every agent's word is read
+    # from its squeeze's words and bisected. Each pinned word is itself a
+    # threshold, and so is the word one above it: a word read in the
+    # wrong byte order, or from the wrong agent, draws another cell.
+    pinned = set(PINS.values()) | {word + 1 for word in PINS.values()}
+    spread = {(j << 64) // 276 for j in range(1, 276)}
+    thresholds = sorted(pinned | spread) + [2**64]
+    assert len(thresholds) == 300
+    assert_panel_bisects_the_pinned_words(thresholds)
 
 
 if __name__ == "__main__":
@@ -158,4 +181,5 @@ if __name__ == "__main__":
     test_sampler_reads_the_pinned_words()
     test_two_cell_panel_reads_the_pinned_top_bits()
     test_carry_pass_reads_the_pinned_words()
+    test_many_cell_panel_reads_the_pinned_words()
     print("stream pins hold on Python %s" % sys.version.split()[0])
