@@ -304,7 +304,7 @@ def cmd_martingale(args) -> int:
                 "--weights subjective-from requires --model MODEL.json"
             )
         model, _ = load_model(args.model)
-        if tuple(model.states) != obs.space:
+        if model.states != obs.space:
             raise StructuralError("posterior space differs from the prior's")
         tol = max(tol, model.tol)
         # The cell posteriors under their mu0 masses average to mu0's

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from numbers import Rational
-from operator import mul
+from operator import floordiv, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -67,11 +68,13 @@ def _shown(num: int, den: int, tol) -> str:
     return str(num / den) if tol else str(Fraction(num, den))
 
 
-def _vector(nums: Sequence, dens: Sequence) -> tuple:
-    """Reduced ratios nums[i] / dens[i] as integer numerators over the lcm
-    of the denominators: returns (numerators, lcm)."""
+def _vector(pairs: list) -> tuple:
+    """Reduced (numerator, denominator) pairs as integer numerators over
+    the lcm of the denominators: returns (numerators, lcm), ([], 1) for no
+    pairs."""
+    nums, dens = zip(*pairs) if pairs else ((), ())
     den = lcm(*dens)
-    return [n * (den // d) for n, d in zip(nums, dens)], den
+    return list(map(mul, nums, map(floordiv, repeat(den), dens))), den
 
 
 def _close(a: Sequence, da: int, b: Sequence, db: int, tol) -> bool:
@@ -149,7 +152,7 @@ class Dist:
                 "space has %d outcomes but %d weights were given"
                 % (len(space), len(ratios))
             )
-        nums, den = _vector(*zip(*ratios)) if ratios else ([], 1)
+        nums, den = _vector(ratios)
         self._settle_vector(space, nums, den, tol, index, given)
 
     def _settle_vector(self, space, nums, den, tol, index, given) -> None:
@@ -602,8 +605,7 @@ def martingale_check(
     Takes O(k * n) operations on integers of the lcm of the k posteriors'
     and the weights' denominators, for n outcomes."""
     tol = max([prior.tol] + [p.tol for p in posteriors])
-    ratios = [Fraction(w).as_integer_ratio() for w in weights]
-    wnums, wden = _vector(*zip(*ratios)) if ratios else ([], 1)
+    wnums, wden = _vector([Fraction(w).as_integer_ratio() for w in weights])
     if len(wnums) != len(posteriors):
         raise StructuralError(
             "got %d weights for %d posteriors" % (len(wnums), len(posteriors))

@@ -35,11 +35,11 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, isinf, lcm
-from operator import floordiv, itemgetter, mul
+from math import gcd, isinf
+from operator import itemgetter
 from typing import Tuple
 
-from .dist import _TOL, Dist, Observation, WeightedPosteriors
+from .dist import _TOL, Dist, Observation, WeightedPosteriors, _vector
 from .errors import FormatError, StructuralError
 from .rationalize import Model
 
@@ -158,9 +158,7 @@ def _numbers(raw: dict, mode: str, seen: dict) -> tuple:
             pairs.append(pair)
     except _Misplaced as err:
         raise _Misplaced(err.message, ".%s" % key) from None
-    nums, dens = zip(*pairs) if pairs else ((), ())
-    den = lcm(*dens)
-    return list(map(mul, nums, map(floordiv, repeat(den), dens))), den
+    return _vector(pairs)
 
 
 def format_number(x: Fraction, tol: Fraction) -> str:
@@ -497,8 +495,8 @@ def _omega_columns(raw_omega: list, states: tuple, where: str) -> list:
 
 def load_model(path) -> Tuple[Model, str]:
     """Read a model file; returns (model, mode). Takes time and memory
-    linear in the file's size, plus one parse per distinct number
-    string."""
+    linear in the file's size, plus one parse per distinct number string;
+    Model's checks are O(|omega| + cells) set operations of that."""
     data = _load_json(path)
     where = str(path)
     mode = _parse_mode(data, where)
@@ -565,9 +563,7 @@ def load_model(path) -> Tuple[Model, str]:
                 " 'omega'" % where
             )
 
-    # The entries above give a partition of omega and a projection into
-    # the states, checked as columns, so Model need not check them.
-    model = Model._assembled(
+    model = Model(
         states=states,
         omega=omega,
         projection=dict(zip(omega, projected)),

@@ -70,11 +70,13 @@ class Model:
     distribution used by the construction, when there was one. `tol` is
     TOL for float-origin data, else 0 (by default, `mu0`'s or `pObj`'s).
 
-    The constructor checks that mu0 and pObj live on omega, that the
-    partition's cells are non-empty, disjoint and cover omega, and that the
-    projection sends omega into the states. `load_model` and
-    `construct_rationalization` build their models by `_assembled`
-    instead: they own those checks for what they build.
+    The constructor is the only way to build a Model, and every model
+    passes its checks: mu0 and pObj live on omega, the partition's cells
+    are non-empty, disjoint and cover omega, the projection sends omega
+    into the states, and the states are distinct non-empty labels.
+    `states` and `omega` are stored as tuples. The checks are whole-column
+    set operations, O(|omega| + cells) of them; only a failed one scans
+    omega, to name the first bad outcome.
     """
 
     states: tuple
@@ -87,48 +89,37 @@ class Model:
     tol: Optional[Fraction] = None
 
     def __post_init__(self):
-        omega = tuple(self.omega)
+        omega, states = tuple(self.omega), tuple(self.states)
         object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "states", states)
         if self.tol is None:
             object.__setattr__(self, "tol", max(self.mu0.tol, self.pObj.tol))
         if self.mu0.space != omega or self.pObj.space != omega:
             raise StructuralError(
                 "mu0 and pObj must be distributions over the model's omega"
             )
-        covered = []
-        for label, cell in self.signal_partition.items():
-            if not cell:
-                raise StructuralError(
-                    "signal partition cells must be non-empty"
-                )
-            covered.extend(cell)
-        if len(covered) != len(set(covered)):
+        cells = self.signal_partition.values()
+        if not all(cells):
+            raise StructuralError("signal partition cells must be non-empty")
+        covered = set().union(*cells)
+        if len(covered) != sum(map(len, cells)):
             raise StructuralError("signal partition cells must be disjoint")
-        if set(covered) != set(omega):
+        # mu0's label index holds omega's labels, checked distinct.
+        if covered != self.mu0._index.keys():
             raise StructuralError("signal partition must cover omega")
-        states = set(self.states)
-        for w in omega:
-            if w not in self.projection:
-                raise StructuralError("projection undefined at %r" % (w,))
-            if self.projection[w] not in states:
-                raise StructuralError(
-                    "projection sends %r outside the declared states" % (w,)
-                )
-
-    @classmethod
-    def _assembled(cls, **fields) -> "Model":
-        """A Model from fields whose structure the caller has checked:
-        mu0 and pObj over `omega` (a tuple), a partition of omega, and a
-        projection from omega into the states."""
-        model = object.__new__(cls)
-        fields.setdefault("lambda_mix", None)
-        tol = fields.get("tol")
-        if tol is None:
-            tol = max(fields["mu0"].tol, fields["pObj"].tol)
-        fields["tol"] = tol
-        for name, value in fields.items():
-            object.__setattr__(model, name, value)
-        return model
+        _index_of(states)  # distinct, non-empty labels, as a Dist's space
+        # The states hold no None, so an outcome missing from the
+        # projection fails this check too.
+        projection, declared = self.projection, set(states)
+        if not declared.issuperset(map(projection.get, omega)):
+            for w in omega:  # name the first bad outcome
+                if w not in projection:
+                    raise StructuralError("projection undefined at %r" % (w,))
+                if projection[w] not in declared:
+                    raise StructuralError(
+                        "projection sends %r outside the declared states"
+                        % (w,)
+                    )
 
 
 def check_condition1(obs: Observation) -> RnReport:
@@ -179,9 +170,10 @@ def construct_rationalization(
 
     Takes O(k n) time and memory for k posteriors over n states, besides
     the screen: 2k signal labels, one label per (signal, state) outcome
-    of omega, and one slice of omega per cell. The integers are those of
-    the rows above: a common denominator grows with the lcm of the k
-    B[s*], so up to about k times a belief's denominator in bits.
+    of omega, one slice of omega per cell, and Model's checks, O(k n) set
+    operations. The integers are those of the rows above: a common
+    denominator grows with the lcm of the k B[s*], so up to about k times
+    a belief's denominator in bits.
 
     Raises AbsoluteContinuityViolation if the screen fails, and
     InvalidMixError if `lambda_mix` does not give every observed posterior
@@ -237,7 +229,7 @@ def construct_rationalization(
     heads = [_OMEGA_LABEL % (s, "") for s in states]
     omega = tuple([head + signal for signal in signals for head in heads])
     index = dict(zip(omega, range(len(omega))))
-    return Model._assembled(
+    return Model(
         states=states,
         omega=omega,
         projection=dict(zip(omega, states * len(signals))),
@@ -265,7 +257,7 @@ def construct_rationalization(
 Row = namedtuple("Row", "acc total den")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class CellDiagnostic:
     """One signal cell of the model: its mu0 and pObj rows over the
     payoff-relevant states (`Row`s of integers over the model's mu0 and
@@ -323,7 +315,7 @@ def cell_table(model: Model) -> list:
     Everything observable about the model's signals derives from these
     rows: a cell's Bayes posterior is its mu0 row over the row's total.
     """
-    states = tuple(model.states)
+    states = model.states
     col = _index_of(states)
     n = len(col)
     at, projection = model.mu0._index, model.projection
@@ -446,7 +438,7 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     and the two induced priors as column sums of the cell rows, on
     integers no larger than mu0's and pObj's denominators.
     """
-    if tuple(model.states) != obs.space:
+    if model.states != obs.space:
         raise StructuralError(
             "model and observation disagree on the payoff-relevant states"
         )
@@ -515,7 +507,7 @@ def induced_observables(model: Model):
     table (see cell_table), then the prior and one posterior of n weights
     per cell from its rows."""
     cells = cell_table(model)
-    prior = _projected([c.mu_parts for c in cells], tuple(model.states))
+    prior = _projected([c.mu_parts for c in cells], model.states)
     return prior, _implied_posteriors(_reached(cells))
 
 

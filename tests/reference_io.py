@@ -218,7 +218,7 @@ def load_model_reference(path):
             )
         except StructuralError as err:
             raise FormatError("%s:lambda: %s" % (where, err)) from None
-    model = Model._assembled(
+    model = Model(
         states=states,
         omega=omega,
         projection=projection,

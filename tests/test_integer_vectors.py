@@ -15,12 +15,9 @@ import beliefcheck.dist as dist
 from beliefcheck import (
     TOL,
     Dist,
-    Model,
     StructuralError,
     WeightedPosteriors,
     construct_rationalization,
-    load_model,
-    save_model,
     target_mix,
     uniform_mix,
 )
@@ -255,20 +252,3 @@ def test_float_mode_decimals_agree_with_fraction(text):
         return
     assert _number(text, "float") == expected
 
-
-def test_loaded_and_constructed_models_skip_models_own_checks(
-    monkeypatch, tmp_path, worked_example
-):
-    """load_model checks omega entry by entry, and the construction builds
-    a partition by design: neither runs Model's structural checks again."""
-    model = construct_rationalization(worked_example)
-    save_model(model, tmp_path / "m.json")
-
-    def rechecked(self):
-        raise AssertionError("Model checked a structure its builder owns")
-
-    monkeypatch.setattr(Model, "__post_init__", rechecked)
-    assert construct_rationalization(worked_example) == model
-    loaded, _ = load_model(tmp_path / "m.json")
-    assert (loaded.mu0, loaded.pObj) == (model.mu0, model.pObj)
-    assert loaded.signal_partition == model.signal_partition

@@ -134,6 +134,20 @@ class TestModelStructure:
             Model(**_model_fields(**changes))
         assert str(err.value) == message
 
+    def test_repeated_states_are_refused_at_construction(self):
+        with pytest.raises(StructuralError) as err:
+            Model(
+                **_model_fields(
+                    states=("H", "H"), projection={"H|a": "H", "L|b": "H"}
+                )
+            )
+        assert str(err.value) == "outcome labels must be distinct"
+
+    def test_states_are_stored_as_a_tuple(self):
+        listed = Model(**_model_fields(states=list(S2)))
+        assert listed.states == S2
+        assert listed == Model(**_model_fields())
+
 
 class TestConstruction:
     def test_worked_example_tables(self, worked_example):
