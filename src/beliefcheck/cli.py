@@ -28,6 +28,7 @@ from .errors import (
     ZeroProbabilityCell,
 )
 from .io import (
+    _number_texts,
     format_number,
     load_model,
     load_observation,
@@ -79,48 +80,55 @@ MAX_LISTED_CONFLICTS = 20
 
 
 def _dist_strings(dist, tol) -> dict:
-    return {s: format_number(dist[s], tol) for s in dist.space}
+    return dict(zip(dist.space, _number_texts(dist.nums, dist.den, tol)))
 
 
-def _render_table(states, columns, title: str, tol) -> list:
-    """A state x signal table from (signal label, row over states) columns."""
-    widths = [
-        max(len(label), max(len(format_number(x, tol)) for x in row))
-        for label, row in columns
-    ]
+def _listed(strings: dict) -> str:
+    """Label: number pairs as the text lines list them."""
+    return ", ".join(map("%s: %s".__mod__, strings.items()))
+
+
+def _ratio_text(num: int, den: int, tol) -> str:
+    """The number num / den as written."""
+    return _number_texts((num,), den, tol)[0]
+
+
+def _render_table(states, labels, rows, title: str, tol) -> list:
+    """A state x signal table: one column per signal label, of its `Row`
+    over the states. The rows share one denominator, and the table's
+    numbers are formatted in one pass."""
+    n = len(states)
+    texts = _number_texts([a for r in rows for a in r.acc], rows[0].den, tol)
+    columns = []
+    for j, label in enumerate(labels):
+        column = [label] + texts[j * n : (j + 1) * n]
+        width = max(map(len, column))
+        columns.append([text.rjust(width) for text in column])
     row_w = max(len(str(s)) for s in states)
-    lines = [title]
-    lines.append(
-        " " * row_w
-        + "  "
-        + "  ".join(label.rjust(w) for (label, _), w in zip(columns, widths))
-    )
-    for j, s in enumerate(states):
-        lines.append(
-            str(s).rjust(row_w)
-            + "  "
-            + "  ".join(
-                format_number(row[j], tol).rjust(w)
-                for (_, row), w in zip(columns, widths)
-            )
-        )
-    return lines
+    heads = [" " * row_w] + [str(s).rjust(row_w) for s in states]
+    return [title] + list(map("  ".join, zip(heads, *columns)))
 
 
 def _check_payload(obs: Observation) -> dict:
     report = check_condition1(obs)
-    tol = obs.tol
+    tol, prior = obs.tol, obs.prior
     entries = []
     for entry in report.entries:
         if entry.ok:
             d = entry.derivative
+            num, den = d._ratio_at(d.argmax)
+            f = {
+                s: _ratio_text(*d._ratio_at(i), tol)
+                for i, s in enumerate(prior.space)
+                if prior.nums[i]
+            }
             entries.append(
                 {
                     "index": entry.index,
                     "pass": True,
-                    "f": {s: format_number(v, tol) for s, v in d.f.items()},
-                    "max_f": format_number(d.max_f, tol),
-                    "epsilon": format_number(d.epsilon, tol),
+                    "f": f,
+                    "max_f": _ratio_text(num, den, tol),
+                    "epsilon": _ratio_text(den, num, tol),
                 }
             )
         else:
@@ -135,6 +143,10 @@ def _check_payload(obs: Observation) -> dict:
 
 
 def cmd_check(args) -> int:
+    """Screen an observation for absolute continuity. Takes time linear
+    in the file's size plus O(k * n) for k posteriors over n states: one
+    likelihood ratio per outcome, each a product of two file numbers,
+    formatted on its own."""
     obs, _ = load_observation(args.observation)
     payload = _check_payload(obs)
     lines = []
@@ -190,6 +202,12 @@ def _resolve_lambda(spec: str, obs: Observation, mode: str):
 
 
 def cmd_rationalize(args) -> int:
+    """Build a rationalizing model; print its mu0 and pObj tables, or its
+    file as --json. Takes O(k * n) time and memory for k posteriors over
+    n states beyond reading the file: the construction and the model file
+    (see construct_rationalization and save_model), the cell table, and
+    two tables of 2k x n numbers over one denominator each, each distinct
+    numerator formatted once."""
     obs, mode = load_observation(args.observation)
     lam = _resolve_lambda(args.lambda_mix, obs, mode)
     model = construct_rationalization(obs, lam)
@@ -198,33 +216,30 @@ def cmd_rationalize(args) -> int:
     if args.json:
         sys.stdout.write(model_json(model, mode))
     else:
-        cells = cell_table(model)
+        cells, tol = cell_table(model), model.tol
+        labels = [c.label for c in cells]
         for title, rows in (
-            ("subjective prior mu0:", [c.mu_row for c in cells]),
-            ("objective distribution P:", [c.obj_row for c in cells]),
+            ("subjective prior mu0:", [c.mu_parts for c in cells]),
+            ("objective distribution P:", [c.obj_parts for c in cells]),
         ):
-            columns = [(c.label, row) for c, row in zip(cells, rows)]
-            for line in _render_table(model.states, columns, title, model.tol):
-                print(line)
-            print()
-        for i, (w, b) in enumerate(obs.posteriors.items):
-            print(
+            table = _render_table(model.states, labels, rows, title, tol)
+            print("\n".join(table), end="\n\n")
+        posteriors, lines = obs.posteriors, []
+        weights = _number_texts(posteriors.nums, posteriors.den, obs.tol)
+        for i, (w, b) in enumerate(zip(weights, posteriors.beliefs)):
+            lines.append(
                 "nu%d = (%s), observed weight %s"
-                % (
-                    i,
-                    ", ".join(
-                        "%s: %s" % (s, format_number(b[s], obs.tol))
-                        for s in obs.space
-                    ),
-                    format_number(w, obs.tol),
-                )
+                % (i, _listed(_dist_strings(b, obs.tol)), w)
             )
         if args.out:
-            print("model written to %s" % args.out)
+            lines.append("model written to %s" % args.out)
+        print("\n".join(lines))
     return PASS
 
 
 def cmd_verify(args) -> int:
+    """Verify a model against an observation. Takes time linear in the
+    two files' sizes plus verify_model's O(|omega| + (k + cells) * n)."""
     model, _ = load_model(args.model)
     obs, _ = load_observation(args.observation)
     report = verify_model(model, obs)
@@ -243,6 +258,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_known_omega(args) -> int:
+    """Decide rationalizability with a known state space. Takes time
+    linear in the file's size plus O(k * n) (see check_proposition1);
+    the text lists at most MAX_LISTED_CONFLICTS overlapping pairs.
+    --brute-force enumerates the set partitions of the states, a Bell
+    number of them, and refuses more than MAX_BRUTE_FORCE_STATES states."""
     obs, _ = load_observation(args.observation)
     report = check_proposition1(obs)
     tol = obs.tol
@@ -289,6 +309,14 @@ def cmd_known_omega(args) -> int:
 
 
 def cmd_martingale(args) -> int:
+    """Test the martingale property of the observation. Under the
+    objective weights it takes martingale_check's O(k * n) operations on
+    integers of the lcm of the k posteriors' denominators, which grows
+    with k on float-origin data: on 5 states with random float beliefs,
+    `--json` took 0.07, 0.16, 0.47 and 1.36 s at k = 500, 1000, 2000 and
+    4000 (in process, Python 3.11, 2-vCPU host). Under subjective-from it
+    takes time linear in the two files' sizes plus the model's cell table
+    (see cell_table). Either way, printing takes O(n)."""
     obs, _ = load_observation(args.observation)
     tol = obs.tol
     if args.weights == "objective":
@@ -321,8 +349,7 @@ def cmd_martingale(args) -> int:
     }
     lines = [
         "weighting: %s" % source,
-        "mean posterior: (%s)"
-        % ", ".join("%s: %s" % item for item in mean.items()),
+        "mean posterior: (%s)" % _listed(mean),
         "martingale: %s" % ("holds" if holds else "FAILS"),
     ]
     _emit(payload, args.json, lines)
@@ -330,6 +357,10 @@ def cmd_martingale(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """Draw a panel from a model and compare it with the implied
+    distribution. Takes time linear in the file's size plus the cell
+    table, the draw (see simulate_panel: O(n_agents * cells + cells *
+    log cells)) and tv_distance; printing takes O(cells * n)."""
     threshold = args.threshold
     if threshold is not None and not 0 <= threshold < math.inf:
         raise StructuralError(
@@ -340,30 +371,20 @@ def cmd_simulate(args) -> int:
     # One cell table serves the panel and the implied distribution.
     panel, cells = _draw_panel(model, args.n, args.seed)
     tv = tv_distance(panel.empirical, _implied_posteriors(cells))
-    tol = model.tol
+    tol, empirical = model.tol, panel.empirical
+    weights = _number_texts(empirical.nums, empirical.den, tol)
+    beliefs = [_dist_strings(b, tol) for b in empirical.beliefs]
     payload = {
         "n_agents": panel.n_agents,
         "seed": panel.seed,
         "tv_distance": format_number(tv, tol),
         "empirical": [
-            {
-                "weight": format_number(w, tol),
-                "belief": _dist_strings(b, tol),
-            }
-            for w, b in panel.empirical.items
+            {"weight": w, "belief": b} for w, b in zip(weights, beliefs)
         ],
     }
     lines = ["n = %d, seed = %d" % (panel.n_agents, panel.seed)]
-    for w, b in panel.empirical.items:
-        lines.append(
-            "  weight %s  belief (%s)"
-            % (
-                format_number(w, tol),
-                ", ".join(
-                    "%s: %s" % (s, format_number(b[s], tol)) for s in b.space
-                ),
-            )
-        )
+    for w, b in zip(weights, beliefs):
+        lines.append("  weight %s  belief (%s)" % (w, _listed(b)))
     lines.append("tv distance to model-implied distribution: %s" % float(tv))
     ok = True
     if threshold is not None:

@@ -617,8 +617,12 @@ def martingale_check(
     cols = zip(*(p.nums for p in posteriors)) if posteriors else [()] * n
     acc = [sum(map(mul, scale, col)) for col in cols]
     den *= wden
+    if sum(acc) != den or min(acc) < 0:
+        # Weights that do not sum to 1, or negative ones: the constructor
+        # raises for the mean, with its messages.
+        Dist(prior.space, [Fraction(a, den) for a in acc])
     holds = _close(acc, den, prior.nums, prior.den, tol)
-    return holds, Dist(prior.space, tuple(Fraction(a, den) for a in acc))
+    return holds, _dist(prior.space, acc, den, 0, prior._index)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ nearest float, which the `Dist` they go into keeps exactly as float-origin
 data. Either way a number is read into a reduced (numerator, denominator)
 pair of ints, and a `Dist` is built from those pairs with no `Fraction` in
 between. Numbers are written by origin, from a `Dist`'s integer weights:
-exact values as "p/q", float-origin ones as floats. See docs/format.md
-for the schemas.
+exact values as "p/q", float-origin ones as floats, by `_number_texts`,
+which also formats every number the CLI prints. See docs/format.md for
+the schemas.
 
 The loaders parse each distinct number string once per file, scale a
 distribution's numerators to one denominator as a whole vector, and take
@@ -161,10 +162,36 @@ def _numbers(raw: dict, mode: str, seen: dict) -> tuple:
     return _vector(pairs)
 
 
+# Forms of a float-origin number, a whole number and a fraction, between
+# no quotes or between JSON's.
+_FORMS = {"": ("%r", "%d", "%d/%d"), '"': ('"%r"', '"%d"', '"%d/%d"')}
+
+
+def _number_texts(nums, den: int, tol, quote: str = "") -> list:
+    """The numbers nums[i] / den as written, each between two `quote`s
+    ("" or '"'): "p/q" in lowest terms, or "p" when q is 1, for exact data
+    (tol 0), the repr of the nearest float for float-origin data. Each
+    distinct numerator is formatted once."""
+    real, whole, part = _FORMS[quote]
+    text = {}  # numerator -> its text
+    if tol:
+        for n in nums:
+            if n not in text:
+                text[n] = real % (n / den)
+    else:
+        for n in nums:
+            if n not in text:
+                g = gcd(n, den)
+                p, q = n // g, den // g
+                text[n] = whole % p if q == 1 else part % (p, q)
+    return list(map(text.__getitem__, nums))
+
+
 def format_number(x: Fraction, tol: Fraction) -> str:
     """`x` as written: "p/q" for exact data (tol 0), the repr of the
-    nearest float for float-origin data."""
-    return repr(float(x)) if tol else str(x)
+    nearest float for float-origin data; `_number_texts` of one number."""
+    num, den = x.as_integer_ratio()
+    return _number_texts((num,), den, tol)[0]
 
 
 def _require(data: dict, key: str, where: str):
@@ -334,20 +361,11 @@ def _block(items: list, depth: int, brackets: str) -> str:
     )
 
 
-def _weights_text(dist: Dist, tol: Fraction) -> list:
-    """A distribution's weights as JSON strings, as format_number writes
-    them, from its integer numerators, each distinct one formatted once:
-    digits, signs, "/", "." or "e", which json escapes to themselves."""
-    den = dist.den
-    distinct = list(set(dist.nums))
-    if tol:
-        text = ['"%r"' % (n / den) for n in distinct]
-    else:
-        text = [
-            '"%d"' % (n // g) if g == den else '"%d/%d"' % (n // g, den // g)
-            for n, g in zip(distinct, map(gcd, distinct, repeat(den)))
-        ]
-    return list(map(dict(zip(distinct, text)).__getitem__, dist.nums))
+def _weights_text(dist, tol: Fraction) -> list:
+    """The weights of a Dist or WeightedPosteriors as JSON strings,
+    `_number_texts` of its integer numerators quoted: digits, signs, "/",
+    "." or "e", which json escapes to themselves."""
+    return _number_texts(dist.nums, dist.den, tol, '"')
 
 
 def _dist_text(keys, dist: Dist, depth: int, tol: Fraction) -> str:
@@ -378,10 +396,11 @@ def observation_json(obs: Observation, mode: str) -> str:
     followed by a newline; see docs/format.md."""
     _writable(mode, obs.space)
     states = list(map(_encode, obs.space))
+    weights = _weights_text(obs.posteriors, obs.tol)
     posteriors = [
-        '{\n      "weight": "%s",\n      "belief": %s\n    }'
-        % (format_number(w, obs.tol), _dist_text(states, b, 3, obs.tol))
-        for w, b in obs.posteriors.items
+        '{\n      "weight": %s,\n      "belief": %s\n    }'
+        % (w, _dist_text(states, b, 3, obs.tol))
+        for w, b in zip(weights, obs.posteriors.beliefs)
     ]
     return _document(
         [

@@ -74,9 +74,10 @@ class Model:
     passes its checks: mu0 and pObj live on omega, the partition's cells
     are non-empty, disjoint and cover omega, the projection sends omega
     into the states, and the states are distinct non-empty labels.
-    `states` and `omega` are stored as tuples. The checks are whole-column
-    set operations, O(|omega| + cells) of them; only a failed one scans
-    omega, to name the first bad outcome.
+    `states` and `omega` are stored as tuples, and so is a cell given as a
+    list or a set, in omega order, so that a model equals its file's. The
+    checks are whole-column set operations, O(|omega| + cells) of them;
+    only a failed one scans omega, to name the first bad outcome.
     """
 
     states: tuple
@@ -120,6 +121,12 @@ class Model:
                         "projection sends %r outside the declared states"
                         % (w,)
                     )
+        if not all(isinstance(cell, tuple) for cell in cells):
+            at, partition = self.mu0._index, dict(self.signal_partition)
+            for label, cell in partition.items():
+                if not isinstance(cell, tuple):  # a list or a set
+                    partition[label] = tuple(sorted(cell, key=at.__getitem__))
+            object.__setattr__(self, "signal_partition", partition)
 
 
 def check_condition1(obs: Observation) -> RnReport:

@@ -186,6 +186,34 @@ class TestMartingaleCheck:
         with pytest.raises(StructuralError):
             martingale_check([Fraction(1)], [prior, prior], prior)
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (
+                [Fraction(1, 2), Fraction(1, 3)],
+                "weights sum to 5/6, expected 1",
+            ),
+            ([], "weights sum to 0, expected 1"),
+            (
+                [Fraction(3, 2), Fraction(-1, 2)],
+                "negative weight -1/2 at outcome 'L'",
+            ),
+        ],
+    )
+    def test_weights_that_give_no_mean_are_refused(self, weights, message):
+        prior = Dist(S2, (Fraction(1, 2), Fraction(1, 2)))
+        posteriors = [Dist(S2, (1, 0)), Dist(S2, (0, 1))][: len(weights)]
+        with pytest.raises(StructuralError) as err:
+            martingale_check(weights, posteriors, prior)
+        assert str(err.value) == message
+
+    def test_mean_is_in_lowest_terms(self):
+        prior = Dist(S2, (Fraction(1, 2), Fraction(1, 2)))
+        posteriors = [Dist(S2, (Fraction(3, 4), Fraction(1, 4)))] * 2
+        _, mean = martingale_check([Fraction(1, 2)] * 2, posteriors, prior)
+        assert (mean.nums, mean.den) == ((3, 1), 4)
+        assert mean == Dist(S2, (Fraction(3, 4), Fraction(1, 4)))
+
 
 class TestWeightedPosteriors:
     def test_duplicates_are_merged(self):

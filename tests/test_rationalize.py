@@ -148,6 +148,32 @@ class TestModelStructure:
         assert listed.states == S2
         assert listed == Model(**_model_fields())
 
+    @pytest.mark.parametrize("container", [list, set, frozenset])
+    def test_cells_as_lists_or_sets_equal_their_round_trip(
+        self, tmp_path, container
+    ):
+        omega = ("H|a", "L|a", "L|b")
+        # cell "a" lists its outcomes against omega order
+        cells = {"a": container(["L|a", "H|a"]), "b": container(["L|b"])}
+        fields = _model_fields(
+            omega=omega,
+            projection={"H|a": "H", "L|a": "L", "L|b": "L"},
+            signal_partition=cells,
+            mu0=dist(omega, "1/4", "1/4", "1/2"),
+            pObj=dist(omega, "1/2", "1/4", "1/4"),
+        )
+        model = Model(**fields)
+        tuples = {"a": ("H|a", "L|a"), "b": ("L|b",)}
+        assert model.signal_partition == tuples
+        assert model == Model(**dict(fields, signal_partition=tuples))
+        save_model(model, tmp_path / "m.json")
+        assert load_model(tmp_path / "m.json")[0] == model
+
+    def test_tuple_cells_are_stored_as_given(self):
+        cells = {"b": ("L|b",), "a": ("H|a",)}
+        model = Model(**_model_fields(signal_partition=cells))
+        assert model.signal_partition is cells
+
 
 class TestConstruction:
     def test_worked_example_tables(self, worked_example):
