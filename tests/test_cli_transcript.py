@@ -3,9 +3,10 @@
 `rationalize`, `check`, `martingale` and `known-omega` run in text mode
 on the worked two-state observation (prior 1/2-1/2, a quarter of the
 agents at (4/5, 1/5) and three quarters at (1, 0)), saved in rational
-and in float mode; their stdout and exit codes must equal the transcript
-in `data/worked_example_cli.txt`, which pins the table layout and every
-printed number. The file needs only the
+and in float mode; so do `verify` and `simulate` on its constructed
+model, saved in the same mode. Their stdout and exit codes must equal
+the transcript in `data/worked_example_cli.txt`, which pins the table
+layout and every printed number. The file needs only the
 standard library and also runs as a script, without site-packages:
 
     python -S tests/test_cli_transcript.py
@@ -19,7 +20,15 @@ from contextlib import redirect_stdout
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "data", "worked_example_cli.txt")
-COMMANDS = ("rationalize", "check", "martingale", "known-omega")
+OBS, MODEL = "worked_%s.json", "worked_%s_model.json"
+COMMANDS = (
+    ("rationalize", OBS),
+    ("check", OBS),
+    ("martingale", OBS),
+    ("known-omega", OBS),
+    ("verify", MODEL, OBS),
+    ("simulate", MODEL, "--n", "1000", "--seed", "7"),
+)
 
 
 def transcript() -> str:
@@ -28,6 +37,7 @@ def transcript() -> str:
     from fractions import Fraction as F
 
     from beliefcheck import Dist, Observation, WeightedPosteriors
+    from beliefcheck import construct_rationalization, save_model
     from beliefcheck import save_observation
     from beliefcheck.cli import main
 
@@ -39,17 +49,22 @@ def transcript() -> str:
         )
     )
     obs = Observation(Dist(s, (F(1, 2), F(1, 2))), posteriors)
+    model = construct_rationalization(obs)
     parts = []
     with tempfile.TemporaryDirectory() as work:
         for mode in ("rational", "float"):
-            name = "worked_%s.json" % mode
-            path = os.path.join(work, name)
-            save_observation(obs, path, mode)
+            paths = {
+                name % mode: os.path.join(work, name % mode)
+                for name in (OBS, MODEL)
+            }
+            save_observation(obs, paths[OBS % mode], mode)
+            save_model(model, paths[MODEL % mode], mode)
             for command in COMMANDS:
+                words = [w % mode if w in (OBS, MODEL) else w for w in command]
                 out = io.StringIO()
                 with redirect_stdout(out):
-                    code = main([command, path])
-                parts.append("$ beliefcheck %s %s\n" % (command, name))
+                    code = main([paths.get(w, w) for w in words])
+                parts.append("$ beliefcheck %s\n" % " ".join(words))
                 parts.append(out.getvalue())
                 parts.append("exit %d\n" % code)
     return "".join(parts)
