@@ -109,7 +109,9 @@ def _render_table(states, labels, rows, title: str, tol) -> list:
     return [title] + list(map("  ".join, zip(heads, *columns)))
 
 
-def _check_payload(obs: Observation) -> dict:
+def _check_payload(obs: Observation, ratios: bool) -> dict:
+    """`check`'s verdicts; a passing posterior's likelihood ratios `f` are
+    formatted only when `ratios` is set, as the text prints none."""
     report = check_condition1(obs)
     tol, prior = obs.tol, obs.prior
     entries = []
@@ -117,20 +119,16 @@ def _check_payload(obs: Observation) -> dict:
         if entry.ok:
             d = entry.derivative
             num, den = d._ratio_at(d.argmax)
-            f = {
-                s: _ratio_text(*d._ratio_at(i), tol)
-                for i, s in enumerate(prior.space)
-                if prior.nums[i]
-            }
-            entries.append(
-                {
-                    "index": entry.index,
-                    "pass": True,
-                    "f": f,
-                    "max_f": _ratio_text(num, den, tol),
-                    "epsilon": _ratio_text(den, num, tol),
+            e = {"index": entry.index, "pass": True}
+            if ratios:
+                e["f"] = {
+                    s: _ratio_text(*d._ratio_at(i), tol)
+                    for i, s in enumerate(prior.space)
+                    if prior.nums[i]
                 }
-            )
+            e["max_f"] = _ratio_text(num, den, tol)
+            e["epsilon"] = _ratio_text(den, num, tol)
+            entries.append(e)
         else:
             entries.append(
                 {
@@ -146,9 +144,9 @@ def cmd_check(args) -> int:
     """Screen an observation for absolute continuity. Takes time linear
     in the file's size plus O(k * n) for k posteriors over n states: one
     likelihood ratio per outcome, each a product of two file numbers,
-    formatted on its own."""
+    formatted on its own for --json only."""
     obs, _ = load_observation(args.observation)
-    payload = _check_payload(obs)
+    payload = _check_payload(obs, args.json)
     lines = []
     for e in payload["posteriors"]:
         if e["pass"]:
@@ -189,16 +187,16 @@ def _resolve_lambda(spec: str, obs: Observation, mode: str):
     expected = [mix_label(i) for i in range(len(obs.posteriors))]
     if set(raw) != set(expected):
         raise InvalidMixError(
-            "lambda file must give a weight for each of: %s"
-            % ", ".join(expected)
+            "%s: lambda file must give a weight for each of: %s"
+            % (spec, ", ".join(expected))
         )
-    return Dist(
-        tuple(expected),
-        tuple(
-            parse_number(raw[k], mode, "%s:%s" % (spec, k))
-            for k in expected
-        ),
-    )
+    weights = [
+        parse_number(raw[k], mode, "%s:%s" % (spec, k)) for k in expected
+    ]
+    try:
+        return Dist(tuple(expected), weights)
+    except StructuralError as err:
+        raise StructuralError("%s: %s" % (spec, err)) from None
 
 
 def cmd_rationalize(args) -> int:
@@ -228,8 +226,8 @@ def cmd_rationalize(args) -> int:
         weights = _number_texts(posteriors.nums, posteriors.den, obs.tol)
         for i, (w, b) in enumerate(zip(weights, posteriors.beliefs)):
             lines.append(
-                "nu%d = (%s), observed weight %s"
-                % (i, _listed(_dist_strings(b, obs.tol)), w)
+                "%s = (%s), observed weight %s"
+                % (mix_label(i), _listed(_dist_strings(b, obs.tol)), w)
             )
         if args.out:
             lines.append("model written to %s" % args.out)

@@ -22,7 +22,7 @@ from .errors import (
     PreconditionError,
     ResourceBoundError,
 )
-from .rationalize import Model
+from .rationalize import Model, mix_label
 
 #: Bell-number growth makes exhaustive partition enumeration infeasible
 #: beyond this many states.
@@ -156,7 +156,7 @@ def construct_known_omega_model(obs: Observation) -> Model:
     states = obs.space
     posteriors = obs.posteriors
     cells = [belief.support() for belief in posteriors.beliefs]
-    partition = {"nu%d" % k: cell for k, cell in enumerate(cells)}
+    partition = {mix_label(k): cell for k, cell in enumerate(cells)}
     # Only the cell totals are pinned down; spread uniformly within: a
     # state of cell k gets W[k] / (Dw * |cell k|), over Dw * lcm(|cells|).
     scale = lcm(*map(len, cells))

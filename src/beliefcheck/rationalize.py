@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .dist import (
@@ -50,7 +50,7 @@ def mix_label(k: int) -> str:
 
 
 def signal_label(k: int, sign: str) -> str:
-    return "nu%d%s" % (k, sign)
+    return mix_label(k) + sign
 
 
 def omega_label(s, k: int, sign: str) -> str:
@@ -264,56 +264,24 @@ def construct_rationalization(
 Row = namedtuple("Row", "acc total den")
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class CellDiagnostic:
     """One signal cell of the model: its mu0 and pObj rows over the
-    payoff-relevant states (`Row`s of integers over the model's mu0 and
-    pObj denominators) and its Bayes posterior. The rows and masses as
-    Fractions are built when read."""
+    payoff-relevant states, as `Row`s of integer numerators over the
+    model's mu0 and pObj denominators with their totals, and its Bayes
+    posterior."""
 
     label: str
     posterior: Optional[Dist]  # None when the cell has zero mu0 mass
     mu_parts: Row
     obj_parts: Row
 
-    @property
-    def mu_mass(self) -> Fraction:
-        return Fraction(self.mu_parts.total, self.mu_parts.den)
-
-    @property
-    def obj_mass(self) -> Fraction:
-        return Fraction(self.obj_parts.total, self.obj_parts.den)
-
-    @property
-    def mu_row(self) -> tuple:
-        den = self.mu_parts.den
-        return tuple(Fraction(a, den) for a in self.mu_parts.acc)
-
-    @property
-    def obj_row(self) -> tuple:
-        den = self.obj_parts.den
-        return tuple(Fraction(a, den) for a in self.obj_parts.acc)
-
-    def __repr__(self) -> str:
-        return (
-            "CellDiagnostic(label=%r, mu_mass=%r, obj_mass=%r, posterior=%r,"
-            " mu_row=%r, obj_row=%r)"
-            % (
-                self.label,
-                self.mu_mass,
-                self.obj_mass,
-                self.posterior,
-                self.mu_row,
-                self.obj_row,
-            )
-        )
-
 
 def cell_table(model: Model) -> list:
     """The model's signal cell x state mass tables of mu0 and pObj, one
-    CellDiagnostic per cell in partition order: each row sums the cell's
-    outcomes' integer numerators per state, over mu0's or pObj's one
-    denominator.
+    CellDiagnostic per cell in partition order: each `Row` sums the
+    cell's outcomes' integer numerators per state, over mu0's or pObj's
+    one denominator, and holds their total, the cell's mass over it.
 
     Takes O(|omega| + cells * n) time and memory for n states: each cell
     sums its own outcomes, found by their positions in mu0, into rows of
@@ -520,5 +488,12 @@ def induced_observables(model: Model):
 
 def _implied_posteriors(cells: list) -> WeightedPosteriors:
     """The objective distribution of Bayes posteriors over the given
-    reachable cells."""
-    return WeightedPosteriors(tuple((c.obj_mass, c.posterior) for c in cells))
+    reachable cells, weighted by their pObj masses in lowest terms."""
+    ratios = []
+    for c in cells:
+        total, den = c.obj_parts.total, c.obj_parts.den
+        g = gcd(total, den)
+        ratios.append((total // g, den // g))
+    return WeightedPosteriors._from_ratios(
+        ratios, 0, [c.posterior for c in cells]
+    )

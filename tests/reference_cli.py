@@ -2,7 +2,7 @@
 
 The number-printing commands as they were when every printed number was
 a `Fraction` formatted on its own: `format_number` as it read then,
-`_render_table` on the cells' `mu_row` and `obj_row`, the posterior lines
+`_render_table` on the cells' rows as Fractions, the posterior lines
 from `Dist.__getitem__`, `_dist_strings`, and `_check_payload` on
 `RnDerivative.f`, `max_f` and `epsilon`. `beliefcheck.cli.main` must print
 the same bytes as `main` here, on stdout and stderr, with the same exit
@@ -141,9 +141,10 @@ def cmd_rationalize(args) -> int:
     else:
         cells = cell_table(model)
         for title, rows in (
-            ("subjective prior mu0:", [c.mu_row for c in cells]),
-            ("objective distribution P:", [c.obj_row for c in cells]),
+            ("subjective prior mu0:", [c.mu_parts for c in cells]),
+            ("objective distribution P:", [c.obj_parts for c in cells]),
         ):
+            rows = [tuple(Fraction(a, r.den) for a in r.acc) for r in rows]
             columns = [(c.label, row) for c, row in zip(cells, rows)]
             for line in _render_table(model.states, columns, title, model.tol):
                 print(line)

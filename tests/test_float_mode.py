@@ -100,7 +100,8 @@ def test_reached_cell_below_the_zero_threshold_verifies(tmp_path):
     obs, _ = load_observation(obs_path)
     model = construct_rationalization(obs)
     cell = next(c for c in cell_table(model) if c.label == "nu0+")
-    assert 0 < cell.mu_mass < 1e-9 and cell.obj_mass > 0
+    mu, obj = cell.mu_parts, cell.obj_parts
+    assert 0 < Fraction(mu.total, mu.den) < 1e-9 and obj.total > 0
     assert verify_model(model, obs).all_pass
     assert_verifies_after_round_trip(model, obs_path, tmp_path)
 

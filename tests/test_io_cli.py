@@ -324,6 +324,32 @@ class TestCliMalformedInput:
         assert reason in proc.stderr
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "weights, message, code",
+        [
+            (
+                {"nu0": "4/3", "nu1": "-1/3"},
+                "negative weight -1/3 at outcome 'nu1'",
+                1,
+            ),
+            ({"nu0": "1/2", "nu1": "1/3"}, "weights sum to 5/6, expected 1", 1),
+            (
+                {"nu0": "1"},
+                "lambda file must give a weight for each of: nu0, nu1",
+                2,
+            ),
+        ],
+        ids=["negative", "sum", "labels"],
+    )
+    def test_lambda_file_errors_name_the_file(
+        self, tmp_path, weights, message, code
+    ):
+        obs = write_json(tmp_path / "o.json", WORKED_RAW)
+        lam = write_json(tmp_path / "lam.json", weights)
+        proc = run_cli("rationalize", obs, "--lambda", lam)
+        assert proc.returncode == code
+        assert proc.stderr == "error: %s: %s\n" % (lam, message)
+
     def test_workers_flag_is_refused(self, tmp_path):
         obs = write_json(tmp_path / "o.json", WORKED_RAW)
         model = str(tmp_path / "m.json")

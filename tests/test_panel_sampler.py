@@ -50,7 +50,7 @@ def reference_panel(model, n_agents, seed):
     support, index = group_beliefs([c.posterior for c in cells])
     thresholds, running = [], Fraction(0)
     for c in cells:
-        running += c.obj_mass
+        running += Fraction(c.obj_parts.total, c.obj_parts.den)
         thresholds.append(-(-running.numerator * 2**64 // running.denominator))
     key = seed.to_bytes(8, "big")
     draws, counts = [], [0] * len(support)
@@ -431,7 +431,7 @@ class TestCarryPass:
         cells = reachable_cells(model)
         thresholds, running = [], Fraction(0)
         for c in cells:
-            running += c.obj_mass
+            running += Fraction(c.obj_parts.total, c.obj_parts.den)
             thresholds.append(ceil(running * 2**64))
         split = _bucket_tables(thresholds)[0].count(_SPLIT)
         assert split >= _CARRY_SPLITS

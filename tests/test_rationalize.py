@@ -366,13 +366,14 @@ def assert_table_matches_conditioning(model):
     assert [c.label for c in cells] == list(model.signal_partition)
     for c in cells:
         cell = model.signal_partition[c.label]
-        assert c.mu_mass == model.mu0.mass(cell)
-        assert c.obj_mass == model.pObj.mass(cell)
-        for s, mu, obj in zip(model.states, c.mu_row, c.obj_row):
+        mu, obj = c.mu_parts, c.obj_parts
+        assert Fraction(mu.total, mu.den) == model.mu0.mass(cell)
+        assert Fraction(obj.total, obj.den) == model.pObj.mass(cell)
+        for s, mu_num, obj_num in zip(model.states, mu.acc, obj.acc):
             sub = [w for w in cell if model.projection[w] == s]
-            assert mu == model.mu0.mass(sub)
-            assert obj == model.pObj.mass(sub)
-        if c.mu_mass == 0:
+            assert Fraction(mu_num, mu.den) == model.mu0.mass(sub)
+            assert Fraction(obj_num, obj.den) == model.pObj.mass(sub)
+        if mu.total == 0:
             assert c.posterior is None
             with pytest.raises(ZeroProbabilityCell):
                 condition(model.mu0, cell)
@@ -493,10 +494,20 @@ class TestCellTable:
         model = hand_built_model()
         assert_table_matches_conditioning(model)
         x, y, z = cell_table(model)
-        assert x.mu_row == (Fraction(1, 4), Fraction(1, 8))
+        row = x.mu_parts
+        assert [Fraction(a, row.den) for a in row.acc] == [
+            Fraction(1, 4),
+            Fraction(1, 8),
+        ]
         assert x.posterior == dist(S2, "2/3", "1/3")
-        assert y.obj_row == (Fraction(1, 6), Fraction(1, 3))
-        assert z.posterior is None and z.obj_mass == Fraction(1, 6)
+        row = y.obj_parts
+        assert [Fraction(a, row.den) for a in row.acc] == [
+            Fraction(1, 6),
+            Fraction(1, 3),
+        ]
+        row = z.obj_parts
+        assert z.posterior is None
+        assert Fraction(row.total, row.den) == Fraction(1, 6)
 
     @pytest.mark.parametrize(
         "layout", ["shuffled", "reversed", "lists", "sets", "merged"]

@@ -80,7 +80,7 @@ class TestSimulatePanel:
         _, index = group_beliefs([c.posterior for c in cells])
         cumulative, running = [], Fraction(0)
         for c in cells:
-            running += c.obj_mass
+            running += Fraction(c.obj_parts.total, c.obj_parts.den)
             cumulative.append(running)
         for draw, bits in zip(panel.draws, _agent_bits(3, 0, n)):
             u = Fraction(bits, 1 << 64)
