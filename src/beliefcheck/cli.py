@@ -308,13 +308,14 @@ def cmd_known_omega(args) -> int:
 
 def cmd_martingale(args) -> int:
     """Test the martingale property of the observation. Under the
-    objective weights it takes martingale_check's O(k * n) operations on
-    integers of the lcm of the k posteriors' denominators, which grows
-    with k on float-origin data: on 5 states with random float beliefs,
-    `--json` took 0.07, 0.16, 0.47 and 1.36 s at k = 500, 1000, 2000 and
-    4000 (in process, Python 3.11, 2-vCPU host). Under subjective-from it
-    takes time linear in the two files' sizes plus the model's cell table
-    (see cell_table). Either way, printing takes O(n)."""
+    objective weights it takes martingale_check's O(k * n) operations,
+    summed in pairs, whose integers grow with k on float-origin data: on
+    5 states with random float beliefs, `--json` took 0.05, 0.11, 0.24
+    and 0.52 s at k = 500, 1000, 2000 and 4000, reading the file most of
+    it (in process, Python 3.11.7, shared 2-vCPU host). Under
+    subjective-from it takes time linear in the two files' sizes plus the
+    model's cell table (see cell_table). Either way, printing takes
+    O(n)."""
     obs, _ = load_observation(args.observation)
     tol = obs.tol
     if args.weights == "objective":

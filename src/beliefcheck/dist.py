@@ -594,6 +594,15 @@ def rn_derivative(prior: Dist, belief: Dist) -> RnDerivative:
     return RnDerivative(prior, belief, best)
 
 
+def _added(u: tuple, v: tuple) -> tuple:
+    """The sum of two vectors of numerators over a denominator, (nums,
+    den), over the lcm of the two denominators."""
+    (a, da), (b, db) = u, v
+    den = lcm(da, db)
+    sa, sb = den // da, den // db
+    return [x * sa + y * sb for x, y in zip(a, b)], den
+
+
 def martingale_check(
     weights: Sequence, posteriors: Sequence[Dist], prior: Dist
 ):
@@ -602,8 +611,15 @@ def martingale_check(
     and the posteriors. Returns (holds, mean_posterior); raises
     StructuralError when the weights do not sum to 1.
 
-    Takes O(k * n) operations on integers of the lcm of the k posteriors'
-    and the weights' denominators, for n outcomes."""
+    Takes O(k * n) operations for k posteriors over n outcomes. The
+    weighted posteriors are summed in pairs, then pairs of pairs, so that
+    each lcm joins two denominators of about the same size: on float-origin
+    data, where each posterior's denominator is its own 55-bit integer and
+    the mean's grows by about that much per posterior, a left fold would
+    multiply the growing lcm k times. On 5 states with random float
+    beliefs a left fold took 0.09, 0.30 and 0.81 s at k = 1000, 2000 and
+    4000, and the pairwise sum 0.025, 0.064 and 0.22 s (in process, Python
+    3.11.7, shared 2-vCPU host)."""
     tol = max([prior.tol] + [p.tol for p in posteriors])
     wnums, wden = _vector([Fraction(w).as_integer_ratio() for w in weights])
     if len(wnums) != len(posteriors):
@@ -612,10 +628,13 @@ def martingale_check(
         )
     if any(post.space != prior.space for post in posteriors):
         raise StructuralError("posterior space differs from the prior's")
-    n, den = len(prior.space), lcm(*(p.den for p in posteriors))
-    scale = [w * (den // p.den) for w, p in zip(wnums, posteriors)]
-    cols = zip(*(p.nums for p in posteriors)) if posteriors else [()] * n
-    acc = [sum(map(mul, scale, col)) for col in cols]
+    terms = [
+        ([w * x for x in p.nums], p.den) for w, p in zip(wnums, posteriors)
+    ]
+    while len(terms) > 1:
+        pairs = [_added(a, b) for a, b in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[2 * len(pairs) :]
+    acc, den = terms[0] if terms else ([0] * len(prior.space), 1)
     den *= wden
     if sum(acc) != den or min(acc) < 0:
         # Weights that do not sum to 1, or negative ones: the constructor

@@ -10,13 +10,16 @@ exact values as "p/q", float-origin ones as floats, by `_number_texts`,
 which also formats every number the CLI prints. See docs/format.md for
 the schemas.
 
-The loaders parse each distinct number string once per file, scale a
-distribution's numerators to one denominator as a whole vector, and take
-weights whose keys are their space in order in file order. The omega
-entries are checked as three columns; only an omega list that holds a
-bad entry is gone through entry by entry, so that the first bad entry in
-file order raises. An error is located at its file, field, entry and
-state.
+The loaders read a file's numbers through tables of their distinct
+strings (`_texts`): each distinct string is parsed once per file. A
+model's distribution takes one lcm over the denominators of its distinct
+values, scales each distinct value once and maps its row back in C; an
+observation's prior, beliefs and weights form one value list with one
+table, and each distribution is scaled from its slice of the pairs. A row
+whose keys are not its space in order is reordered. The omega entries are
+checked as three columns. Only a file that holds a bad entry is gone
+through entry by entry, so that the first bad entry in file order raises.
+An error is located at its file, field, entry and state.
 
 Files are written byte for byte in the layout of `json.dump(...,
 indent=2)` of the file's JSON object plus a final newline: one
@@ -142,24 +145,46 @@ def _float_tol(mode: str, numbers) -> Fraction:
     return _TOL if mode == "float" and numbers else 0
 
 
+def _texts(values, mode: str, seen: dict) -> tuple:
+    """(texts, distinct): `values` as number texts and a dict of their
+    distinct texts, in order of first appearance. `seen` maps the texts
+    parsed before in the same file to their reduced (numerator,
+    denominator) pairs; each distinct text not in it is parsed once and
+    added. A bare JSON number is read as its text, as _number reads it. A
+    value that is not a string or a number, or a text that does not parse,
+    raises _Misplaced, unlocated: the caller walks the values to name the
+    first bad one."""
+    try:
+        distinct = dict.fromkeys(values)
+    except TypeError:  # a list or an object
+        raise _Misplaced("not a number") from None
+    if not set(map(type, distinct)) <= {str}:
+        # true, 1 and 1.0 are equal keys, so every value's type is checked
+        if not set(map(type, values)) <= {str, int, float}:
+            raise _Misplaced("not a number")
+        values = list(map(str, values))
+        distinct = dict.fromkeys(values)
+    for text in distinct.keys() - seen.keys():
+        seen[text] = _number(text, mode)
+    return values, distinct
+
+
 def _numbers(raw: dict, mode: str, seen: dict) -> tuple:
     """The values of `raw` as integer numerators over the lcm of their
-    reduced denominators: (numerators, lcm). A bad value is _Misplaced at
-    ".<key>". `seen` maps strings parsed before, in the same file, to their
-    pairs: a file repeats many, "0" above all."""
-    pairs = []
+    reduced denominators: (numerators, lcm). Each distinct value is parsed
+    once per file (see _texts) and scaled once. A bad value, the first in
+    order, is _Misplaced at ".<key>"."""
     try:
+        texts, distinct = _texts(raw.values(), mode, seen)
+    except _Misplaced:
         for key, value in raw.items():
-            if type(value) is not str:
-                pair = _number(value, mode)
-            elif value in seen:
-                pair = seen[value]
-            else:
-                pair = seen[value] = _number(value, mode)
-            pairs.append(pair)
-    except _Misplaced as err:
-        raise _Misplaced(err.message, ".%s" % key) from None
-    return _vector(pairs)
+            try:
+                _number(value, mode)
+            except _Misplaced as err:
+                raise _Misplaced(err.message, ".%s" % key) from None
+        raise AssertionError("_texts refused values _number accepts")
+    nums, den = _vector(list(map(seen.__getitem__, distinct)))
+    return list(map(dict(zip(distinct, nums)).__getitem__, texts)), den
 
 
 # Forms of a float-origin number, a whole number and a fraction, between
@@ -261,6 +286,15 @@ def _parse_states(data: dict, where: str) -> tuple:
     return tuple(states)
 
 
+def _over(space: tuple, labels: tuple, nums, den: int, mode: str, index):
+    """A Dist over `space` from numerators over `den` keyed by `labels`,
+    a subset of the space, whose label index is `index`: a label left out
+    weighs 0."""
+    if labels != space:
+        nums = list(map(dict(zip(labels, nums)).get, space, repeat(0)))
+    return Dist._from_vector(space, nums, den, _float_tol(mode, labels), index)
+
+
 def _parse_dist(
     raw, space: tuple, index: dict, mode: str, seen: dict, what, suffix=""
 ) -> Dist:
@@ -280,28 +314,51 @@ def _parse_dist(
         nums, den = _numbers(raw, mode, seen)
     except _Misplaced as err:
         raise _Misplaced(err.message, suffix + err.suffix) from None
-    labels = tuple(raw)
-    if labels != space:
-        nums = list(map(dict(zip(labels, nums)).get, space, repeat(0)))
-    tol = _float_tol(mode, labels)
     try:
-        return Dist._from_vector(space, nums, den, tol, index)
+        return _over(space, tuple(raw), nums, den, mode, index)
     except StructuralError as err:
         raise _Misplaced(str(err), suffix) from None
 
 
-def load_observation(path) -> Tuple[Observation, str]:
-    """Read an observation file; returns (observation, mode). Takes time
-    and memory linear in the file's size, plus one parse per distinct
-    number string."""
-    data = _load_json(path)
-    where = str(path)
-    mode = _parse_mode(data, where)
-    states = _parse_states(data, where)
-    index = {s: i for i, s in enumerate(states)}
+_BELIEF, _WEIGHT = itemgetter("belief"), itemgetter("weight")
+
+
+def _observation_rows(data: dict, states: tuple, index: dict, mode: str):
+    """The prior, the posterior weights as reduced pairs and the beliefs
+    of an observation whose every entry is well formed. The prior's, the
+    beliefs' and the weights' values form one list in which each distinct
+    string is parsed once (see _texts), and each row's numerators are
+    scaled from its slice of the pairs. A bad entry raises _Misplaced,
+    StructuralError, LookupError or TypeError, unlocated."""
+    raw_posts = data["posteriors"]
+    if type(raw_posts) is not list or not raw_posts:
+        raise _Misplaced("expected a non-empty list")
+    rows = [data["prior"], *map(_BELIEF, raw_posts)]
+    weights = list(map(_WEIGHT, raw_posts))
+    if set(map(type, rows)) != {dict}:
+        raise _Misplaced("expected an object")
+    labels = list(map(tuple, rows))
+    for row in labels:
+        if row != states and not index.keys() >= set(row):
+            raise _Misplaced("unknown labels")
+    values = [*chain.from_iterable(map(dict.values, rows)), *weights]
+    seen = {}
+    pairs = list(map(seen.__getitem__, _texts(values, mode, seen)[0]))
+    dists, at = [], 0
+    for row in labels:
+        end = at + len(row)
+        nums, den = _vector(pairs[at:end])
+        dists.append(_over(states, row, nums, den, mode, index))
+        at = end
+    return dists[0], pairs[at:], dists[1:]
+
+
+def _walk_observation(data: dict, states: tuple, index: dict, mode, where):
+    """Raise the error of an observation's first bad entry in file order,
+    reading one entry at a time."""
     seen = {}
     try:
-        prior = _parse_dist(
+        _parse_dist(
             _require(data, "prior", where), states, index, mode, seen, "state"
         )
     except _Misplaced as err:
@@ -311,29 +368,39 @@ def load_observation(path) -> Tuple[Observation, str]:
         raise FormatError(
             "%s: field 'posteriors' must be a non-empty list" % where
         )
-    weights, beliefs = [], []
     try:
         for i, entry in enumerate(raw_posts):
             if not isinstance(entry, dict):
                 raise _Misplaced("expected an object")
             raw_weight = _field(entry, "weight")
             try:
-                weights.append(_number(raw_weight, mode))
+                _number(raw_weight, mode)
             except _Misplaced as err:
                 raise _Misplaced(err.message, ".weight") from None
-            beliefs.append(
-                _parse_dist(
-                    _field(entry, "belief"),
-                    states,
-                    index,
-                    mode,
-                    seen,
-                    "state",
-                    ".belief",
-                )
+            raw_belief = _field(entry, "belief")
+            _parse_dist(
+                raw_belief, states, index, mode, seen, "state", ".belief"
             )
     except _Misplaced as err:
         raise err.at("%s:posteriors[%d]" % (where, i)) from None
+
+
+def load_observation(path) -> Tuple[Observation, str]:
+    """Read an observation file; returns (observation, mode). Takes time
+    and memory linear in the file's size, plus one parse per distinct
+    number string in the file and one lcm over each distribution's
+    denominators. Only a file with a bad entry is read again, entry by
+    entry, to name the first bad entry in file order."""
+    data = _load_json(path)
+    where = str(path)
+    mode = _parse_mode(data, where)
+    states = _parse_states(data, where)
+    index = {s: i for i, s in enumerate(states)}
+    try:
+        prior, weights, beliefs = _observation_rows(data, states, index, mode)
+    except (_Misplaced, StructuralError, LookupError, TypeError):
+        _walk_observation(data, states, index, mode, where)
+        raise AssertionError("the rows refused entries the walk accepts")
     try:
         posteriors = WeightedPosteriors._from_ratios(
             weights, _float_tol(mode, weights), beliefs
@@ -514,8 +581,10 @@ def _omega_columns(raw_omega: list, states: tuple, where: str) -> list:
 
 def load_model(path) -> Tuple[Model, str]:
     """Read a model file; returns (model, mode). Takes time and memory
-    linear in the file's size, plus one parse per distinct number string;
-    Model's checks are O(|omega| + cells) set operations of that."""
+    linear in the file's size, plus one parse per distinct number string
+    in the file and, for each distribution, one lcm over its distinct
+    values' denominators and one scaling per distinct value; Model's
+    checks are O(|omega| + cells) set operations of that."""
     data = _load_json(path)
     where = str(path)
     mode = _parse_mode(data, where)

@@ -436,16 +436,16 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     wanted = {}  # observed group -> summed observed weight, over its den
     for w, g in zip(observed.nums, groups):
         wanted[g] = wanted.get(g, 0) + w
-    induced = {}  # group -> [first cell posterior, summed pObj numerators]
+    induced = {}  # group -> summed pObj numerators
     for c, g in zip(live, groups[len(observed):]):
-        induced.setdefault(g, [c.posterior, 0])[1] += c.obj_parts.total
+        induced[g] = induced.get(g, 0) + c.obj_parts.total
     posteriors_match = len(live) == len(reached) and all(
         g in wanted for g in induced
     )
     obj_den = model.pObj.den
     distribution_matches = posteriors_match and all(
         g in induced
-        and _close((induced[g][1],), obj_den, (w,), observed.den, tol)
+        and _close((induced[g],), obj_den, (w,), observed.den, tol)
         for g, w in wanted.items()
     )
 
@@ -462,10 +462,6 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
             "induced_prior": induced_prior,
             "objective_prior": objective_prior,
             "cells": cells,
-            "induced_distribution": [
-                (post, Fraction(mass, obj_den))
-                for post, mass in induced.values()
-            ],
             # (e)'s mean: the induced prior, by Bayes' law (see above)
             "mean_posterior": induced_prior.weights,
         },

@@ -84,10 +84,10 @@ def _squeezes(seed: int, lo: int, hi: int):
     key = seed.to_bytes(8, "big")
     for chunk in range(lo // _CHUNK, -(-hi // _CHUNK)):
         start = chunk * _CHUNK
-        squeezed = hashlib.shake_128(key + chunk.to_bytes(8, "big")).digest(
+        # No local keeps a squeeze while the next one is hashed.
+        yield hashlib.shake_128(key + chunk.to_bytes(8, "big")).digest(
             _WORD * min(hi - start, _CHUNK)
-        )
-        yield squeezed[_WORD * max(lo - start, 0) :]
+        )[_WORD * max(lo - start, 0) :]
 
 
 def _words(squeezed: bytes) -> array:
@@ -176,34 +176,46 @@ def _choose(squeezes, n_agents: int, thresholds: list, carry=None) -> tuple:
             chosen.extend(map(cell_of, _words(squeezed)))
         tally = Counter(chosen)
         return chosen, [tally[j] for j in range(cells)]
-    table, codes, addends = _bucket_tables(thresholds)
+    tables = _bucket_tables(thresholds)
     if carry is None:
-        carry = table.count(_SPLIT) >= _CARRY_SPLITS
-    chosen = bytearray(n_agents)
-    at = 0
+        carry = tables[0].count(_SPLIT) >= _CARRY_SPLITS
+    chosen, at = bytearray(n_agents), 0
     for squeezed in squeezes:
-        tops = squeezed[::_WORD]
-        end = at + len(tops)
-        if carry:
-            size = 2 * len(tops)
-            lane, addend = bytearray(size), bytearray(size)
-            lane[::2] = tops.translate(codes)
-            lane[1::2] = squeezed[1::_WORD]
-            addend[1::2] = tops.translate(addends)
-            lanes = int.from_bytes(lane, "big") + int.from_bytes(addend, "big")
-            lanes = lanes.to_bytes(size, "big")
-            chosen[at:end] = lanes[::2]
-            marks = [m.start() >> 1 for m in _MARK.finditer(lanes)]
-            marks = [i for i in marks if table[tops[i]] == _SPLIT]
-        else:
-            chosen[at:end] = tops.translate(table)
-            marks = [m.start() - at for m in _MARK.finditer(chosen, at, end)]
-        if marks:
-            words = _words(squeezed)
-            for i in marks:
-                chosen[at + i] = cell_of(words[i])
-        at = end
-    return array("B", chosen), _cell_counts(chosen, table, cells)
+        part = _squeeze_cells(squeezed, tables, carry, cell_of)
+        chosen[at : at + len(part)] = part
+        at += len(part)
+        # Let go of the squeeze before the next one is hashed and before
+        # the chosen bytes are copied into the panel.
+        del squeezed, part
+    return array("B", chosen), _cell_counts(chosen, tables[0], cells)
+
+
+def _squeeze_cells(squeezed: bytes, tables: tuple, carry: bool, cell_of):
+    """The chosen cells of the agents whose words `squeezed` holds, one
+    byte each, by the rule `_choose` describes; `tables` are the
+    `_bucket_tables` of the thresholds and `cell_of` bisects them. The
+    squeeze's words, lanes and top bytes are freed on return."""
+    table, codes, addends = tables
+    tops = squeezed[::_WORD]
+    if carry:
+        size = 2 * len(tops)
+        lane, addend = bytearray(size), bytearray(size)
+        lane[::2] = tops.translate(codes)
+        lane[1::2] = squeezed[1::_WORD]
+        addend[1::2] = tops.translate(addends)
+        lanes = int.from_bytes(lane, "big") + int.from_bytes(addend, "big")
+        lanes = lanes.to_bytes(size, "big")
+        cells = lanes[::2]
+        marks = [m.start() >> 1 for m in _MARK.finditer(lanes)]
+        marks = [i for i in marks if table[tops[i]] == _SPLIT]
+    else:
+        cells = tops.translate(table)
+        marks = [m.start() for m in _MARK.finditer(cells)]
+    if marks:
+        cells, words = bytearray(cells), _words(squeezed)
+        for i in marks:
+            cells[i] = cell_of(words[i])
+    return cells
 
 
 class Draws(Sequence):

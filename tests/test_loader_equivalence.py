@@ -1,8 +1,10 @@
-"""The loaders scale each distribution's numbers and check the omega
-entries as whole vectors; `reference_io` holds loaders that read them one
-entry and one number at a time, in file order. On
+"""The loaders read each file's numbers through a table of its distinct
+strings and check the omega entries as whole vectors, and walk the
+entries only to name a bad one; `reference_io` holds loaders that read
+them one entry and one number at a time, in file order. On
 generated files in both modes, skewed float files, every single edit of
-small files, the error tables of test_writer and mutated files, both must
+small files, the error tables of test_writer, mutated files and the
+table's edges (below), both must
 return equal objects or raise the same message. The one allowed
 difference: `load_model` refuses partition indices that are not JSON
 integers, which the reference accepts."""
@@ -10,6 +12,7 @@ integers, which the reference accepts."""
 import copy
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -242,3 +245,178 @@ def test_mutated_files_load_as_the_reference(tmp_path_factory, data):
     path = write(tmp_path_factory.mktemp("mutated") / "f.json", doc)
     loader = load_observation if kind == "observation" else load_model
     assert_loads_as_the_reference(loader, path, doc)
+
+
+# The loaders read a file's numbers through one table of its distinct
+# strings, and walk the entries only to name a bad one. The cases below are
+# the table's edges.
+
+
+def observation_doc(mode, states, prior, beliefs, weights=None):
+    weights = weights or ["1/%d" % len(beliefs)] * len(beliefs)
+    posteriors = [{"weight": w, "belief": b} for w, b in zip(weights, beliefs)]
+    return {
+        "mode": mode,
+        "states": states,
+        "prior": prior,
+        "posteriors": posteriors,
+    }
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_rows_out_of_order_or_short_load_as_the_reference(tmp_path, mode):
+    states = ["s0", "s1", "s2", "s3"]
+    canonical_rows = [
+        {"s0": "1/2", "s1": "1/4", "s2": "0", "s3": "1/4"},
+        {"s0": "1", "s1": "0", "s2": "0", "s3": "0"},
+        {"s0": "0", "s1": "1/2", "s2": "0", "s3": "1/2"},
+    ]
+    relaid_rows = [
+        {"s3": "1/4", "s0": "1/2", "s1": "1/4"},  # s2 left out
+        {"s0": "1"},
+        {"s3": "1/2", "s2": "0", "s1": "1/2", "s0": "0"},
+    ]
+    canonical = write(
+        tmp_path / "c.json",
+        observation_doc(mode, states, canonical_rows[0], canonical_rows[1:]),
+    )
+    relaid = write(
+        tmp_path / "r.json",
+        observation_doc(mode, states, relaid_rows[0], relaid_rows[1:]),
+    )
+    assert_loads_as_the_reference(load_observation, relaid)
+    assert outcome(load_observation, relaid) == outcome(
+        load_observation, canonical
+    )
+    # a model's mu0 and pObj relaid alike: reversed, their zeros left out
+    model = construct_rationalization(load_observation(canonical)[0])
+    path = tmp_path / "m.json"
+    save_model(model, path, mode)
+    doc = json.loads(path.read_text())
+    for key in ("mu0", "pObj"):
+        row = doc[key]
+        doc[key] = {w: row[w] for w in reversed(row) if Fraction(row[w])}
+    assert_loads_as_the_reference(load_model, write(path, doc), doc)
+
+
+# Rows of JSON types that collide as dict keys (true == 1 == 1.0) or cannot
+# be keys (a list, an object), next to strings and bare numbers.
+MIXED_ROWS = [
+    [True, 1, 1.0, "1", 0.5],
+    [1, True, "1", 1.0, 0.5],
+    [1.0, 1, "1", 0.5, True],
+    [1, 1.0, "1", 0.5, 0],
+    ["1/4", 0.25, 0, "0", 0.5],
+    [0.5, "1/4", "1/4", 0, 0.0],
+    ["1/2", ["1/2"], 0, 0, 0],
+    ["1/2", {"s0": "1/2"}, 0, 0, 0],
+    [{"s0": "1"}, ["1"], None, True, "x"],
+]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("values", MIXED_ROWS)
+def test_mixed_value_types_load_as_the_reference(tmp_path, mode, values):
+    states = ["s%d" % i for i in range(len(values))]
+    row = dict(zip(states, values))
+    good = {s: "1/%d" % len(states) for s in states}
+    path = tmp_path / "o.json"
+    for prior, beliefs in ((row, [good]), (good, [good, row]), (row, [row])):
+        doc = observation_doc(mode, states, prior, beliefs)
+        assert_loads_as_the_reference(load_observation, write(path, doc))
+    for weight in values:
+        weights = ["1/2", weight]
+        doc = observation_doc(mode, states, good, [good, good], weights)
+        assert_loads_as_the_reference(load_observation, write(path, doc))
+
+
+def test_mixed_value_types_in_a_model_load_as_the_reference(
+    tmp_path, model_doc
+):
+    path = tmp_path / "m.json"
+    for values in MIXED_ROWS:
+        for key in ("mu0", "pObj", "lambda"):
+            doc = copy.deepcopy(model_doc)
+            row = doc[key] if doc[key] is not None else {"nu0": "1"}
+            doc[key] = dict(zip(row, values))
+            assert_loads_as_the_reference(load_model, write(path, doc), doc)
+
+
+def test_the_first_bad_entry_in_file_order_is_named(tmp_path, model_doc):
+    # One bad string in two rows, then a structural fault: the walk names
+    # the first bad entry, however the table meets them.
+    states = ["s0", "s1"]
+    good, bad = {"s0": "1/2", "s1": "1/2"}, {"s0": "1/2", "s1": "x"}
+    docs = {
+        "posteriors[0].belief.s1": observation_doc(
+            "rational", states, good, [bad, bad, good]
+        ),
+        "prior.s1": observation_doc("rational", states, bad, [good, bad]),
+        "posteriors[1].weight": observation_doc(
+            "rational", states, good, [good, bad], ["1/2", "x"]
+        ),
+    }
+    path = tmp_path / "o.json"
+    message = "'x' is not a valid number (use 'p/q' or a decimal)"
+    for where, doc in docs.items():
+        doc["posteriors"].append("not an entry")
+        got = outcome(load_observation, write(path, doc))
+        assert got == ("FormatError", "%s:%s: %s" % (path, where, message))
+        assert_loads_as_the_reference(load_observation, path)
+    # a structural fault before the bad strings is named instead
+    doc = observation_doc("rational", states, good, [good, bad, bad])
+    doc["posteriors"][0] = {"belief": good}
+    got = outcome(load_observation, write(path, doc))
+    assert got == (
+        "FormatError",
+        "%s:posteriors[0]: missing required field 'weight'" % path,
+    )
+    assert_loads_as_the_reference(load_observation, path)
+    # a model: the same bad string in mu0 and pObj, then a bad lambda
+    doc = copy.deepcopy(model_doc)
+    last = list(doc["mu0"])[-1]
+    doc["mu0"][last] = doc["pObj"][last] = "x"
+    doc["lambda"] = ["not an object"]
+    got = outcome(load_model, write(path, doc))
+    assert got == ("FormatError", "%s:mu0.%s: %s" % (path, last, message))
+    assert_loads_as_the_reference(load_model, path, doc)
+
+
+def repeated_row(labels, mode):
+    """Numbers for `labels` (an even count) from a few repeated strings:
+    1/m and 3/m alternating, m = 2 * len(labels), which sum to 1."""
+    m = 2 * len(labels)
+    texts = ["1/%d" % m, "3/%d" % m]
+    if mode == "float":
+        texts = [repr(1 / m), repr(3 / m)]
+    return {w: texts[i % 2] for i, w in enumerate(labels)}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_long_rows_of_repeated_strings_load_as_the_reference(tmp_path, mode):
+    n = 1152
+    states = ["s%d" % i for i in range(12)]
+    omega = ["w%d" % i for i in range(n)]
+    model = {
+        "mode": mode,
+        "states": states,
+        "omega": [
+            {"label": w, "s": states[i % 12], "signal": "c%d" % (i // 12)}
+            for i, w in enumerate(omega)
+        ],
+        "mu0": repeated_row(omega, mode),
+        "pObj": repeated_row(omega[::-1], mode),
+        "lambda": None,
+    }
+    path = tmp_path / "m.json"
+    assert_loads_as_the_reference(load_model, write(path, model), model)
+    labels = ["x%d" % i for i in range(n)]
+    obs = observation_doc(
+        mode,
+        labels,
+        repeated_row(labels, mode),
+        [repeated_row(labels, mode), repeated_row(labels[::-1], mode)],
+    )
+    assert_loads_as_the_reference(load_observation, write(path, obs))
+    loaded, _ = load_observation(path)
+    assert len(loaded.prior.nums) == n

@@ -241,15 +241,18 @@ def traced_peak(model, n_agents):
 
 
 def test_draw_peaks_near_two_bytes_per_agent():
-    # Per agent: the chosen cells in one byte, the panel's copy of them and
-    # one squeeze's buffers; four bytes from 256 cells on. The peak of a
-    # one-agent panel holds the model's cell table, whose objects' size
-    # differs between Python versions (134 KB on 300 cells on 3.11).
+    # Per agent: the chosen cells in one byte and the panel's copy of them;
+    # four bytes from 256 cells on. Each squeeze's words, lanes and bytes
+    # are let go before the next squeeze is hashed and before the copy:
+    # kept, they took 32 cells to 2.6-2.8 bytes per agent in this test.
+    # The peak of a one-agent panel holds the model's cell table, whose
+    # objects' size differs between Python versions (134 KB on 300 cells
+    # on 3.11).
     n_agents = 200_000
     cases = []
     for k in (2, 8, 32):
         obs = random_observation(random.Random(k), 4, k)
-        cases.append((construct_rationalization(obs), k, 3))
+        cases.append((construct_rationalization(obs), k, 2.5))
     cases.append((cell_model(random_masses(random.Random(300), 300)), 300, 6))
     for model, cells, bound in cases:
         assert len(reachable_cells(model)) == cells

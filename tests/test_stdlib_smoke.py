@@ -11,10 +11,17 @@ models go through save_model, load_model and verify_model: the
 constructed one, and the same model with omega and the cells' order
 reversed, whose cells list their outcomes out of omega order. Each saved
 model also goes through `martingale --weights subjective-from` against
-the saved worked example, which exits 0. pytest collects the same checks.
+the saved worked example, which exits 0. Last, the worked example's file
+is loaded with rows that list the states out of order, leave out a zero
+state and hold a bare JSON number, and must equal the file as written;
+the same rows with a bad number in two beliefs and a later entry that is
+not an object must name the first bad number. So both the loader's table
+of distinct number strings and its entry-by-entry walk run. pytest
+collects the same checks.
 """
 
 import io
+import json
 import os
 import pkgutil
 import sys
@@ -89,9 +96,42 @@ def test_models_round_trip_and_verify():
                 assert main(argv + ["--model", path]) == 0
 
 
+def test_relaid_rows_load_as_the_file_as_written():
+    from beliefcheck import FormatError, load_observation, save_observation
+
+    with tempfile.TemporaryDirectory() as work:
+        written = os.path.join(work, "observation.json")
+        save_observation(worked_observation(), written)
+        with open(written) as fh:
+            doc = json.load(fh)
+        low, high = doc["posteriors"]  # beliefs (4/5, 1/5) and (1, 0)
+        doc["prior"] = {"L": "1/2", "H": 0.5}
+        low["belief"] = {"L": "1/5", "H": "4/5"}
+        high["belief"] = {"H": 1}
+        relaid = os.path.join(work, "relaid.json")
+        with open(relaid, "w") as fh:
+            json.dump(doc, fh)
+        assert load_observation(relaid) == load_observation(written)
+
+        low["belief"]["L"] = high["belief"]["H"] = "x"
+        doc["posteriors"].append("not an entry")
+        with open(relaid, "w") as fh:
+            json.dump(doc, fh)
+        try:
+            load_observation(relaid)
+        except FormatError as err:
+            assert str(err) == (
+                "%s:posteriors[0].belief.L: 'x' is not a valid number"
+                " (use 'p/q' or a decimal)" % relaid
+            )
+        else:
+            raise AssertionError("a bad number was read")
+
+
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
     test_every_module_imports()
     test_panel_of_1001_agents()
     test_models_round_trip_and_verify()
+    test_relaid_rows_load_as_the_file_as_written()
     print("stdlib smoke checks hold on Python %s" % sys.version.split()[0])
