@@ -18,7 +18,7 @@ model. The tolerance is read in three places only: at this boundary (a
 total within TOL of 1 is renormalised exactly, a float posterior weight at
 or below TOL is refused, and an observed prior or belief weight at or below
 TOL becomes 0), in comparisons (`_close`, `group_beliefs`), and in output
-(`io.format_number`). Positivity is exact. `group_beliefs` alone decides
+(`io._number_texts`). Positivity is exact. `group_beliefs` alone decides
 which beliefs are equal.
 """
 
@@ -123,48 +123,42 @@ class Dist:
     __slots__ = ("space", "nums", "den", "tol", "_index", "_weights")
 
     def __init__(self, space: Sequence, weights: Sequence):
-        space, given, tol = tuple(space), tuple(weights), 0
-        types = set(map(type, given))
+        space, weights, tol = tuple(space), tuple(weights), 0
+        types = set(map(type, weights))
         if types <= {Fraction}:
-            ratios = list(map(Fraction.as_integer_ratio, given))
+            ratios = list(map(Fraction.as_integer_ratio, weights))
         else:
             # The float boundary: every weight is converted exactly.
             if not all(issubclass(t, Rational) for t in types):
                 tol = _TOL
             try:
-                ratios = list(map(_ratio, given))
+                ratios = list(map(_ratio, weights))
             except (ValueError, OverflowError):  # NaN or infinite
                 raise StructuralError(
                     "weights sum to %r, expected 1 within %g"
-                    % (sum(map(float, given)), TOL)
+                    % (sum(map(float, weights)), TOL)
                 ) from None
-        self._settle(space, ratios, tol, None, given)
-        if types <= {Fraction}:
-            _set(self, "_weights", given)  # plain Fractions, as stored
-
-    def _settle(self, space, ratios, tol, index, given) -> None:
-        """Check reduced (numerator, denominator) pairs as weights over
-        `space` and store them in lowest terms. `index` is the space's
-        label index when already checked. An error message shows a
-        weight as given[i], or by `_shown` when `given` is None."""
         if len(space) != len(ratios):
             raise StructuralError(
                 "space has %d outcomes but %d weights were given"
                 % (len(space), len(ratios))
             )
-        nums, den = _vector(ratios)
-        self._settle_vector(space, nums, den, tol, index, given)
+        self._settle(space, *_vector(ratios), tol, None)
+        if types <= {Fraction}:
+            _set(self, "_weights", weights)  # plain Fractions, as stored
 
-    def _settle_vector(self, space, nums, den, tol, index, given) -> None:
-        """_settle for weights given as integer numerators over `den`, the
-        lcm of their reduced denominators, one per outcome of `space`."""
+    def _settle(self, space, nums, den, tol, index) -> None:
+        """Check integer numerators `nums` over `den`, one per outcome of
+        `space`, as weights, and store them in lowest terms. `index` is
+        the space's label index when already checked. A total within tol
+        of 1 is renormalised exactly."""
         if index is None:
             index = _index_of(space)
         if min(nums, default=0) < 0:
             i = next(i for i, x in enumerate(nums) if x < 0)
-            shown = given[i] if given else _shown(nums[i], den, tol)
             raise StructuralError(
-                "negative weight %s at outcome %r" % (shown, space[i])
+                "negative weight %s at outcome %r"
+                % (_shown(nums[i], den, tol), space[i])
             )
         total = sum(nums)
         if total != den:
@@ -178,29 +172,19 @@ class Dist:
                     "weights sum to %r, expected 1 within %g"
                     % (total / den, tol)
                 )
-            g = gcd(*nums, total)
-            nums, den = [x // g for x in nums], total // g
+            den = total
         _store(self, space, nums, den, tol, index)
-
-    @classmethod
-    def _from_ratios(
-        cls, space: tuple, ratios: list, tol, index: dict = None
-    ) -> "Dist":
-        """A Dist from reduced (numerator, denominator) pairs, checked as
-        the constructor checks weights; tol is TOL for float-origin
-        numbers. `index` is the space's label index when already checked."""
-        d = object.__new__(cls)
-        d._settle(tuple(space), ratios, tol, index, None)
-        return d
 
     @classmethod
     def _from_vector(
         cls, space: tuple, nums: list, den: int, tol, index: dict = None
     ) -> "Dist":
-        """_from_ratios for weights given as integer numerators `nums`, one
-        per outcome, over `den`, the lcm of their reduced denominators."""
+        """A Dist from integer numerators `nums`, one per outcome, over
+        `den`, checked as the constructor checks weights and reduced to
+        lowest terms; tol is TOL for float-origin numbers. `index` is the
+        space's label index when already checked."""
         d = object.__new__(cls)
-        d._settle_vector(space, nums, den, tol, index, None)
+        d._settle(space, nums, den, tol, index)
         return d
 
     @classmethod
@@ -229,7 +213,7 @@ class Dist:
         raise FrozenInstanceError("cannot delete field %r" % name)
 
     def __reduce__(self):
-        return _restore, (self.space, self.nums, self.den, self.tol)
+        return _dist, (self.space, self.nums, self.den, self.tol)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -282,11 +266,8 @@ class Dist:
 
 def _dist(space: tuple, nums: Sequence, den: int, tol=0, index=None) -> Dist:
     """A Dist from nonnegative integer numerators over `den` that sum to
-    it, reduced to lowest terms. `index`, when given, is the space's
-    checked label index."""
-    g = gcd(*nums, den)
-    if g != 1:
-        nums, den = [n // g for n in nums], den // g
+    it, reduced to lowest terms, unchecked. `index`, when given, is the
+    space's checked label index."""
     if index is None:
         index = _index_of(space)
     d = object.__new__(Dist)
@@ -295,16 +276,16 @@ def _dist(space: tuple, nums: Sequence, den: int, tol=0, index=None) -> Dist:
 
 
 def _store(d: Dist, space, nums, den: int, tol, index: dict) -> None:
+    """Set d's fields from weights nums/den, reduced to lowest terms."""
+    g = gcd(*nums, den)
+    if g != 1:
+        nums, den = [n // g for n in nums], den // g
     _set(d, "space", space)
     _set(d, "nums", tuple(nums))
     _set(d, "den", den)
     _set(d, "tol", tol)
     _set(d, "_index", index)
     _set(d, "_weights", None)
-
-
-def _restore(space, nums, den, tol) -> Dist:
-    return _dist(space, nums, den, tol)
 
 
 def _observed(d: Dist) -> Dist:
@@ -635,13 +616,10 @@ def martingale_check(
         pairs = [_added(a, b) for a, b in zip(terms[::2], terms[1::2])]
         terms = pairs + terms[2 * len(pairs) :]
     acc, den = terms[0] if terms else ([0] * len(prior.space), 1)
-    den *= wden
-    if sum(acc) != den or min(acc) < 0:
-        # Weights that do not sum to 1, or negative ones: the constructor
-        # raises for the mean, with its messages.
-        Dist(prior.space, [Fraction(a, den) for a in acc])
-    holds = _close(acc, den, prior.nums, prior.den, tol)
-    return holds, _dist(prior.space, acc, den, 0, prior._index)
+    # Weights that do not sum to 1, or negative ones, fail the mean's
+    # checks, with the constructor's messages.
+    mean = Dist._from_vector(prior.space, acc, den * wden, 0, prior._index)
+    return _close(mean.nums, mean.den, prior.nums, prior.den, tol), mean
 
 
 @dataclass(frozen=True)
@@ -680,18 +658,20 @@ class WeightedPosteriors:
         self._merge(entries, [b for _, b in items])
 
     @classmethod
-    def _from_ratios(
-        cls, ratios: list, tol, beliefs: list
+    def _from_vector(
+        cls, nums: list, den: int, tol, beliefs: list
     ) -> "WeightedPosteriors":
-        """Posteriors with weights given as reduced (numerator,
-        denominator) pairs, float-origin when tol is set, and beliefs
-        known to be Dists over one space; checked as the constructor
-        checks its items."""
-        for n, d in ratios:
-            if not (n * _TOL_Q > _TOL_P * d if tol else n > 0):
-                raise StructuralError(_NONPOSITIVE % (TOL, _shown(n, d, tol)))
+        """Posteriors with weights given as integer numerators `nums` over
+        `den`, in lowest terms or not, float-origin when tol is set, and
+        beliefs known to be Dists over one space; checked as the
+        constructor checks its items."""
+        for n in nums:
+            if not (n * _TOL_Q > _TOL_P * den if tol else n > 0):
+                shown = _shown(n, den, tol)
+                raise StructuralError(_NONPOSITIVE % (TOL, shown))
+        space = tuple(range(len(nums)))
         try:
-            entries = Dist._from_ratios(range(len(ratios)), ratios, tol)
+            entries = Dist._from_vector(space, nums, den, tol)
         except StructuralError as err:
             raise StructuralError("posterior %s" % err) from None
         wp = object.__new__(cls)

@@ -324,12 +324,13 @@ _BELIEF, _WEIGHT = itemgetter("belief"), itemgetter("weight")
 
 
 def _observation_rows(data: dict, states: tuple, index: dict, mode: str):
-    """The prior, the posterior weights as reduced pairs and the beliefs
-    of an observation whose every entry is well formed. The prior's, the
-    beliefs' and the weights' values form one list in which each distinct
-    string is parsed once (see _texts), and each row's numerators are
-    scaled from its slice of the pairs. A bad entry raises _Misplaced,
-    StructuralError, LookupError or TypeError, unlocated."""
+    """The prior, the posterior weights as (numerators, lcm) and the
+    beliefs of an observation whose every entry is well formed. The
+    prior's, the beliefs' and the weights' values form one list in which
+    each distinct string is parsed once (see _texts), and each row's
+    numerators, and the weights', are scaled from its slice of the pairs.
+    A bad entry raises _Misplaced, StructuralError, LookupError or
+    TypeError, unlocated."""
     raw_posts = data["posteriors"]
     if type(raw_posts) is not list or not raw_posts:
         raise _Misplaced("expected a non-empty list")
@@ -350,7 +351,7 @@ def _observation_rows(data: dict, states: tuple, index: dict, mode: str):
         nums, den = _vector(pairs[at:end])
         dists.append(_over(states, row, nums, den, mode, index))
         at = end
-    return dists[0], pairs[at:], dists[1:]
+    return dists[0], _vector(pairs[at:]), dists[1:]
 
 
 def _walk_observation(data: dict, states: tuple, index: dict, mode, where):
@@ -397,13 +398,15 @@ def load_observation(path) -> Tuple[Observation, str]:
     states = _parse_states(data, where)
     index = {s: i for i, s in enumerate(states)}
     try:
-        prior, weights, beliefs = _observation_rows(data, states, index, mode)
+        prior, (nums, den), beliefs = _observation_rows(
+            data, states, index, mode
+        )
     except (_Misplaced, StructuralError, LookupError, TypeError):
         _walk_observation(data, states, index, mode, where)
         raise AssertionError("the rows refused entries the walk accepts")
     try:
-        posteriors = WeightedPosteriors._from_ratios(
-            weights, _float_tol(mode, weights), beliefs
+        posteriors = WeightedPosteriors._from_vector(
+            nums, den, _float_tol(mode, nums), beliefs
         )
         obs = Observation(prior, posteriors)
     except StructuralError as err:

@@ -177,11 +177,10 @@ def construct_known_omega_model(obs: Observation) -> Model:
             states,
             [obj.get(s, 0) for s in states],
             posteriors.den * scale,
-            0,
+            obs.tol,
             obs.prior._index,
         ),
         lambda_mix=None,
-        tol=obs.tol,
     )
 
 

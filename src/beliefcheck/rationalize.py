@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
 from .dist import (
@@ -67,8 +66,9 @@ class Model:
     payoff-relevant states, the signal partition (generators of the agent's
     period-1 information), the agent's subjective prior `mu0`, and the
     objective distribution `pObj`. `lambda_mix` records the mixing
-    distribution used by the construction, when there was one. `tol` is
-    TOL for float-origin data, else 0 (by default, `mu0`'s or `pObj`'s).
+    distribution used by the construction, when there was one. `tol`, not
+    a constructor field, is the larger of `mu0`'s and `pObj`'s: TOL for
+    float-origin data, else 0.
 
     The constructor is the only way to build a Model, and every model
     passes its checks: mu0 and pObj live on omega, the partition's cells
@@ -87,14 +87,12 @@ class Model:
     mu0: Dist
     pObj: Dist
     lambda_mix: Optional[Dist] = None
-    tol: Optional[Fraction] = None
 
     def __post_init__(self):
         omega, states = tuple(self.omega), tuple(self.states)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "states", states)
-        if self.tol is None:
-            object.__setattr__(self, "tol", max(self.mu0.tol, self.pObj.tol))
+        object.__setattr__(self, "tol", max(self.mu0.tol, self.pObj.tol))
         if self.mu0.space != omega or self.pObj.space != omega:
             raise StructuralError(
                 "mu0 and pObj must be distributions over the model's omega"
@@ -245,17 +243,20 @@ def construct_rationalization(
             for j, signal in enumerate(signals)
         },
         mu0=_dist(
-            omega, plus + minus, top * obs.prior.den * lambda_mix.den, 0, index
+            omega,
+            plus + minus,
+            top * obs.prior.den * lambda_mix.den,
+            obs.tol,
+            index,
         ),
         pObj=_dist(
             omega,
             p_obj + [0] * len(minus),
             obs.prior.den * obs.posteriors.den,
-            0,
+            obs.tol,
             index,
         ),
         lambda_mix=lambda_mix,
-        tol=obs.tol,
     )
 
 
@@ -462,8 +463,6 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
             "induced_prior": induced_prior,
             "objective_prior": objective_prior,
             "cells": cells,
-            # (e)'s mean: the induced prior, by Bayes' law (see above)
-            "mean_posterior": induced_prior.weights,
         },
     )
 
@@ -484,12 +483,10 @@ def induced_observables(model: Model):
 
 def _implied_posteriors(cells: list) -> WeightedPosteriors:
     """The objective distribution of Bayes posteriors over the given
-    reachable cells, weighted by their pObj masses in lowest terms."""
-    ratios = []
-    for c in cells:
-        total, den = c.obj_parts.total, c.obj_parts.den
-        g = gcd(total, den)
-        ratios.append((total // g, den // g))
-    return WeightedPosteriors._from_ratios(
-        ratios, 0, [c.posterior for c in cells]
+    reachable cells, weighted by their pObj masses."""
+    return WeightedPosteriors._from_vector(
+        [c.obj_parts.total for c in cells],
+        cells[0].obj_parts.den,
+        0,
+        [c.posterior for c in cells],
     )

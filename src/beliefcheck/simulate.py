@@ -46,7 +46,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd
 
 from .dist import WeightedPosteriors, group_beliefs
 from .errors import StructuralError
@@ -328,13 +327,10 @@ def _draw_panel(model: Model, n_agents: int, seed: int):
     counts = [0] * len(support)
     for index, count in zip(cell_post_index, cell_counts):
         counts[index] += count
-    ratios, beliefs = [], []
-    for count, post in zip(counts, support):
-        if count:
-            g = gcd(count, n_agents)
-            ratios.append((count // g, n_agents // g))
-            beliefs.append(post)
-    empirical = WeightedPosteriors._from_ratios(ratios, 0, beliefs)
+    drawn = [i for i, count in enumerate(counts) if count]
+    empirical = WeightedPosteriors._from_vector(
+        [counts[i] for i in drawn], n_agents, 0, [support[i] for i in drawn]
+    )
     return PanelSample(n_agents, seed, Draws(pairs, chosen), empirical), cells
 
 

@@ -12,7 +12,13 @@ equal objects and raise the same messages. The one difference is that
 which the reference accepts when they compare equal to the indices.
 """
 
-from beliefcheck.dist import _TOL, Dist, Observation, WeightedPosteriors
+from beliefcheck.dist import (
+    _TOL,
+    Dist,
+    Observation,
+    WeightedPosteriors,
+    _vector,
+)
 from beliefcheck.errors import FormatError, StructuralError
 from beliefcheck.io import (
     _Misplaced,
@@ -114,7 +120,9 @@ def _dist(raw, space: tuple, mode: str, what: str, suffix="") -> Dist:
         raise _Misplaced(err.message, suffix + err.suffix) from None
     ratios = [weights.get(s, (0, 1)) for s in space]
     try:
-        return Dist._from_ratios(space, ratios, _tol(mode, weights))
+        return Dist._from_vector(
+            space, *_vector(ratios), _tol(mode, weights)
+        )
     except StructuralError as err:
         raise _Misplaced(str(err), suffix) from None
 
@@ -148,8 +156,8 @@ def load_observation_reference(path):
         except _Misplaced as err:
             raise err.at("%s:posteriors[%d]" % (where, i)) from None
     try:
-        posteriors = WeightedPosteriors._from_ratios(
-            weights, _tol(mode, weights), beliefs
+        posteriors = WeightedPosteriors._from_vector(
+            *_vector(weights), _tol(mode, weights), beliefs
         )
         obs = Observation(prior, posteriors)
     except StructuralError as err:
@@ -213,8 +221,10 @@ def load_model_reference(path):
         except _Misplaced as err:
             raise err.at("%s:lambda" % where) from None
         try:
-            lambda_mix = Dist._from_ratios(
-                tuple(weights), list(weights.values()), _tol(mode, weights)
+            lambda_mix = Dist._from_vector(
+                tuple(weights),
+                *_vector(list(weights.values())),
+                _tol(mode, weights),
             )
         except StructuralError as err:
             raise FormatError("%s:lambda: %s" % (where, err)) from None

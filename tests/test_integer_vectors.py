@@ -252,3 +252,77 @@ def test_float_mode_decimals_agree_with_fraction(text):
         return
     assert _number(text, "float") == expected
 
+
+
+def wp_key(wp):
+    return wp.items, wp.nums, wp.den, wp.tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    st.integers(1, 12),
+    st.integers(1, 3),
+)
+def test_weighted_posteriors_from_an_unreduced_vector(raw, factor, kinds):
+    """Weights over a denominator they share a factor with, as cell totals
+    over pObj's denominator or counts over the panel size, give what the
+    public constructor gives on the reduced Fractions."""
+    nums, den = [x * factor for x in raw], sum(raw) * factor
+    beliefs = [
+        Dist(S2, (Fraction(i % kinds, kinds), 1 - Fraction(i % kinds, kinds)))
+        for i in range(len(raw))
+    ]
+    wp = WeightedPosteriors._from_vector(nums, den, 0, beliefs)
+    public = WeightedPosteriors(
+        tuple((Fraction(n, den), b) for n, b in zip(nums, beliefs))
+    )
+    assert wp == public and wp_key(wp) == wp_key(public)
+    assert gcd(*wp.nums, wp.den) == 1
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (Fraction(0), Fraction(1)),
+        (Fraction(-1, 2), Fraction(3, 2)),
+        (0, 1),
+        (-1, 2),
+        (0.0, 1.0),
+        (1e-10, 1 - 1e-10),
+        (-0.5, 1.5),
+        (Fraction(1, 2), Fraction(1, 3)),
+        (1, 1),
+        (0.5, 0.4),
+        (0.25, 0.25, 0.25),
+    ],
+)
+def test_weighted_posteriors_from_a_vector_raises_the_public_message(weights):
+    beliefs = [
+        Dist(S2, (Fraction(i + 1, 5), Fraction(4 - i, 5)))
+        for i in range(len(weights))
+    ]
+    with pytest.raises(StructuralError) as public:
+        WeightedPosteriors(tuple(zip(weights, beliefs)))
+    tol = dist._TOL if isinstance(weights[0], float) else 0
+    nums, den = dist._vector([dist._ratio(w) for w in weights])
+    for scale in (1, 6):  # in lowest terms, and not
+        with pytest.raises(StructuralError) as err:
+            WeightedPosteriors._from_vector(
+                [n * scale for n in nums], den * scale, tol, beliefs
+            )
+        assert str(err.value) == str(public.value)
+
+
+def test_a_dist_from_an_unreduced_vector_is_stored_in_lowest_terms():
+    space = ("a", "b", "c")
+    d = Dist._from_vector(space, [6, 10, 14], 30, 0)
+    assert (d.nums, d.den) == ((3, 5, 7), 15)
+    assert gcd(*d.nums, d.den) == 1
+    assert d == Dist(space, (Fraction(1, 5), Fraction(1, 3), Fraction(7, 15)))
+    # A float-origin total within the tolerance is renormalised, then
+    # reduced.
+    big = 10**12
+    e = Dist._from_vector(space, [big, big, big + 2], 3 * big, dist._TOL)
+    assert (e.nums, e.den) == ((big // 2, big // 2, big // 2 + 1), e.den)
+    assert e.den == (3 * big + 2) // 2 and e.tol == dist._TOL

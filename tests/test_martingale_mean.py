@@ -113,7 +113,7 @@ def test_mean_equals_the_reference(tmp_path, capsys, mode):
             verdicts.add(holds)
             report = verify_model(loaded, loaded_obs)
             assert report.subjective_martingale_holds == holds
-            assert report.details["mean_posterior"] == mean
+            assert report.details["induced_prior"].weights == mean
             code, out, err = martingale_json(obs_path, model_path, capsys)
             assert (code, err) == (0 if holds else 2, "")
             payload = json.loads(out)

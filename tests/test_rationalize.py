@@ -342,7 +342,7 @@ class TestVerify:
         model = construct_rationalization(obs)
         report = verify_model(model, obs)
         assert report.all_pass
-        assert report.details["mean_posterior"] == obs.prior.weights
+        assert report.details["induced_prior"].weights == obs.prior.weights
         # the CLI verifies the model it built, after a float-mode round trip
         obs_path, model_path = tmp_path / "o.json", tmp_path / "m.json"
         save_observation(obs, obs_path, mode="float")
