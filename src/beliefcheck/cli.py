@@ -29,13 +29,13 @@ from .errors import (
 )
 from .io import (
     _number_texts,
+    _write,
     format_number,
     load_model,
     load_observation,
     model_json,
     parse_number,
     read_json,
-    save_model,
 )
 from .known_omega import brute_force_known_omega, check_proposition1
 from .rationalize import (
@@ -93,12 +93,10 @@ def _ratio_text(num: int, den: int, tol) -> str:
     return _number_texts((num,), den, tol)[0]
 
 
-def _render_table(states, labels, rows, title: str, tol) -> list:
-    """A state x signal table: one column per signal label, of its `Row`
-    over the states. The rows share one denominator, and the table's
-    numbers are formatted in one pass."""
+def _render_table(states, labels, texts: list, title: str) -> list:
+    """A state x signal table: one column per signal label, the j-th of
+    the number texts texts[j * n : (j + 1) * n] over the n states."""
     n = len(states)
-    texts = _number_texts([a for r in rows for a in r.acc], rows[0].den, tol)
     columns = []
     for j, label in enumerate(labels):
         column = [label] + texts[j * n : (j + 1) * n]
@@ -203,24 +201,30 @@ def cmd_rationalize(args) -> int:
     """Build a rationalizing model; print its mu0 and pObj tables, or its
     file as --json. Takes O(k * n) time and memory for k posteriors over
     n states beyond reading the file: the construction and the model file
-    (see construct_rationalization and save_model), the cell table, and
-    two tables of 2k x n numbers over one denominator each, each distinct
-    numerator formatted once."""
+    (see construct_rationalization and save_model), and two tables of 2k x
+    n numbers. The construction lays omega out as one run of n outcomes
+    per signal, in state order, so a signal's column in a table is its run
+    of mu0's or pObj's numbers: each distinct numerator is formatted once,
+    for the file and the tables alike."""
     obs, mode = load_observation(args.observation)
     lam = _resolve_lambda(args.lambda_mix, obs, mode)
     model = construct_rationalization(obs, lam)
+    tol = model.tol
+    numbers = [
+        _number_texts(d.nums, d.den, tol) for d in (model.mu0, model.pObj)
+    ]
+    if args.out or args.json:
+        text = model_json(model, mode, numbers)
     if args.out:
-        save_model(model, args.out, mode)
+        _write(args.out, text)
     if args.json:
-        sys.stdout.write(model_json(model, mode))
+        sys.stdout.write(text)
     else:
-        cells, tol = cell_table(model), model.tol
-        labels = [c.label for c in cells]
-        for title, rows in (
-            ("subjective prior mu0:", [c.mu_parts for c in cells]),
-            ("objective distribution P:", [c.obj_parts for c in cells]),
+        labels = list(model.signal_partition)
+        for title, texts in zip(
+            ("subjective prior mu0:", "objective distribution P:"), numbers
         ):
-            table = _render_table(model.states, labels, rows, title, tol)
+            table = _render_table(model.states, labels, texts, title)
             print("\n".join(table), end="\n\n")
         posteriors, lines = obs.posteriors, []
         weights = _number_texts(posteriors.nums, posteriors.den, obs.tol)
@@ -333,7 +337,7 @@ def cmd_martingale(args) -> int:
         model, _ = load_model(args.model)
         if model.states != obs.space:
             raise StructuralError("posterior space differs from the prior's")
-        tol = max(tol, model.tol)
+        tol = tol or model.tol
         # The cell posteriors under their mu0 masses average to mu0's
         # projection onto the states, by Bayes' law.
         mean = _projected([c.mu_parts for c in cell_table(model)], obs.space)

@@ -11,7 +11,11 @@ which also formats every number the CLI prints. See docs/format.md for
 the schemas.
 
 The loaders read a file's numbers through tables of their distinct
-strings (`_texts`): each distinct string is parsed once per file. A
+strings (`_texts`): each distinct string is parsed once per file. In float
+mode a decimal in ASCII digits, as this package writes floats, is read
+with one float() after a few string-method checks; every other text has
+its exponent checked against MAX_EXPONENT and is read through int or
+Fraction (`_number`). A
 model's distribution takes one lcm over the denominators of its distinct
 values, scales each distinct value once and maps its row back in C; an
 observation's prior, beliefs and weights form one value list with one
@@ -77,6 +81,15 @@ class _Misplaced(Exception):
         return FormatError("%s%s: %s" % (where, self.suffix, self.message))
 
 
+def _over_cap(text: str) -> bool:
+    """Whether `text` ends in a decimal exponent above MAX_EXPONENT in
+    magnitude."""
+    exponent = _EXPONENT.search(text)
+    digits = exponent.group(1).replace("_", "") if exponent else ""
+    # Five or more digits exceed the cap, and int() refuses over 4300.
+    return len(digits) > 4 or int(digits or 0) > MAX_EXPONENT
+
+
 def _number(raw, mode: str) -> tuple:
     """A number as a reduced (numerator, denominator) pair: its exact value
     in rational mode, its nearest float's in float mode. parse_number
@@ -87,6 +100,25 @@ def _number(raw, mode: str) -> tuple:
         raise _Misplaced("expected a number, got a boolean")
     else:
         text = str(raw)
+    if (
+        mode == "float"
+        and "/" not in text
+        and text.isascii()
+        and "_" not in text
+        and text.strip() == text
+        and not text.isdigit()
+        and not (("e" in text or "E" in text) and _over_cap(text))
+    ):
+        # An ASCII text with no underscore and no space around it that
+        # float() reads as a finite value is a decimal as _DECIMAL
+        # matches it, and its exponent is within the cap: one float() does
+        # what the general path below does with it. Any other text, "inf",
+        # "nan" and a decimal out of range take that path, and "p/q" and
+        # "p" in digits are read there through int.
+        try:
+            return float(text).as_integer_ratio()
+        except (ValueError, OverflowError):
+            pass
     # "p/q" and "p" in ASCII digits, with a nonzero q, are read through
     # int; a sign, space, underscore, exponent or any other digit takes
     # Fraction's own parser, as does every other form.
@@ -97,10 +129,7 @@ def _number(raw, mode: str) -> tuple:
         and (not slash or den.isascii() and den.isdigit() and den.strip("0"))
     )
     if not plain:
-        exponent = _EXPONENT.search(text)
-        digits = exponent.group(1).replace("_", "") if exponent else ""
-        # Five or more digits exceed the cap, and int() refuses over 4300.
-        if len(digits) > 4 or int(digits or 0) > MAX_EXPONENT:
+        if _over_cap(text):
             raise _Misplaced(
                 "decimal exponent above %d in magnitude" % MAX_EXPONENT
             )
@@ -389,8 +418,12 @@ def _walk_observation(data: dict, states: tuple, index: dict, mode, where):
 def load_observation(path) -> Tuple[Observation, str]:
     """Read an observation file; returns (observation, mode). Takes time
     and memory linear in the file's size, plus one parse per distinct
-    number string in the file and one lcm over each distribution's
-    denominators. Only a file with a bad entry is read again, entry by
+    number string in the file (a float-mode decimal takes one float()
+    after a few string-method checks), one lcm over each distribution's
+    denominators, and one grouping of the beliefs (see group_beliefs):
+    one dict pass on exact data, and on float-origin data one projection
+    per belief and one sort, which suffice when no two beliefs come
+    within reach. Only a file with a bad entry is read again, entry by
     entry, to name the first bad entry in file order."""
     data = _load_json(path)
     where = str(path)
@@ -438,10 +471,15 @@ def _weights_text(dist, tol: Fraction) -> list:
     return _number_texts(dist.nums, dist.den, tol, '"')
 
 
+def _members(keys, texts: list, depth: int) -> str:
+    """A distribution as a JSON object keyed by its encoded labels, from
+    its numbers as `_number_texts` writes them, unquoted."""
+    return _block(list(map('%s: "%s"'.__mod__, zip(keys, texts))), depth, "{}")
+
+
 def _dist_text(keys, dist: Dist, depth: int, tol: Fraction) -> str:
     """A distribution as a JSON object keyed by its encoded labels."""
-    members = map("%s: %s".__mod__, zip(keys, _weights_text(dist, tol)))
-    return _block(list(members), depth, "{}")
+    return _members(keys, _number_texts(dist.nums, dist.den, tol), depth)
 
 
 def _document(fields: list) -> str:
@@ -494,10 +532,16 @@ def save_observation(obs: Observation, path, mode: str = "rational") -> None:
     _write(path, observation_json(obs, mode))
 
 
-def model_json(model: Model, mode: str) -> str:
+def model_json(model: Model, mode: str, numbers: list = None) -> str:
     """A model file's text, the layout of json.dumps(..., indent=2)
-    followed by a newline; see docs/format.md."""
-    lam = model.lambda_mix
+    followed by a newline; see docs/format.md. `numbers`, when given,
+    holds mu0's and pObj's numbers as `_number_texts` writes them, so that
+    a caller that prints them too formats each once."""
+    tol, lam = model.tol, model.lambda_mix
+    if numbers is None:
+        numbers = [
+            _number_texts(d.nums, d.den, tol) for d in (model.mu0, model.pObj)
+        ]
     projected = [model.projection[w] for w in model.omega]
     labels = (model.states, model.omega, projected, model.signal_partition)
     _writable(mode, *labels, () if lam is None else lam.space)
@@ -519,14 +563,14 @@ def model_json(model: Model, mode: str) -> str:
     ]
     mix = "null"
     if lam is not None:
-        mix = _dist_text(map(_encode, lam.space), lam, 1, model.tol)
+        mix = _dist_text(map(_encode, lam.space), lam, 1, tol)
     return _document(
         [
             ("mode", _encode(mode)),
             ("states", _block(list(map(_encode, model.states)), 1, "[]")),
             ("omega", _block(entries, 1, "[]")),
-            ("mu0", _dist_text(omega, model.mu0, 1, model.tol)),
-            ("pObj", _dist_text(omega, model.pObj, 1, model.tol)),
+            ("mu0", _members(omega, numbers[0], 1)),
+            ("pObj", _members(omega, numbers[1], 1)),
             ("lambda", mix),
             ("partition", _block(partition, 1, "{}")),
         ]

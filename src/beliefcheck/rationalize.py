@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
+from operator import floordiv
 from typing import Optional
 
 from .dist import (
@@ -92,7 +93,7 @@ class Model:
         omega, states = tuple(self.omega), tuple(self.states)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "tol", max(self.mu0.tol, self.pObj.tol))
+        object.__setattr__(self, "tol", self.mu0.tol or self.pObj.tol)
         if self.mu0.space != omega or self.pObj.space != omega:
             raise StructuralError(
                 "mu0 and pObj must be distributions over the model's omega"
@@ -176,9 +177,11 @@ def construct_rationalization(
     Takes O(k n) time and memory for k posteriors over n states, besides
     the screen: 2k signal labels, one label per (signal, state) outcome
     of omega, one slice of omega per cell, and Model's checks, O(k n) set
-    operations. The integers are those of the rows above: a common
-    denominator grows with the lcm of the k B[s*], so up to about k times
-    a belief's denominator in bits.
+    operations. The integers are those of the rows above, each row's L and
+    B[s*] first divided by their gcd: a common denominator grows with the
+    lcm of the k reduced B[s*], so up to about k times a belief's
+    denominator in bits under the uniform mix, where every L is 1, and
+    not at all when each lambda_i is proportional to B_i[s*].
 
     Raises AbsoluteContinuityViolation if the screen fails, and
     InvalidMixError if `lambda_mix` does not give every observed posterior
@@ -208,13 +211,17 @@ def construct_rationalization(
     prior = obs.prior.nums
     beliefs = obs.posteriors.beliefs
     stars = [e.derivative.argmax for e in report.entries]
-    # Row i's denominator is B[s*] * Dp * Dl: over their lcm, row i is
-    # scaled by lcm / B[s*].
+    # Row i is L times integers over B[s*] * Dp * Dl. With g = gcd(L,
+    # B[s*]) it is L / g times them over B[s*] / g * Dp * Dl, so over the
+    # lcm of the B[s*] / g it is scaled by L / g * lcm / (B[s*] / g).
     tops = [b.nums[s] for b, s in zip(beliefs, stars)]
-    top = lcm(*tops)
+    shared = list(map(gcd, lambda_mix.nums, tops))
+    top = lcm(*map(floordiv, tops, shared))
     plus, minus = [], []
-    for belief, s, b_top, lam in zip(beliefs, stars, tops, lambda_mix.nums):
-        scale = lam * (top // b_top)
+    for belief, s, b_top, lam, g in zip(
+        beliefs, stars, tops, lambda_mix.nums, shared
+    ):
+        scale = lam // g * (top // (b_top // g))
         c_plus = prior[s] * scale  # P[s*] * L, scaled
         c_minus = b_top * scale  # B[s*] * L, scaled
         plus.extend([b * c_plus for b in belief.nums])
@@ -418,7 +425,7 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
         raise StructuralError(
             "model and observation disagree on the payoff-relevant states"
         )
-    tol = max(model.tol, obs.tol)
+    tol = model.tol or obs.tol  # each is TOL or 0
     cells = cell_table(model)
 
     induced_prior = _projected([c.mu_parts for c in cells], obs.space)

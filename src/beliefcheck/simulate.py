@@ -346,7 +346,7 @@ def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Fraction:
         raise StructuralError(
             "posterior distributions must share an outcome space"
         )
-    reps, groups = group_beliefs(p.beliefs + q.beliefs, max(p.tol, q.tol))
+    reps, groups = group_beliefs(p.beliefs + q.beliefs, p.tol or q.tol)
     # Both weight vectors over the product of their denominators.
     diff = [0] * len(reps)
     weights = [w * q.den for w in p.nums] + [-w * p.den for w in q.nums]

@@ -16,6 +16,7 @@ from beliefcheck import (
     Dist,
     Model,
     StructuralError,
+    check_condition1,
     check_proposition1,
     condition,
     construct_known_omega_model,
@@ -28,9 +29,11 @@ from beliefcheck import (
     save_observation,
     verify_model,
 )
+from beliefcheck import rationalize
 from beliefcheck.cli import main
+from beliefcheck.dist import _dist
 from beliefcheck.io import format_number
-from beliefcheck.rationalize import target_mix
+from beliefcheck.rationalize import mix_label, target_mix
 from genobs import random_observation
 
 
@@ -183,6 +186,46 @@ def test_verify_time_does_not_grow_with_an_lcm_of_posteriors(tmp_path):
     assert min(elapsed) < 0.6
 
 
+def test_a_mix_proportional_to_the_argmax_numerators_keeps_construct_small(
+    tmp_path, monkeypatch
+):
+    # With lambda_i proportional to B_i[s*], each row's L and B[s*] share
+    # B[s*], so construct's common denominator is about Dp * Dl. Without
+    # that reduction it is the lcm of the 2000 B[s*], some 86,000 bits,
+    # and construct took about 2 s (Python 3.11.7, shared 2-vCPU host).
+    # The reduced mu0 is the same either way; the denominators that
+    # construct hands to the Dist builder show the difference.
+    path = tmp_path / "o.json"
+    float_observation_file(path, 2000)
+    obs, _ = load_observation(path)
+    report = check_condition1(obs)
+    tops = [
+        b.nums[e.derivative.argmax]
+        for b, e in zip(obs.posteriors.beliefs, report.entries)
+    ]
+    mix = Dist(
+        [mix_label(i) for i in range(len(tops))],
+        [Fraction(t, sum(tops)) for t in tops],
+    )
+    built = []
+
+    def recording(space, nums, den, *rest):
+        built.append(den.bit_length())
+        return _dist(space, nums, den, *rest)
+
+    monkeypatch.setattr(rationalize, "_dist", recording)
+    start = time.perf_counter()
+    model = construct_rationalization(obs, mix)
+    monkeypatch.undo()
+    report = verify_model(model, obs)
+    elapsed = time.perf_counter() - start
+    assert report.all_pass
+    assert model.lambda_mix == mix
+    assert model.mu0.den.bit_length() < 256
+    assert len(built) == 2 and max(built) < 256  # mu0's and pObj's
+    assert elapsed < 1
+
+
 def left_fold_mean(obs):
     """(holds, mean weights) of the objective martingale check, summed in
     Fractions one posterior at a time."""
@@ -242,3 +285,27 @@ def test_objective_mean_time_does_not_grow_with_a_left_fold_lcm(tmp_path):
         elapsed.append(time.perf_counter() - start)
     assert mean.den.bit_length() > 80_000
     assert min(elapsed) < 0.5
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [float("nan"), 0.5, 0.5],
+        [float("inf"), 0.5, 0.5],
+        [0.5, float("-inf"), 0.5],
+        [float("inf"), float("-inf"), 1.0],
+    ],
+)
+def test_nan_or_infinite_weights_are_refused_as_the_constructor_does(weights):
+    space = ("H", "L")
+    beliefs = [
+        Dist(space, (Fraction(i, 3), 1 - Fraction(i, 3))) for i in range(3)
+    ]
+    prior = Dist(space, (Fraction(1, 3), Fraction(2, 3)))
+    with pytest.raises(StructuralError) as built:
+        Dist(range(3), weights)
+    with pytest.raises(StructuralError) as checked:
+        martingale_check(weights, beliefs, prior)
+    assert str(checked.value) == str(built.value)
+    assert str(checked.value).startswith("weights sum to ")
+    assert str(checked.value).endswith(", expected 1 within 1e-09")
