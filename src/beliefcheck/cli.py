@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .dist import Dist, Observation, _same, martingale_check
+from .dist import Dist, Observation, _joint_tol, _same, martingale_check
 from .errors import (
     AbsoluteContinuityViolation,
     FormatError,
@@ -28,12 +28,13 @@ from .errors import (
     ZeroProbabilityCell,
 )
 from .io import (
+    _model_file,
+    _model_numbers,
     _number_texts,
     _write,
     format_number,
     load_model,
     load_observation,
-    model_json,
     parse_number,
     read_json,
 )
@@ -41,6 +42,7 @@ from .known_omega import brute_force_known_omega, check_proposition1
 from .rationalize import (
     _implied_posteriors,
     _projected,
+    _signal_runs,
     cell_table,
     check_condition1,
     construct_rationalization,
@@ -93,18 +95,17 @@ def _ratio_text(num: int, den: int, tol) -> str:
     return _number_texts((num,), den, tol)[0]
 
 
-def _render_table(states, labels, texts: list, title: str) -> list:
-    """A state x signal table: one column per signal label, the j-th of
-    the number texts texts[j * n : (j + 1) * n] over the n states."""
-    n = len(states)
-    columns = []
-    for j, label in enumerate(labels):
-        column = [label] + texts[j * n : (j + 1) * n]
+def _render_table(states, columns: list, title: str) -> list:
+    """A state x signal table: one column per (signal label, number texts
+    over the states) pair of `columns`."""
+    cells = []
+    for label, texts in columns:
+        column = [label, *texts]
         width = max(map(len, column))
-        columns.append([text.rjust(width) for text in column])
+        cells.append([text.rjust(width) for text in column])
     row_w = max(len(str(s)) for s in states)
     heads = [" " * row_w] + [str(s).rjust(row_w) for s in states]
-    return [title] + list(map("  ".join, zip(heads, *columns)))
+    return [title] + list(map("  ".join, zip(heads, *cells)))
 
 
 def _check_payload(obs: Observation, ratios: bool) -> dict:
@@ -202,29 +203,27 @@ def cmd_rationalize(args) -> int:
     file as --json. Takes O(k * n) time and memory for k posteriors over
     n states beyond reading the file: the construction and the model file
     (see construct_rationalization and save_model), and two tables of 2k x
-    n numbers. The construction lays omega out as one run of n outcomes
-    per signal, in state order, so a signal's column in a table is its run
-    of mu0's or pObj's numbers: each distinct numerator is formatted once,
-    for the file and the tables alike."""
+    n numbers. A signal's column in a table is its run of mu0's or pObj's
+    numbers (`_signal_runs`), so each distinct numerator is formatted
+    once, for the file and the tables alike."""
     obs, mode = load_observation(args.observation)
     lam = _resolve_lambda(args.lambda_mix, obs, mode)
     model = construct_rationalization(obs, lam)
-    tol = model.tol
-    numbers = [
-        _number_texts(d.nums, d.den, tol) for d in (model.mu0, model.pObj)
-    ]
     if args.out or args.json:
-        text = model_json(model, mode, numbers)
+        text, numbers = _model_file(model, mode)
+    else:
+        numbers = _model_numbers(model)
     if args.out:
         _write(args.out, text)
     if args.json:
         sys.stdout.write(text)
     else:
-        labels = list(model.signal_partition)
+        runs = _signal_runs(model.signal_partition, len(model.states)).items()
         for title, texts in zip(
             ("subjective prior mu0:", "objective distribution P:"), numbers
         ):
-            table = _render_table(model.states, labels, texts, title)
+            columns = [(label, texts[run]) for label, run in runs]
+            table = _render_table(model.states, columns, title)
             print("\n".join(table), end="\n\n")
         posteriors, lines = obs.posteriors, []
         weights = _number_texts(posteriors.nums, posteriors.den, obs.tol)
@@ -337,7 +336,7 @@ def cmd_martingale(args) -> int:
         model, _ = load_model(args.model)
         if model.states != obs.space:
             raise StructuralError("posterior space differs from the prior's")
-        tol = tol or model.tol
+        tol = _joint_tol(tol, model.tol)
         # The cell posteriors under their mu0 masses average to mu0's
         # projection onto the states, by Bayes' law.
         mean = _projected([c.mu_parts for c in cell_table(model)], obs.space)

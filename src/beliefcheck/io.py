@@ -15,15 +15,15 @@ strings (`_texts`): each distinct string is parsed once per file. In float
 mode a decimal in ASCII digits, as this package writes floats, is read
 with one float() after a few string-method checks; every other text has
 its exponent checked against MAX_EXPONENT and is read through int or
-Fraction (`_number`). A
-model's distribution takes one lcm over the denominators of its distinct
-values, scales each distinct value once and maps its row back in C; an
-observation's prior, beliefs and weights form one value list with one
-table, and each distribution is scaled from its slice of the pairs. A row
-whose keys are not its space in order is reordered. The omega entries are
-checked as three columns. Only a file that holds a bad entry is gone
-through entry by entry, so that the first bad entry in file order raises.
-An error is located at its file, field, entry and state.
+Fraction (`_number`). A model's distribution takes one lcm over the
+denominators of its distinct values, scales each distinct value once and
+maps its row back in C; an observation's prior, beliefs and weights form
+one value list with one table, and each distribution is scaled from its
+slice of the pairs. A row whose keys are not its space in order is
+reordered. The omega entries are checked as three columns. Only a file
+that holds a bad entry is gone through entry by entry, so that the first
+bad entry in file order raises. An error is located at its file, field,
+entry and state.
 
 Files are written byte for byte in the layout of `json.dump(...,
 indent=2)` of the file's JSON object plus a final newline: one
@@ -43,7 +43,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd, isinf
+from math import gcd
 from operator import itemgetter
 from typing import Tuple
 
@@ -56,14 +56,9 @@ MODES = ("rational", "float")
 #: Largest decimal exponent magnitude accepted: Python's default limit on
 #: int digits, which already bounds the "p/q" form.
 MAX_EXPONENT = 4300
-# The exponent's digits after its leading zeros. This pattern and the next
-# split a run of digits one way only, so they match in linear time.
+# The exponent's digits after its leading zeros. The pattern splits a run
+# of digits one way only, so it matches in linear time.
 _EXPONENT = re.compile(r"e[-+]?[0_]*((?:[^\D0][\d_]*)?)\s*\Z", re.I)
-# A decimal in ASCII digits, as Fraction reads it; float() rounds it as
-# float(Fraction(text)) does, both correctly.
-_DECIMAL = re.compile(
-    r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?\Z", re.I | re.A
-)
 
 
 class _Misplaced(Exception):
@@ -110,11 +105,13 @@ def _number(raw, mode: str) -> tuple:
         and not (("e" in text or "E" in text) and _over_cap(text))
     ):
         # An ASCII text with no underscore and no space around it that
-        # float() reads as a finite value is a decimal as _DECIMAL
-        # matches it, and its exponent is within the cap: one float() does
-        # what the general path below does with it. Any other text, "inf",
-        # "nan" and a decimal out of range take that path, and "p/q" and
-        # "p" in digits are read there through int.
+        # float() reads is a decimal, "inf", "infinity" or "nan", and a
+        # decimal's exponent is within the cap here: float() rounds it as
+        # float(Fraction(text)) does, both correctly. A value no float
+        # holds takes the general path below, which refuses "inf" and
+        # "nan" as no number and a decimal out of range as such (n / d
+        # overflows where float() does), as it reads "p/q" and "p" in
+        # digits through int and every other text.
         try:
             return float(text).as_integer_ratio()
         except (ValueError, OverflowError):
@@ -128,16 +125,10 @@ def _number(raw, mode: str) -> tuple:
         and num.isdigit()
         and (not slash or den.isascii() and den.isdigit() and den.strip("0"))
     )
-    if not plain:
-        if _over_cap(text):
-            raise _Misplaced(
-                "decimal exponent above %d in magnitude" % MAX_EXPONENT
-            )
-        if mode == "float" and _DECIMAL.match(text):
-            value = float(text)
-            if isinf(value):
-                raise _Misplaced("%r is out of range for float mode" % (raw,))
-            return value.as_integer_ratio()
+    if not plain and _over_cap(text):
+        raise _Misplaced(
+            "decimal exponent above %d in magnitude" % MAX_EXPONENT
+        )
     try:
         if plain:
             n, d = int(num), int(den or 1)
@@ -532,16 +523,18 @@ def save_observation(obs: Observation, path, mode: str = "rational") -> None:
     _write(path, observation_json(obs, mode))
 
 
-def model_json(model: Model, mode: str, numbers: list = None) -> str:
-    """A model file's text, the layout of json.dumps(..., indent=2)
-    followed by a newline; see docs/format.md. `numbers`, when given,
-    holds mu0's and pObj's numbers as `_number_texts` writes them, so that
-    a caller that prints them too formats each once."""
-    tol, lam = model.tol, model.lambda_mix
-    if numbers is None:
-        numbers = [
-            _number_texts(d.nums, d.den, tol) for d in (model.mu0, model.pObj)
-        ]
+def _model_numbers(model: Model) -> list:
+    """mu0's and pObj's numbers as a model file writes them, in omega
+    order."""
+    tol = model.tol
+    return [_number_texts(d.nums, d.den, tol) for d in (model.mu0, model.pObj)]
+
+
+def _model_file(model: Model, mode: str) -> tuple:
+    """(text, numbers): a model file's text, and its numbers as
+    `_model_numbers` gives them, for a caller that prints them too and so
+    formats each once."""
+    numbers, lam = _model_numbers(model), model.lambda_mix
     projected = [model.projection[w] for w in model.omega]
     labels = (model.states, model.omega, projected, model.signal_partition)
     _writable(mode, *labels, () if lam is None else lam.space)
@@ -563,8 +556,8 @@ def model_json(model: Model, mode: str, numbers: list = None) -> str:
     ]
     mix = "null"
     if lam is not None:
-        mix = _dist_text(map(_encode, lam.space), lam, 1, tol)
-    return _document(
+        mix = _dist_text(map(_encode, lam.space), lam, 1, model.tol)
+    text = _document(
         [
             ("mode", _encode(mode)),
             ("states", _block(list(map(_encode, model.states)), 1, "[]")),
@@ -575,6 +568,13 @@ def model_json(model: Model, mode: str, numbers: list = None) -> str:
             ("partition", _block(partition, 1, "{}")),
         ]
     )
+    return text, numbers
+
+
+def model_json(model: Model, mode: str) -> str:
+    """A model file's text, the layout of json.dumps(..., indent=2)
+    followed by a newline; see docs/format.md."""
+    return _model_file(model, mode)[0]
 
 
 def save_model(model: Model, path, mode: str = "rational") -> None:

@@ -26,6 +26,7 @@ from .dist import (
     _close,
     _dist,
     _index_of,
+    _joint_tol,
     _same,
     group_beliefs,
     rn_derivative,
@@ -93,7 +94,8 @@ class Model:
         omega, states = tuple(self.omega), tuple(self.states)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "tol", self.mu0.tol or self.pObj.tol)
+        tol = _joint_tol(self.mu0.tol, self.pObj.tol)
+        object.__setattr__(self, "tol", tol)
         if self.mu0.space != omega or self.pObj.space != omega:
             raise StructuralError(
                 "mu0 and pObj must be distributions over the model's omega"
@@ -154,6 +156,17 @@ def target_mix(obs: Observation) -> Dist:
     """Mixing distribution equal to the observed posterior weights."""
     k = len(obs.posteriors)
     return _dist(_mix_space(k), obs.posteriors.nums, obs.posteriors.den)
+
+
+def _signal_runs(signals, n: int) -> dict:
+    """Each signal's slice of omega in a model construct_rationalization
+    builds over n states from `signals`, its signal labels in partition
+    order: omega is one run of n outcomes per signal, one per state in
+    state order, so the slice of mu0's or pObj's numbers is the signal's
+    column over the states."""
+    return {
+        signal: slice(j * n, (j + 1) * n) for j, signal in enumerate(signals)
+    }
 
 
 def construct_rationalization(
@@ -231,24 +244,21 @@ def construct_rationalization(
         )
     p_obj = [p * w for w in obs.posteriors.nums for p in prior]
 
-    # Omega is one run of outcomes per signal, one outcome per state in
-    # state order, each labeled as omega_label labels it: each state's
-    # part of the label is formatted once.
-    n = len(states)
+    # Omega is laid out as _signal_runs says, each outcome labeled as
+    # omega_label labels it: each state's part of the label is formatted
+    # once.
     signals = [
         signal_label(i, sign) for sign in (PLUS, MINUS) for i in range(k)
     ]
     heads = [_OMEGA_LABEL % (s, "") for s in states]
     omega = tuple([head + signal for signal in signals for head in heads])
     index = dict(zip(omega, range(len(omega))))
+    runs = _signal_runs(signals, len(states))
     return Model(
         states=states,
         omega=omega,
         projection=dict(zip(omega, states * len(signals))),
-        signal_partition={
-            signal: omega[j * n : (j + 1) * n]
-            for j, signal in enumerate(signals)
-        },
+        signal_partition={signal: omega[runs[signal]] for signal in signals},
         mu0=_dist(
             omega,
             plus + minus,
@@ -425,7 +435,7 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
         raise StructuralError(
             "model and observation disagree on the payoff-relevant states"
         )
-    tol = model.tol or obs.tol  # each is TOL or 0
+    tol = _joint_tol(model.tol, obs.tol)
     cells = cell_table(model)
 
     induced_prior = _projected([c.mu_parts for c in cells], obs.space)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .dist import WeightedPosteriors, group_beliefs
+from .dist import WeightedPosteriors, _joint_tol, group_beliefs
 from .errors import StructuralError
 from .rationalize import Model, reachable_cells
 
@@ -346,7 +346,8 @@ def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Fraction:
         raise StructuralError(
             "posterior distributions must share an outcome space"
         )
-    reps, groups = group_beliefs(p.beliefs + q.beliefs, p.tol or q.tol)
+    tol = _joint_tol(p.tol, q.tol)
+    reps, groups = group_beliefs(p.beliefs + q.beliefs, tol)
     # Both weight vectors over the product of their denominators.
     diff = [0] * len(reps)
     weights = [w * q.den for w in p.nums] + [-w * p.den for w in q.nums]

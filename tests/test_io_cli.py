@@ -25,7 +25,7 @@ from beliefcheck import (
     verify_model,
 )
 from beliefcheck.cli import main
-from beliefcheck.io import _DECIMAL, _EXPONENT, parse_number
+from beliefcheck.io import _EXPONENT, parse_number
 
 S2 = ("H", "L")
 
@@ -68,12 +68,9 @@ def test_parse_number_agrees_with_fraction(text, mode):
     assert got == expected and type(got) is type(expected)
 
 
-# The number patterns written with a run of digits split two ways: the
+# The exponent pattern written with a run of digits split two ways: the
 # same matches, in time quadratic in the length of the run.
 SPLIT_EXPONENT = re.compile(r"e[-+]?[0_]*([\d_]*)\s*\Z", re.I)
-SPLIT_DECIMAL = re.compile(
-    r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?\Z", re.I | re.A
-)
 
 
 @settings(max_examples=500, deadline=None)
@@ -87,14 +84,10 @@ SPLIT_DECIMAL = re.compile(
     ).map("".join)
 )
 def test_number_patterns_match_as_their_split_forms(text):
-    for linear, split, find in (
-        (_EXPONENT, SPLIT_EXPONENT, re.Pattern.search),
-        (_DECIMAL, SPLIT_DECIMAL, re.Pattern.match),
-    ):
-        got, expected = find(linear, text), find(split, text)
-        assert (got and (got.span(), got.groups())) == (
-            expected and (expected.span(), expected.groups())
-        )
+    got, expected = _EXPONENT.search(text), SPLIT_EXPONENT.search(text)
+    assert (got and (got.span(), got.groups())) == (
+        expected and (expected.span(), expected.groups())
+    )
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
