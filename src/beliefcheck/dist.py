@@ -38,7 +38,8 @@ took 20-30% longer on float files than on exact ones, `verify` 35-60%.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from collections import namedtuple
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -90,8 +91,15 @@ def _ratios(weights: tuple) -> list:
 
 def _shown(num: int, den: int, tol) -> str:
     """The weight num/den as an error message shows it: as the float it
-    came from when tol is set, else as p/q in lowest terms."""
-    return str(num / den) if tol else str(Fraction(num, den))
+    came from when tol is set, else as p/q in lowest terms. A value that
+    no float holds, or whose p or q has more digits than str() of an int
+    gives (4300 by default), is shown to six digits, as "1e+4300"."""
+    try:
+        return str(num / den) if tol else str(Fraction(num, den))
+    except (OverflowError, ValueError):
+        from decimal import Context  # only here: it takes 1-2 ms to import
+
+        return format(Context(6).divide(num, den).normalize(), "g")
 
 
 def _zero_limit(den: int, tol) -> int:
@@ -149,7 +157,52 @@ def _index_of(space: tuple) -> dict:
     return _labels_checked({s: i for i, s in enumerate(space)}, space)
 
 
-class Dist:
+class _Frozen:
+    """An immutable value, built by its class's constructor: assignment
+    raises FrozenInstanceError, as on a frozen dataclass. A subclass lists
+    every attribute it stores in `__slots__`, which a pickle holds, and
+    its constructor's arguments in `_fields`, which equality, hashing and
+    the repr read, in the order and form of a frozen dataclass's."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _init(self, *values) -> None:
+        """Store `values` in the slots, in order."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setstate__(self, values: tuple) -> None:
+        self._init(*values)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % f for f in zip(self._fields, self._values())),
+        )
+
+
+class Dist(_Frozen):
     """A probability distribution with finite support over labeled outcomes.
 
     The outcome space is an ordered tuple of distinct, non-empty labels;
@@ -198,13 +251,13 @@ class Dist:
         if total != den:
             if not tol:
                 raise StructuralError(
-                    "weights sum to %s, expected 1" % Fraction(total, den)
+                    "weights sum to %s, expected 1" % _shown(total, den, 0)
                 )
             p, q = tol.as_integer_ratio()
             if abs(total - den) * q > p * den:  # |total/den - 1| > p/q
                 raise StructuralError(
-                    "weights sum to %r, expected 1 within %g"
-                    % (total / den, tol)
+                    "weights sum to %s, expected 1 within %g"
+                    % (_shown(total, den, tol), tol)
                 )
             den = total
         _store(self, space, nums, den, tol, index)
@@ -239,12 +292,6 @@ class Dist:
     @property
     def is_exact(self) -> bool:
         return not self.tol
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
 
     def __reduce__(self):
         return _dist, (self.space, self.nums, self.den, self.tol)
@@ -674,21 +721,23 @@ def martingale_check(
     return _close(mean.nums, mean.den, prior.nums, prior.den, tol), mean
 
 
-@dataclass(frozen=True)
-class WeightedPosteriors:
+class WeightedPosteriors(_Frozen):
     """A finitely-supported distribution over posterior beliefs.
 
     Items are (weight, belief) pairs over a shared outcome space. Duplicate
     beliefs (the same under `group_beliefs`) are merged at construction by
-    summing their weights, so the stored items enumerate the support. A
-    float weight must exceed TOL; beliefs are taken as observed. The merged
-    weights are also kept as integers, `nums` over `den` in lowest terms.
+    summing their weights, so the items enumerate the support. A float
+    weight must exceed TOL; beliefs are taken as observed. The merged
+    weights are kept as integers, `nums` over `den` in lowest terms, and
+    the merged beliefs as `beliefs`; `items` pairs them, with the weights
+    as Fractions, when first read.
     """
 
-    items: tuple
+    __slots__ = ("beliefs", "nums", "den", "tol", "_items")
+    _fields = ("items",)
 
-    def __post_init__(self):
-        items = list(self.items)
+    def __init__(self, items: tuple):
+        items = list(items)
         if not items:
             raise StructuralError("at least one posterior is required")
         space = items[0][1].space
@@ -738,44 +787,49 @@ class WeightedPosteriors:
         for n, g in zip(entries.nums, groups):
             sums[g] += n
         den = entries.den
-        _set(self, "items", tuple(zip((Fraction(n, den) for n in sums), reps)))
-        _set(self, "tol", tol)
         g = gcd(*sums, den)
-        _set(self, "nums", tuple(n // g for n in sums))
-        _set(self, "den", den // g)
+        nums = tuple(n // g for n in sums)
+        self._init(tuple(reps), nums, den // g, tol, None)
+
+    @property
+    def items(self) -> tuple:
+        """The (weight, belief) pairs, weights as plain Fractions, built
+        when first read."""
+        items = self._items
+        if items is None:
+            den = self.den
+            weights = [Fraction(n, den) for n in self.nums]
+            items = tuple(zip(weights, self.beliefs))
+            _set(self, "_items", items)
+        return items
 
     @property
     def space(self) -> tuple:
-        return self.items[0][1].space
+        return self.beliefs[0].space
 
     @property
     def weights(self) -> tuple:
         return tuple(w for w, _ in self.items)
 
-    @property
-    def beliefs(self) -> tuple:
-        return tuple(b for _, b in self.items)
-
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.beliefs)
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(_Frozen):
     """What the econometrician sees: a prior over the payoff-relevant states
     and the population distribution of posteriors over the same states.
     The prior is taken as observed (`_observed`)."""
 
-    prior: Dist
-    posteriors: WeightedPosteriors
+    __slots__ = ("prior", "posteriors", "tol")
+    _fields = ("prior", "posteriors")
 
-    def __post_init__(self):
-        if self.prior.space != self.posteriors.space:
+    def __init__(self, prior: Dist, posteriors: WeightedPosteriors):
+        if prior.space != posteriors.space:
             raise StructuralError(
                 "prior and posteriors must share one outcome space"
             )
-        _set(self, "prior", _observed(self.prior))
-        _set(self, "tol", _joint_tol(self.prior.tol, self.posteriors.tol))
+        prior = _observed(prior)
+        self._init(prior, posteriors, _joint_tol(prior.tol, posteriors.tol))
 
     @property
     def space(self) -> tuple:
@@ -786,26 +840,25 @@ class Observation:
         return not self.tol
 
 
-@dataclass(frozen=True)
-class RnEntry:
-    """Per-posterior outcome of the likelihood-ratio screen."""
+class RnEntry(
+    namedtuple("RnEntry", "index derivative violations", defaults=((),))
+):
+    """Per-posterior outcome of the likelihood-ratio screen: the
+    derivative, or None and the prior-null outcomes the posterior
+    charges."""
 
-    index: int
-    derivative: RnDerivative | None
-    violations: tuple = ()
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.derivative is not None
 
 
-@dataclass(frozen=True)
-class RnReport:
+class RnReport(namedtuple("RnReport", "entries overall_pass")):
     """Result of screening every posterior in an observation for absolute
     continuity with respect to the prior."""
 
-    entries: tuple
-    overall_pass: bool
+    __slots__ = ()
 
     def violations(self) -> tuple:
         """All prior-null outcomes charged by some posterior."""

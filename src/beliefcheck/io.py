@@ -56,6 +56,9 @@ MODES = ("rational", "float")
 #: Largest decimal exponent magnitude accepted: Python's default limit on
 #: int digits, which already bounds the "p/q" form.
 MAX_EXPONENT = 4300
+#: Most digits int() reads from a string by Python's default: a number
+#: with a longer run of digits is refused in both modes.
+MAX_DIGITS = 4300
 # The exponent's digits after its leading zeros. The pattern splits a run
 # of digits one way only, so it matches in linear time.
 _EXPONENT = re.compile(r"e[-+]?[0_]*((?:[^\D0][\d_]*)?)\s*\Z", re.I)
@@ -102,6 +105,7 @@ def _number(raw, mode: str) -> tuple:
         and "_" not in text
         and text.strip() == text
         and not text.isdigit()
+        and len(text) <= MAX_DIGITS
         and not (("e" in text or "E" in text) and _over_cap(text))
     ):
         # An ASCII text with no underscore and no space around it that
@@ -111,7 +115,9 @@ def _number(raw, mode: str) -> tuple:
         # holds takes the general path below, which refuses "inf" and
         # "nan" as no number and a decimal out of range as such (n / d
         # overflows where float() does), as it reads "p/q" and "p" in
-        # digits through int and every other text.
+        # digits through int and every other text. So does a text longer
+        # than MAX_DIGITS, whose digits int() may refuse where float()
+        # would read them.
         try:
             return float(text).as_integer_ratio()
         except (ValueError, OverflowError):
@@ -134,7 +140,11 @@ def _number(raw, mode: str) -> tuple:
             n, d = int(num), int(den or 1)
         else:
             n, d = Fraction(text).as_integer_ratio()
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError) as err:
+        if str(err).startswith("Exceeds the limit"):  # int()'s digit limit
+            raise _Misplaced(
+                "number has a run of more than %d digits" % MAX_DIGITS
+            ) from None
         raise _Misplaced(
             "%r is not a valid number (use 'p/q' or a decimal)" % (raw,)
         ) from None

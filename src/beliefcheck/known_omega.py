@@ -11,7 +11,7 @@ state space provides an independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
@@ -76,8 +76,12 @@ def _require_full_support(prior: Dist) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Prop1Report:
+class Prop1Report(
+    namedtuple(
+        "Prop1Report",
+        "condition_i overlapping_pairs condition_ii deviations",
+    )
+):
     """Outcome of the two known-state-space rationalizability conditions.
 
     `overlapping_pairs` lists at most one conflict per posterior j, as
@@ -87,10 +91,7 @@ class Prop1Report:
     and the prior conditioned on the posterior's support.
     """
 
-    condition_i: bool
-    overlapping_pairs: tuple
-    condition_ii: bool
-    deviations: tuple
+    __slots__ = ()
 
     @property
     def rationalizable(self) -> bool:

@@ -12,7 +12,6 @@ sequence remains a martingale.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from math import gcd, lcm
 from operator import floordiv
 from typing import Optional
@@ -24,6 +23,7 @@ from .dist import (
     RnReport,
     WeightedPosteriors,
     _close,
+    _Frozen,
     _dist,
     _index_of,
     _joint_tol,
@@ -60,8 +60,7 @@ def omega_label(s, k: int, sign: str) -> str:
     return _OMEGA_LABEL % (s, signal_label(k, sign))
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Frozen):
     """A candidate probabilistic model of the world.
 
     Holds the enlarged outcome space, the projection onto the
@@ -82,37 +81,35 @@ class Model:
     only a failed one scans omega, to name the first bad outcome.
     """
 
-    states: tuple
-    omega: tuple
-    projection: dict
-    signal_partition: dict
-    mu0: Dist
-    pObj: Dist
-    lambda_mix: Optional[Dist] = None
+    _fields = (
+        "states", "omega", "projection", "signal_partition", "mu0", "pObj",
+        "lambda_mix",
+    )
+    __slots__ = _fields + ("tol",)
 
-    def __post_init__(self):
-        omega, states = tuple(self.omega), tuple(self.states)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "states", states)
-        tol = _joint_tol(self.mu0.tol, self.pObj.tol)
-        object.__setattr__(self, "tol", tol)
-        if self.mu0.space != omega or self.pObj.space != omega:
+    def __init__(
+        self, states: tuple, omega: tuple, projection: dict,
+        signal_partition: dict, mu0: Dist, pObj: Dist,
+        lambda_mix: Optional[Dist] = None,
+    ):
+        omega, states = tuple(omega), tuple(states)
+        if mu0.space != omega or pObj.space != omega:
             raise StructuralError(
                 "mu0 and pObj must be distributions over the model's omega"
             )
-        cells = self.signal_partition.values()
+        cells = signal_partition.values()
         if not all(cells):
             raise StructuralError("signal partition cells must be non-empty")
         covered = set().union(*cells)
         if len(covered) != sum(map(len, cells)):
             raise StructuralError("signal partition cells must be disjoint")
         # mu0's label index holds omega's labels, checked distinct.
-        if covered != self.mu0._index.keys():
+        if covered != mu0._index.keys():
             raise StructuralError("signal partition must cover omega")
         _index_of(states)  # distinct, non-empty labels, as a Dist's space
         # The states hold no None, so an outcome missing from the
         # projection fails this check too.
-        projection, declared = self.projection, set(states)
+        declared = set(states)
         if not declared.issuperset(map(projection.get, omega)):
             for w in omega:  # name the first bad outcome
                 if w not in projection:
@@ -123,18 +120,23 @@ class Model:
                         % (w,)
                     )
         if not all(isinstance(cell, tuple) for cell in cells):
-            at, partition = self.mu0._index, dict(self.signal_partition)
-            for label, cell in partition.items():
+            at, signal_partition = mu0._index, dict(signal_partition)
+            for label, cell in signal_partition.items():
                 if not isinstance(cell, tuple):  # a list or a set
-                    partition[label] = tuple(sorted(cell, key=at.__getitem__))
-            object.__setattr__(self, "signal_partition", partition)
+                    cell = tuple(sorted(cell, key=at.__getitem__))
+                    signal_partition[label] = cell
+        tol = _joint_tol(mu0.tol, pObj.tol)
+        self._init(
+            states, omega, projection, signal_partition, mu0, pObj,
+            lambda_mix, tol,
+        )
 
 
 def check_condition1(obs: Observation) -> RnReport:
     """Screen every observed posterior for absolute continuity with respect
     to the prior. Violations are recorded in the report, not raised."""
     entries = []
-    for k, (_, belief) in enumerate(obs.posteriors.items):
+    for k, belief in enumerate(obs.posteriors.beliefs):
         try:
             entries.append(RnEntry(k, rn_derivative(obs.prior, belief)))
         except AbsoluteContinuityViolation as err:
@@ -282,17 +284,15 @@ def construct_rationalization(
 Row = namedtuple("Row", "acc total den")
 
 
-@dataclass(frozen=True, slots=True)
-class CellDiagnostic:
-    """One signal cell of the model: its mu0 and pObj rows over the
-    payoff-relevant states, as `Row`s of integer numerators over the
+class CellDiagnostic(
+    namedtuple("CellDiagnostic", "label posterior mu_parts obj_parts")
+):
+    """One signal cell of the model: its label, its mu0 and pObj rows over
+    the payoff-relevant states, as `Row`s of integer numerators over the
     model's mu0 and pObj denominators with their totals, and its Bayes
-    posterior."""
+    posterior, None when the cell has zero mu0 mass."""
 
-    label: str
-    posterior: Optional[Dist]  # None when the cell has zero mu0 mass
-    mu_parts: Row
-    obj_parts: Row
+    __slots__ = ()
 
 
 def cell_table(model: Model) -> list:
@@ -361,8 +361,13 @@ def _reached(cells: list) -> list:
     return reached
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(
+    namedtuple(
+        "VerifyReport",
+        "prior_matches posteriors_match posterior_distribution_matches "
+        "objective_agrees_with_prior subjective_martingale_holds details",
+    )
+):
     """Independent check that a model reproduces an observation.
 
     Every boolean is recomputed from the model and the observation alone.
@@ -373,15 +378,15 @@ class VerifyReport:
     `subjective_martingale_holds` always equals `prior_matches`: by Bayes'
     law the mu0-weighted mean of the cell posteriors is mu0's projection
     onto the states, so it is reported for the record, not as an
-    independent check.
+    independent check. `details` defaults to a new empty dict.
     """
 
-    prior_matches: bool
-    posteriors_match: bool
-    posterior_distribution_matches: bool
-    objective_agrees_with_prior: bool
-    subjective_martingale_holds: bool
-    details: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        if len(args) < len(cls._fields):
+            kwargs.setdefault("details", {})
+        return super().__new__(cls, *args, **kwargs)
 
     @property
     def consistent(self) -> bool:

@@ -41,9 +41,8 @@ import re
 import sys
 from array import array
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -252,15 +251,12 @@ class Draws(Sequence):
         return "Draws(%r)" % (tuple(self),)
 
 
-@dataclass(frozen=True)
-class PanelSample:
-    """A simulated panel: per-agent draws and the empirical posterior
-    distribution (weights are counts over n_agents, hence exact)."""
+class PanelSample(namedtuple("PanelSample", "n_agents seed draws empirical")):
+    """A simulated panel: per-agent draws, of (signal cell label,
+    posterior index), and the empirical posterior distribution (weights
+    are counts over n_agents, hence exact)."""
 
-    n_agents: int
-    seed: int
-    draws: Draws  # of (signal cell label, posterior index)
-    empirical: WeightedPosteriors
+    __slots__ = ()
 
 
 def simulate_panel(model: Model, n_agents: int, seed: int) -> PanelSample:

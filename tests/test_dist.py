@@ -64,6 +64,36 @@ class TestDistConstruction:
         with pytest.raises(StructuralError):
             Dist(S2, (Fraction(3, 2), Fraction(-1, 2)))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (
+                (Fraction(10**4300), Fraction(0)),
+                "weights sum to 1e+4300, expected 1",
+            ),
+            (
+                (Fraction(3, 10**4300), Fraction(0)),
+                "weights sum to 3e-4300, expected 1",
+            ),
+            (
+                (Fraction(-(10**4300)), 10**4300 + 1),
+                "negative weight -1e+4300 at outcome 'H'",
+            ),
+            (
+                (1e308, 1e308),
+                "weights sum to 2e+308, expected 1 within 1e-09",
+            ),
+        ],
+    )
+    def test_values_str_or_float_cannot_hold_are_shown_in_short(
+        self, weights, message
+    ):
+        # str() refuses an int of more than 4300 digits, and 2e308 is no
+        # float: the message shows six digits and an exponent instead.
+        with pytest.raises(StructuralError) as err:
+            Dist(S2, weights)
+        assert str(err.value) == message
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(StructuralError):
             Dist(("a", "a"), (Fraction(1, 2), Fraction(1, 2)))

@@ -238,6 +238,39 @@ class TestCliMalformedInput:
         assert proc.stderr.startswith("error: ")
         assert "prior.H" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                {"prior": {"H": "1e4300", "L": "0"}},
+                ":prior: weights sum to 1e+4300, expected 1",
+            ),
+            (
+                {"prior": {"H": "-1e4300", "L": "1"}},
+                ":prior: negative weight -1e+4300 at outcome 'H'",
+            ),
+            (
+                {
+                    "posteriors": [
+                        {"weight": "1e-4300", "belief": {"H": "1", "L": "0"}}
+                    ]
+                },
+                ": posterior weights sum to 1e-4300, expected 1",
+            ),
+            (
+                {"mode": "float", "prior": {"H": "1e308", "L": "1e308"}},
+                ":prior: weights sum to 2e+308, expected 1 within 1e-09",
+            ),
+        ],
+    )
+    def test_totals_too_long_to_print_end_in_one_line(
+        self, tmp_path, change, message
+    ):
+        path = write_json(tmp_path / "o.json", dict(WORKED_RAW, **change))
+        proc = run_cli("check", path)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: %s%s\n" % (path, message)
+
     def test_non_string_omega_label_is_a_format_error(
         self, tmp_path, worked_example
     ):

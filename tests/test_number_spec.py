@@ -7,16 +7,19 @@ MAX_EXPONENT. The spec below reads every text through Fraction(text) and
 finds the exponent by hand. Both must give the same reduced pair (the
 nearest float's in float mode) or refuse the text with the same message.
 
-Digit runs stay short: a decimal of more than 4300 digits is read by
-float() in float mode, where Fraction refuses it as int() does.
+Drawn digit runs stay short. The examples hold runs of more than 4300
+digits, Python's default limit on the digits int() reads: a number that
+Fraction reads only beyond that limit is refused in both modes with one
+message that names the limit, though float() would read it.
 """
 
+import sys
 from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beliefcheck.io import MAX_EXPONENT, _Misplaced, _number
+from beliefcheck.io import MAX_DIGITS, MAX_EXPONENT, _Misplaced, _number
 
 
 def over_cap(text: str) -> bool:
@@ -36,6 +39,22 @@ def over_cap(text: str) -> bool:
     return len(digits) > 4 or int(digits or 0) > MAX_EXPONENT
 
 
+def read_without_a_digit_limit(text: str) -> bool:
+    """Whether Fraction reads `text` as a number, with a zero denominator
+    or not, when int() may read any number of digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        Fraction(text)
+    except ZeroDivisionError:
+        return True
+    except ValueError:
+        return False
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return True
+
+
 def spec(text: str, mode: str):
     """The reduced (numerator, denominator) pair of `text` read in `mode`,
     or the message that refuses it."""
@@ -43,7 +62,11 @@ def spec(text: str, mode: str):
         return "decimal exponent above %d in magnitude" % MAX_EXPONENT
     try:
         value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
+        if read_without_a_digit_limit(text):
+            return "number has a run of more than %d digits" % MAX_DIGITS
+        return "%r is not a valid number (use 'p/q' or a decimal)" % text
+    except ZeroDivisionError:
         return "%r is not a valid number (use 'p/q' or a decimal)" % text
     if mode == "rational":
         return value.as_integer_ratio()
@@ -124,6 +147,14 @@ TEXT = st.one_of(DECIMAL, RATIO, WORDS)
 @example("1" * 400, "float")
 @example("1" * 5000, "float")
 @example("0" * 5000 + "1", "float")
+@example("0." + "1" * 5000, "float")
+@example("0." + "1" * 5000, "rational")
+@example("-" + "1" * 4301 + "e-4300", "float")
+@example("1" * 4300 + "." + "1" * 4300, "rational")
+@example("1" * 4300 + "." + "1" * 4300 + "e-4300", "float")
+@example("1e" + "0" * 4301, "float")
+@example("1/" + "0" * 4301, "float")
+@example("1" * 5000 + "x", "float")
 @example(" 1.5", "float")
 @example("1_0.5", "float")
 @example("٣.5", "float")
