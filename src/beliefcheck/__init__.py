@@ -32,13 +32,6 @@ from .io import (
     save_model,
     save_observation,
 )
-from .known_omega import (
-    Prop1Report,
-    brute_force_known_omega,
-    check_proposition1,
-    construct_known_omega_model,
-    set_partitions,
-)
 from .rationalize import (
     Model,
     VerifyReport,
@@ -49,7 +42,6 @@ from .rationalize import (
     uniform_mix,
     verify_model,
 )
-from .simulate import PanelSample, simulate_panel, tv_distance
 
 __all__ = [
     "TOL",
@@ -95,3 +87,44 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The names of `simulate` (which imports hashlib) and `known_omega` are
+# resolved on first use, so that a process which calls neither does not
+# compile or run them.
+_LAZY = {
+    "known_omega": (
+        "Prop1Report",
+        "brute_force_known_omega",
+        "check_proposition1",
+        "construct_known_omega_model",
+        "set_partitions",
+    ),
+    "simulate": ("PanelSample", "simulate_panel", "tv_distance"),
+}
+_OWNER = {
+    name: module
+    for module, names in _LAZY.items()
+    for name in (module, *names)
+}
+
+
+def __getattr__(name):
+    """A name of a module in _LAZY, or that module (PEP 562): the first
+    read imports the module and binds its names in the package's globals,
+    where later reads find them without calling this."""
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(
+            "module %r has no attribute %r" % (__name__, name)
+        )
+    from importlib import import_module
+
+    # Importing the submodule binds it here under its own name.
+    loaded = import_module("." + module, __name__)
+    for export in _LAZY[module]:
+        globals()[export] = getattr(loaded, export)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(globals().keys() | _OWNER.keys())

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .dist import Dist, Observation, _joint_tol, _same, martingale_check
 from .errors import (
+    MAX_AGENTS,
     AbsoluteContinuityViolation,
     FormatError,
     InvalidMixError,
@@ -38,7 +39,6 @@ from .io import (
     parse_number,
     read_json,
 )
-from .known_omega import brute_force_known_omega, check_proposition1
 from .rationalize import (
     _implied_posteriors,
     _projected,
@@ -51,7 +51,6 @@ from .rationalize import (
     uniform_mix,
     verify_model,
 )
-from .simulate import MAX_AGENTS, _draw_panel, tv_distance
 
 PASS, FAIL, USAGE = 0, 2, 1
 
@@ -263,7 +262,10 @@ def cmd_known_omega(args) -> int:
     linear in the file's size plus O(k * n) (see check_proposition1);
     the text lists at most MAX_LISTED_CONFLICTS overlapping pairs.
     --brute-force enumerates the set partitions of the states, a Bell
-    number of them, and refuses more than MAX_BRUTE_FORCE_STATES states."""
+    number of them, and refuses more than MAX_BRUTE_FORCE_STATES states.
+    Imports `known_omega` on its first call: no other subcommand runs it."""
+    from .known_omega import brute_force_known_omega, check_proposition1
+
     obs, _ = load_observation(args.observation)
     report = check_proposition1(obs)
     tol = obs.tol
@@ -362,7 +364,11 @@ def cmd_simulate(args) -> int:
     """Draw a panel from a model and compare it with the implied
     distribution. Takes time linear in the file's size plus the cell
     table, the draw (see simulate_panel: O(n_agents * cells + cells *
-    log cells)) and tv_distance; printing takes O(cells * n)."""
+    log cells)) and tv_distance; printing takes O(cells * n). Imports
+    `simulate`, and with it hashlib, on its first call: no other
+    subcommand runs them."""
+    from .simulate import _draw_panel, tv_distance
+
     threshold = args.threshold
     if threshold is not None and not 0 <= threshold < math.inf:
         raise StructuralError(
@@ -400,7 +406,10 @@ def cmd_simulate(args) -> int:
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (it takes about 1 ms)."""
+    """The argument parser, built once per process (it takes about 1 ms).
+    `--n`'s help reads MAX_AGENTS from `errors`, so building it imports
+    neither `simulate` nor `known_omega`; each loads on its subcommand's
+    first call."""
     parser = _Parser(
         prog="beliefcheck",
         description=(

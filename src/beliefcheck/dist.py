@@ -39,13 +39,12 @@ took 20-30% longer on float files than on exact ones, `verify` 35-60%.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import FrozenInstanceError
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from numbers import Rational
 from operator import floordiv, mul
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     AbsoluteContinuityViolation,
@@ -159,7 +158,9 @@ def _index_of(space: tuple) -> dict:
 
 class _Frozen:
     """An immutable value, built by its class's constructor: assignment
-    raises FrozenInstanceError, as on a frozen dataclass. A subclass lists
+    raises `dataclasses.FrozenInstanceError`, as on a frozen dataclass.
+    `dataclasses`, which brings `inspect` and `ast` with it, is imported
+    only when an assignment or a deletion raises. A subclass lists
     every attribute it stores in `__slots__`, which a pickle holds, and
     its constructor's arguments in `_fields`, which equality, hashing and
     the repr read, in the order and form of a frozen dataclass's."""
@@ -173,9 +174,13 @@ class _Frozen:
             _set(self, name, value)
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError("cannot assign to field %r" % name)
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError("cannot delete field %r" % name)
 
     def __getstate__(self) -> tuple:

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the panel size bound
+that both `simulate` and the CLI's help read."""
+
+#: Largest panel `simulate_panel` draws. Drawing peaks near 2.1 bytes per
+#: agent, 4.4 with 256 or more reached cells (see the `simulate` module
+#: docstring), so this caps it near 45 MB and about 0.35-1.05 s on two to
+#: 32 cells. It lives here so that `beliefcheck simulate --help` can print
+#: it without importing `simulate`.
+MAX_AGENTS = 10**7
 
 
 class StructuralError(ValueError):

@@ -30,11 +30,12 @@ indent=2)` of the file's JSON object plus a final newline: one
 fixed-schema writer per file kind joins the strings around json's C string
 encoder and formats each distinct numerator of a distribution once. The
 writers refuse what the loaders would refuse to read back: a mode outside
-MODES and a label that is not a string. They list each signal cell's
-indices in omega order, as the loader requires, so a model's bytes do not
-depend on the order in which a cell lists its outcomes, nor on whether it
-is a tuple, a list or a set. `rationalize --json` prints the same bytes as
-the file `--out` writes.
+MODES, a label that is not a string, and an exact number whose p or q
+has a run of more than MAX_DIGITS digits, which the CLI refuses to print
+too. They list each signal cell's indices in omega order, as the loader
+requires, so a model's bytes do not depend on the order in which a cell
+lists its outcomes, nor on whether it is a tuple, a list or a set.
+`rationalize --json` prints the same bytes as the file `--out` writes.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd
 from operator import itemgetter
-from typing import Tuple
 
-from .dist import _TOL, Dist, Observation, WeightedPosteriors, _vector
+from .dist import _TOL, Dist, Observation, WeightedPosteriors, _shown, _vector
 from .errors import FormatError, StructuralError
 from .rationalize import Model
 
@@ -226,7 +226,9 @@ def _number_texts(nums, den: int, tol, quote: str = "") -> list:
     """The numbers nums[i] / den as written, each between two `quote`s
     ("" or '"'): "p/q" in lowest terms, or "p" when q is 1, for exact data
     (tol 0), the repr of the nearest float for float-origin data. Each
-    distinct numerator is formatted once."""
+    distinct numerator is formatted once. An exact number whose p or q
+    has more digits than str() of an int gives, which the loaders would
+    refuse, raises StructuralError."""
     real, whole, part = _FORMS[quote]
     text = {}  # numerator -> its text
     if tol:
@@ -234,11 +236,17 @@ def _number_texts(nums, den: int, tol, quote: str = "") -> list:
             if n not in text:
                 text[n] = real % (n / den)
     else:
-        for n in nums:
-            if n not in text:
-                g = gcd(n, den)
-                p, q = n // g, den // g
-                text[n] = whole % p if q == 1 else part % (p, q)
+        try:
+            for n in nums:
+                if n not in text:
+                    g = gcd(n, den)
+                    p, q = n // g, den // g
+                    text[n] = whole % p if q == 1 else part % (p, q)
+        except ValueError:  # "%d" refuses more than 4300 digits by default
+            raise StructuralError(
+                "cannot write %s: its p/q form has a run of more than %d "
+                "digits" % (_shown(n, den, 0), MAX_DIGITS)
+            ) from None
     return list(map(text.__getitem__, nums))
 
 
@@ -416,7 +424,7 @@ def _walk_observation(data: dict, states: tuple, index: dict, mode, where):
         raise err.at("%s:posteriors[%d]" % (where, i)) from None
 
 
-def load_observation(path) -> Tuple[Observation, str]:
+def load_observation(path) -> tuple[Observation, str]:
     """Read an observation file; returns (observation, mode). Takes time
     and memory linear in the file's size, plus one parse per distinct
     number string in the file (a float-mode decimal takes one float()
@@ -636,7 +644,7 @@ def _omega_columns(raw_omega: list, states: tuple, where: str) -> list:
     raise AssertionError("the columns refused entries _omega_entry accepts")
 
 
-def load_model(path) -> Tuple[Model, str]:
+def load_model(path) -> tuple[Model, str]:
     """Read a model file; returns (model, mode). Takes time and memory
     linear in the file's size, plus one parse per distinct number string
     in the file and, for each distribution, one lcm over its distinct

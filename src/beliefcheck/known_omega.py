@@ -12,9 +12,9 @@ state space provides an independent check.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
 
 from .dist import Dist, Observation, _dist, _same, condition
 from .errors import (

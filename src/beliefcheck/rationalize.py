@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, lcm
 from operator import floordiv
-from typing import Optional
 
 from .dist import (
     Dist,
@@ -90,7 +89,7 @@ class Model(_Frozen):
     def __init__(
         self, states: tuple, omega: tuple, projection: dict,
         signal_partition: dict, mu0: Dist, pObj: Dist,
-        lambda_mix: Optional[Dist] = None,
+        lambda_mix: Dist | None = None,
     ):
         omega, states = tuple(omega), tuple(states)
         if mu0.space != omega or pObj.space != omega:
@@ -172,7 +171,7 @@ def _signal_runs(signals, n: int) -> dict:
 
 
 def construct_rationalization(
-    obs: Observation, lambda_mix: Optional[Dist] = None
+    obs: Observation, lambda_mix: Dist | None = None
 ) -> Model:
     """Build a model under which Bayesian agents reproduce the observation.
 

@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import partial
 
 from .dist import WeightedPosteriors, _joint_tol, group_beliefs
-from .errors import StructuralError
+from .errors import MAX_AGENTS, StructuralError
 from .rationalize import Model, reachable_cells
 
 _SCALE = 1 << 64
@@ -68,11 +68,6 @@ _MARK = re.compile(bytes([_SPLIT]))
 # 12 took 5.7-6.2 vs 5.2-5.5 ms and 32 took 12.3-13.5 vs 6.5-7.2 ms, so a
 # model of up to 10 cells keeps the table rule.
 _CARRY_SPLITS = 10
-
-#: Largest panel `simulate_panel` draws. Drawing peaks near 2.1 bytes per
-#: agent, 4.4 with 256 or more reached cells (see the module docstring),
-#: so this caps it near 45 MB and about 0.35-1.05 s on two to 32 cells.
-MAX_AGENTS = 10**7
 
 
 def _squeezes(seed: int, lo: int, hi: int):

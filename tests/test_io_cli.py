@@ -229,6 +229,27 @@ def run_cli(*argv):
     )
 
 
+# Subcommands run on files whose numbers no file can hold, and exit codes.
+TOO_LONG_CASES = [
+    (("check", "OBS"), 0),
+    (("check", "OBS", "--json"), 0),
+    (("known-omega", "OBS"), 0),
+    (("known-omega", "OBS", "--json"), 0),
+    (("verify", "MODEL", "OBS"), 0),
+    (("martingale", "OBS"), 1),
+    (("martingale", "OBS", "--json"), 1),
+    (
+        ("martingale", "OBS", "--weights", "subjective-from")
+        + ("--model", "MODEL"),
+        1,
+    ),
+    (("rationalize", "OBS"), 1),
+    (("rationalize", "OBS", "--json"), 1),
+    (("rationalize", "OBS", "--out", "OUT"), 1),
+    (("simulate", "MODEL", "--n", "10", "--seed", "1"), 1),
+]
+
+
 class TestCliMalformedInput:
     def test_float_overflow_is_a_format_error(self, tmp_path):
         raw = dict(WORKED_RAW, mode="float", prior={"H": "1e400", "L": "0"})
@@ -270,6 +291,50 @@ class TestCliMalformedInput:
         proc = run_cli("check", path)
         assert proc.returncode == 1
         assert proc.stderr == "error: %s%s\n" % (path, message)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        TOO_LONG_CASES,
+        ids=[" ".join(argv) for argv, _ in TOO_LONG_CASES],
+    )
+    def test_numbers_too_long_to_write_end_in_one_line(
+        self, tmp_path, argv, code
+    ):
+        # Each run of digits is within the loaders' limit, but 1e-4300 and
+        # 1 - 1e-4300 need the 4301-digit denominator 10^4300, which no
+        # file the loaders read can hold. A subcommand that prints one of
+        # them refuses it in one line, and writes no --out file.
+        small, nines = "1e-4300", "0." + "9" * 4300
+        obs = dict(
+            WORKED_RAW,
+            prior={"H": small, "L": nines},
+            posteriors=[{"weight": "1", "belief": {"H": small, "L": nines}}],
+        )
+        masses = {"h": small, "l": nines}
+        model = {
+            "states": ["H", "L"],
+            "omega": [
+                {"label": "h", "s": "H", "signal": "x"},
+                {"label": "l", "s": "L", "signal": "x"},
+            ],
+            "mu0": masses,
+            "pObj": masses,
+        }
+        paths = {
+            "OBS": write_json(tmp_path / "o.json", obs),
+            "MODEL": write_json(tmp_path / "m.json", model),
+            "OUT": str(tmp_path / "out.json"),
+        }
+        proc = run_cli(*(paths.get(arg, arg) for arg in argv))
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stderr == (
+                "error: cannot write 1e-4300: its p/q form has a run of "
+                "more than 4300 digits\n"
+            )
+        else:
+            assert proc.stderr == ""
+        assert not os.path.exists(paths["OUT"])
 
     def test_non_string_omega_label_is_a_format_error(
         self, tmp_path, worked_example
