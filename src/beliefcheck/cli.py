@@ -40,12 +40,12 @@ from .io import (
     read_json,
 )
 from .rationalize import (
-    _implied_posteriors,
     _projected,
     _signal_runs,
     cell_table,
     check_condition1,
     construct_rationalization,
+    induced_observables,
     mix_label,
     target_mix,
     uniform_mix,
@@ -363,11 +363,11 @@ def cmd_martingale(args) -> int:
 def cmd_simulate(args) -> int:
     """Draw a panel from a model and compare it with the implied
     distribution. Takes time linear in the file's size plus the cell
-    table, the draw (see simulate_panel: O(n_agents * cells + cells *
-    log cells)) and tv_distance; printing takes O(cells * n). Imports
-    `simulate`, and with it hashlib, on its first call: no other
-    subcommand runs them."""
-    from .simulate import _draw_panel, tv_distance
+    table and the draw plan, the draw (see simulate_panel: O(n_agents *
+    cells)), the implied distribution and tv_distance; printing takes
+    O(cells * n). Imports `simulate`, and with it hashlib, on its first
+    call: no other subcommand runs them."""
+    from .simulate import simulate_panel, tv_distance
 
     threshold = args.threshold
     if threshold is not None and not 0 <= threshold < math.inf:
@@ -376,9 +376,10 @@ def cmd_simulate(args) -> int:
             % threshold
         )
     model, _ = load_model(args.model)
-    # One cell table serves the panel and the implied distribution.
-    panel, cells = _draw_panel(model, args.n, args.seed)
-    tv = tv_distance(panel.empirical, _implied_posteriors(cells))
+    panel = simulate_panel(model, args.n, args.seed)
+    # The panel and the implied distribution read one cell table, which
+    # the model keeps.
+    tv = tv_distance(panel.empirical, induced_observables(model)[1])
     tol, empirical = model.tol, panel.empirical
     weights = _number_texts(empirical.nums, empirical.den, tol)
     beliefs = [_dist_strings(b, tol) for b in empirical.beliefs]

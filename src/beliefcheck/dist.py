@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
+from decimal import Context
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -96,8 +97,6 @@ def _shown(num: int, den: int, tol) -> str:
     try:
         return str(num / den) if tol else str(Fraction(num, den))
     except (OverflowError, ValueError):
-        from decimal import Context  # only here: it takes 1-2 ms to import
-
         return format(Context(6).divide(num, den).normalize(), "g")
 
 
@@ -161,9 +160,10 @@ class _Frozen:
     raises `dataclasses.FrozenInstanceError`, as on a frozen dataclass.
     `dataclasses`, which brings `inspect` and `ast` with it, is imported
     only when an assignment or a deletion raises. A subclass lists
-    every attribute it stores in `__slots__`, which a pickle holds, and
-    its constructor's arguments in `_fields`, which equality, hashing and
-    the repr read, in the order and form of a frozen dataclass's."""
+    every attribute it stores in `__slots__`, which a pickle holds (a
+    `Model` leaves out its memo), and its constructor's arguments in
+    `_fields`, which equality, hashing and the repr read, in the order
+    and form of a frozen dataclass's."""
 
     __slots__ = ()
     _fields = ()
@@ -342,11 +342,14 @@ class Dist(_Frozen):
 
     def matches(self, other: "Dist") -> bool:
         """Coordinate-wise equality over a shared space, within the larger
-        of the two tolerances."""
+        of the two tolerances; two exact distributions are equal exactly
+        when their canonical pairs are."""
         if self.space != other.space:
             raise StructuralError(
                 "cannot compare distributions over different spaces"
             )
+        if not (self.tol or other.tol):
+            return self.den == other.den and self.nums == other.nums
         return _same(self, other, _joint_tol(self.tol, other.tol))
 
 

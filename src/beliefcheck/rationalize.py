@@ -27,6 +27,7 @@ from .dist import (
     _index_of,
     _joint_tol,
     _same,
+    _set,
     group_beliefs,
     rn_derivative,
 )
@@ -78,13 +79,20 @@ class Model(_Frozen):
     list or a set, in omega order, so that a model equals its file's. The
     checks are whole-column set operations, O(|omega| + cells) of them;
     only a failed one scans omega, to name the first bad outcome.
+
+    A model keeps what derives from it alone, its cell table, its induced
+    observables and its panel's draw plan, once built (see `_derived`).
+    So its `projection` and `signal_partition` dicts must not be changed
+    in place: build a new Model instead. Equality, the repr and the
+    pickled state read the fields and `tol` only.
     """
 
     _fields = (
         "states", "omega", "projection", "signal_partition", "mu0", "pObj",
         "lambda_mix",
     )
-    __slots__ = _fields + ("tol",)
+    # `_memo`, last, is left unset until _derived fills it.
+    __slots__ = _fields + ("tol", "_memo")
 
     def __init__(
         self, states: tuple, omega: tuple, projection: dict,
@@ -129,6 +137,27 @@ class Model(_Frozen):
             states, omega, projection, signal_partition, mu0, pObj,
             lambda_mix, tol,
         )
+
+    def __getstate__(self) -> tuple:
+        # Without the memo: a pickle's bytes do not depend on it, and one
+        # written before models kept a memo still loads.
+        return tuple([getattr(self, name) for name in self.__slots__[:-1]])
+
+
+def _derived(model: Model, build):
+    """`build(model)`, built on the model's first call for it and kept in
+    its memo, a dict keyed by the builders. What a builder derives from a
+    model depends on the model alone, so it holds for the model's life;
+    racing threads may each build it, and keep equal values."""
+    try:
+        memo = model._memo
+    except AttributeError:
+        memo = {}
+        _set(model, "_memo", memo)
+    value = memo.get(build)
+    if value is None:
+        value = memo[build] = build(model)
+    return value
 
 
 def check_condition1(obs: Observation) -> RnReport:
@@ -302,7 +331,9 @@ def cell_table(model: Model) -> list:
 
     Takes O(|omega| + cells * n) time and memory for n states: each cell
     sums its own outcomes, found by their positions in mu0, into rows of
-    n integers no longer than the numerators' sums.
+    n integers no longer than the numerators' sums. Each call builds a
+    new table; `reachable_cells`, `induced_observables` and
+    `simulate_panel` read the one the model keeps, built once per model.
 
     Everything observable about the model's signals derives from these
     rows: a cell's Bayes posterior is its mu0 row over the row's total.
@@ -342,10 +373,18 @@ def _projected(rows: list, states: tuple) -> Dist:
     return _dist(states, sums, rows[0].den)
 
 
+def _cells(model: Model) -> tuple:
+    """The model's cell table, as a tuple: the one the model keeps."""
+    return tuple(cell_table(model))
+
+
 def reachable_cells(model: Model) -> list:
     """The cells of positive objective mass. Raises UndefinedUpdateError if
-    one of them has zero subjective probability."""
-    return _reached(cell_table(model))
+    one of them has zero subjective probability.
+
+    Takes O(cells) time beyond the model's cell table, built once per
+    model (see cell_table)."""
+    return _reached(_derived(model, _cells))
 
 
 def _reached(cells: list) -> list:
@@ -494,10 +533,16 @@ def induced_observables(model: Model):
     posteriors. Raises UndefinedUpdateError if an objectively reachable
     signal has zero subjective probability.
 
-    Takes O(|omega| + cells * n) time and memory for n states: the cell
-    table (see cell_table), then the prior and one posterior of n weights
-    per cell from its rows."""
-    cells = cell_table(model)
+    Takes O(cells * n) time and memory for n states beyond the model's
+    cell table, built once per model (see cell_table): the prior and one
+    posterior of n weights per cell from its rows. The model keeps the
+    pair, so a later call returns the same objects in O(1)."""
+    return _derived(model, _observables)
+
+
+def _observables(model: Model) -> tuple:
+    """induced_observables' pair, from the model's cell table."""
+    cells = _derived(model, _cells)
     prior = _projected([c.mu_parts for c in cells], model.states)
     return prior, _implied_posteriors(_reached(cells))
 

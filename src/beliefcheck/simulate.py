@@ -48,7 +48,7 @@ from functools import partial
 
 from .dist import WeightedPosteriors, _joint_tol, group_beliefs
 from .errors import MAX_AGENTS, StructuralError
-from .rationalize import Model, reachable_cells
+from .rationalize import Model, _derived, reachable_cells
 
 _SCALE = 1 << 64
 _CHUNK = 8192  # agents per SHAKE-128 squeeze; part of the stream's definition
@@ -127,18 +127,30 @@ def _bucket_tables(thresholds: list) -> tuple:
     return table, codes, addends
 
 
-def _cell_counts(chosen: bytearray, table: bytearray, cells: int) -> list:
+def _rule(thresholds: list) -> tuple:
+    """How `_choose` draws below 256 cells, from the cells' thresholds:
+    their `_bucket_tables`; whether the carry rule draws, as it does from
+    _CARRY_SPLITS split top-byte buckets on; and the cell that settles
+    the most top-byte buckets, which likely holds the most agents, so
+    that `_cell_counts` takes its count as the rest."""
+    tables = _bucket_tables(thresholds)
+    table = tables[0]
+    carry = table.count(_SPLIT) >= _CARRY_SPLITS
+    return tables, carry, max(range(len(thresholds)), key=table.count)
+
+
+def _cell_counts(chosen: bytearray, most: int, cells: int) -> list:
     """The number of agents in each of `cells` cells, from each agent's
-    cell index in one byte. One C pass per cell, except the cell that
-    settles the most top-byte buckets, which likely holds the most agents:
+    cell index in one byte. One C pass per cell, except the cell `most`:
     its count is the rest."""
-    most = max(range(cells), key=table.count)
     counts = [0 if j == most else chosen.count(j) for j in range(cells)]
     counts[most] = len(chosen) - sum(counts)
     return counts
 
 
-def _choose(squeezes, n_agents: int, thresholds: list, carry=None) -> tuple:
+def _choose(
+    squeezes, n_agents: int, thresholds: list, carry=None, rule=None
+) -> tuple:
     """The cell index of each of the n_agents agents whose words the
     squeezes hold, 8 big-endian bytes each, in an array of one byte each
     below 256 cells, else four, and the number of agents in each cell.
@@ -146,7 +158,8 @@ def _choose(squeezes, n_agents: int, thresholds: list, carry=None) -> tuple:
     With 256 or more cells every word takes `bisect_right`. Below that,
     each squeeze's slice of the chosen bytes comes from its agents' top
     bytes, by the carry rule when the top-byte table splits at least
-    _CARRY_SPLITS buckets, else by the table rule (`carry` forces either):
+    _CARRY_SPLITS buckets, else by the table rule (`carry` forces either;
+    `rule` is the thresholds' `_rule`, when already built):
 
     - the table rule translates the top bytes through the top-byte table,
       which marks the agents of a split bucket with _SPLIT;
@@ -169,9 +182,9 @@ def _choose(squeezes, n_agents: int, thresholds: list, carry=None) -> tuple:
             chosen.extend(map(cell_of, _words(squeezed)))
         tally = Counter(chosen)
         return chosen, [tally[j] for j in range(cells)]
-    tables = _bucket_tables(thresholds)
+    tables, default, most = rule or _rule(thresholds)
     if carry is None:
-        carry = tables[0].count(_SPLIT) >= _CARRY_SPLITS
+        carry = default
     chosen, at = bytearray(n_agents), 0
     for squeezed in squeezes:
         part = _squeeze_cells(squeezed, tables, carry, cell_of)
@@ -180,7 +193,7 @@ def _choose(squeezes, n_agents: int, thresholds: list, carry=None) -> tuple:
         # Let go of the squeeze before the next one is hashed and before
         # the chosen bytes are copied into the panel.
         del squeezed, part
-    return array("B", chosen), _cell_counts(chosen, tables[0], cells)
+    return array("B", chosen), _cell_counts(chosen, most, cells)
 
 
 def _squeeze_cells(squeezed: bytes, tables: tuple, carry: bool, cell_of):
@@ -266,26 +279,49 @@ def simulate_panel(model: Model, n_agents: int, seed: int) -> PanelSample:
     and StructuralError unless n_agents and seed are integers (not
     bools), 0 < n_agents <= MAX_AGENTS (10^7) and 0 <= seed < 2^64.
 
-    Takes O(n_agents * cells + cells * log cells) time beyond the model's
-    cell table, where the n_agents * cells part is byte work in C: one
-    counting pass over the chosen bytes per cell, below 256 reached
-    cells. Hashing is one squeeze, in C, per 8192 agents. The work per
-    agent in Python is `bisect_right` for the agents the top bytes leave
-    over: about (cells - 1)/256 of them below 10 split top-byte buckets;
-    with more, about 1/65536 of them per split bucket plus those of
-    buckets with two or more thresholds; all of them with 256 or more
-    reached cells. Memory peaks near 2.1 bytes per agent below 256
-    reached cells and 4.4 with more; the panel keeps 1 byte per agent
-    below 256 reached cells, else 4. 10^7 agents take about 0.35-0.45 s
-    on two cells and 0.8-1.05 s on 32.
+    Takes O(n_agents * cells) time beyond the model's cell table and
+    its draw plan (see `_plan`), built once per model, where the work
+    is byte work in C: one counting pass over the chosen bytes per cell,
+    below 256 reached cells. Hashing is one squeeze, in C, per 8192
+    agents. The work per agent in Python is `bisect_right` for the
+    agents the top bytes leave over: about (cells - 1)/256 of them below
+    10 split top-byte buckets; with more, about 1/65536 of them per
+    split bucket plus those of buckets with two or more thresholds; all
+    of them with 256 or more reached cells. Memory peaks near 2.1 bytes
+    per agent below 256 reached cells and 4.4 with more; the panel keeps
+    1 byte per agent below 256 reached cells, else 4. 10^7 agents take
+    about 0.35-0.45 s on two cells and 0.8-1.05 s on 32.
     """
     return _draw_panel(model, n_agents, seed)[0]
 
 
+def _plan(model: Model) -> tuple:
+    """What a panel draw needs of the model alone, built once per model
+    (see `rationalize._derived`) in O(cells * (n + log cells)) time:
+    the reached cells; the support of their posteriors, each cell's
+    index into it and the draws' (label, index) pairs; the cells'
+    thresholds; and below 256 cells their `_rule`, else None."""
+    cells = reachable_cells(model)
+    # Cells that induce the same posterior share an index into the support.
+    support, cell_post_index = group_beliefs([c.posterior for c in cells])
+    pairs = tuple([(c.label, i) for c, i in zip(cells, cell_post_index)])
+
+    # bits/2^64 < p/q  <=>  bits*q < p*2^64  <=>  bits < ceil(p*2^64/q) for
+    # integer bits, so the first cell whose threshold exceeds bits is drawn.
+    # The reached masses sum to exactly 1: the last threshold is 2^64.
+    thresholds, running, den = [], 0, model.pObj.den
+    for c in cells:
+        running += c.obj_parts.total
+        thresholds.append(-(-running * _SCALE // den))
+    rule = _rule(thresholds) if len(thresholds) <= _SPLIT else None
+    return (
+        tuple(cells), support, cell_post_index, pairs, thresholds, rule
+    )
+
+
 def _draw_panel(model: Model, n_agents: int, seed: int):
     """`simulate_panel`'s panel and the reachable cells it was drawn from,
-    for a caller that also needs the implied distribution of posteriors
-    from the same cell table."""
+    in the order of the cell indices behind its draws."""
     for name, value in (("n_agents", n_agents), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise StructuralError(
@@ -300,21 +336,11 @@ def _draw_panel(model: Model, n_agents: int, seed: int):
     if not 0 <= seed < _SCALE:
         raise StructuralError("seed must lie in [0, 2^64), got %d" % seed)
 
-    cells = reachable_cells(model)
-    # Cells that induce the same posterior share an index into the support.
-    support, cell_post_index = group_beliefs([c.posterior for c in cells])
-    pairs = [(c.label, idx) for c, idx in zip(cells, cell_post_index)]
-
-    # bits/2^64 < p/q  <=>  bits*q < p*2^64  <=>  bits < ceil(p*2^64/q) for
-    # integer bits, so the first cell whose threshold exceeds bits is drawn.
-    # The reached masses sum to exactly 1: the last threshold is 2^64.
-    thresholds, running, den = [], 0, model.pObj.den
-    for c in cells:
-        running += c.obj_parts.total
-        thresholds.append(-(-running * _SCALE // den))
-
+    cells, support, cell_post_index, pairs, thresholds, rule = _derived(
+        model, _plan
+    )
     squeezes = _squeezes(seed, 0, n_agents)
-    chosen, cell_counts = _choose(squeezes, n_agents, thresholds)
+    chosen, cell_counts = _choose(squeezes, n_agents, thresholds, rule=rule)
     counts = [0] * len(support)
     for index, count in zip(cell_post_index, cell_counts):
         counts[index] += count
