@@ -160,10 +160,12 @@ class _Frozen:
     raises `dataclasses.FrozenInstanceError`, as on a frozen dataclass.
     `dataclasses`, which brings `inspect` and `ast` with it, is imported
     only when an assignment or a deletion raises. A subclass lists
-    every attribute it stores in `__slots__`, which a pickle holds (a
-    `Model` leaves out its memo), and its constructor's arguments in
-    `_fields`, which equality, hashing and the repr read, in the order
-    and form of a frozen dataclass's."""
+    every attribute it stores in `__slots__`, its caches last, named
+    with a leading "_", and its constructor's arguments in `_fields`,
+    which equality, hashing and the repr read, in the order and form of
+    a frozen dataclass's. A pickle holds the slots without a leading
+    "_", so its bytes do not depend on what was read, and a value
+    unpickles with its caches unset."""
 
     __slots__ = ()
     _fields = ()
@@ -184,7 +186,8 @@ class _Frozen:
         raise FrozenInstanceError("cannot delete field %r" % name)
 
     def __getstate__(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        slots = self.__slots__
+        return tuple([getattr(self, name) for name in slots if name[0] != "_"])
 
     def __setstate__(self, values: tuple) -> None:
         self._init(*values)
@@ -611,6 +614,7 @@ class RnDerivative:
     (0, 1] and equals 1 exactly when the belief agrees with the prior on the
     prior's support. `argmax` is the index of an outcome where f attains
     `max_f`. The three values are built from the integer weights when read.
+    A pickle holds the prior, the belief and `argmax` only.
     """
 
     __slots__ = ("_prior", "_belief", "argmax", "_f")
@@ -618,6 +622,9 @@ class RnDerivative:
     def __init__(self, prior: Dist, belief: Dist, argmax: int):
         self._prior, self._belief, self.argmax = prior, belief, argmax
         self._f = None
+
+    def __reduce__(self):
+        return RnDerivative, (self._prior, self._belief, self.argmax)
 
     def _ratio_at(self, i: int) -> tuple:
         """f at outcome i as (numerator, denominator), unreduced."""
@@ -797,13 +804,14 @@ class WeightedPosteriors(_Frozen):
         den = entries.den
         g = gcd(*sums, den)
         nums = tuple(n // g for n in sums)
-        self._init(tuple(reps), nums, den // g, tol, None)
+        self._init(tuple(reps), nums, den // g, tol)
 
     @property
     def items(self) -> tuple:
         """The (weight, belief) pairs, weights as plain Fractions, built
         when first read."""
-        items = self._items
+        # Unset until first read, or None where an older pickle held it.
+        items = getattr(self, "_items", None)
         if items is None:
             den = self.den
             weights = [Fraction(n, den) for n in self.nums]

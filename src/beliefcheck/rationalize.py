@@ -91,7 +91,7 @@ class Model(_Frozen):
         "states", "omega", "projection", "signal_partition", "mu0", "pObj",
         "lambda_mix",
     )
-    # `_memo`, last, is left unset until _derived fills it.
+    # `_memo` is left unset until _derived fills it, and out of a pickle.
     __slots__ = _fields + ("tol", "_memo")
 
     def __init__(
@@ -137,11 +137,6 @@ class Model(_Frozen):
             states, omega, projection, signal_partition, mu0, pObj,
             lambda_mix, tol,
         )
-
-    def __getstate__(self) -> tuple:
-        # Without the memo: a pickle's bytes do not depend on it, and one
-        # written before models kept a memo still loads.
-        return tuple([getattr(self, name) for name in self.__slots__[:-1]])
 
 
 def _derived(model: Model, build):
@@ -332,8 +327,9 @@ def cell_table(model: Model) -> list:
     Takes O(|omega| + cells * n) time and memory for n states: each cell
     sums its own outcomes, found by their positions in mu0, into rows of
     n integers no longer than the numerators' sums. Each call builds a
-    new table; `reachable_cells`, `induced_observables` and
-    `simulate_panel` read the one the model keeps, built once per model.
+    new table. A model keeps the list of its first build in its memo
+    (see `_derived`), which `reachable_cells`, `induced_observables` and
+    `simulate_panel` read and never hand out.
 
     Everything observable about the model's signals derives from these
     rows: a cell's Bayes posterior is its mu0 row over the row's total.
@@ -373,23 +369,14 @@ def _projected(rows: list, states: tuple) -> Dist:
     return _dist(states, sums, rows[0].den)
 
 
-def _cells(model: Model) -> tuple:
-    """The model's cell table, as a tuple: the one the model keeps."""
-    return tuple(cell_table(model))
-
-
 def reachable_cells(model: Model) -> list:
-    """The cells of positive objective mass. Raises UndefinedUpdateError if
-    one of them has zero subjective probability.
+    """The cells of positive objective mass, in partition order, as a new
+    list on each call. Raises UndefinedUpdateError if one of them has zero
+    subjective probability.
 
     Takes O(cells) time beyond the model's cell table, built once per
     model (see cell_table)."""
-    return _reached(_derived(model, _cells))
-
-
-def _reached(cells: list) -> list:
-    """reachable_cells among the cells `cells` of a cell table."""
-    reached = [c for c in cells if c.obj_parts.total]
+    reached = [c for c in _derived(model, cell_table) if c.obj_parts.total]
     for c in reached:
         if c.posterior is None:
             raise UndefinedUpdateError(
@@ -541,18 +528,15 @@ def induced_observables(model: Model):
 
 
 def _observables(model: Model) -> tuple:
-    """induced_observables' pair, from the model's cell table."""
-    cells = _derived(model, _cells)
+    """induced_observables' pair, from the model's cell table: the prior
+    from every cell's mu0 row, and the Bayes posteriors of the
+    `reachable_cells`, weighted by their pObj masses."""
+    cells = _derived(model, cell_table)
     prior = _projected([c.mu_parts for c in cells], model.states)
-    return prior, _implied_posteriors(_reached(cells))
-
-
-def _implied_posteriors(cells: list) -> WeightedPosteriors:
-    """The objective distribution of Bayes posteriors over the given
-    reachable cells, weighted by their pObj masses."""
-    return WeightedPosteriors._from_vector(
-        [c.obj_parts.total for c in cells],
-        cells[0].obj_parts.den,
+    reached = reachable_cells(model)
+    return prior, WeightedPosteriors._from_vector(
+        [c.obj_parts.total for c in reached],
+        model.pObj.den,
         0,
-        [c.posterior for c in cells],
+        [c.posterior for c in reached],
     )

@@ -148,18 +148,16 @@ def _cell_counts(chosen: bytearray, most: int, cells: int) -> list:
     return counts
 
 
-def _choose(
-    squeezes, n_agents: int, thresholds: list, carry=None, rule=None
-) -> tuple:
+def _choose(squeezes, n_agents: int, thresholds: list, rule) -> tuple:
     """The cell index of each of the n_agents agents whose words the
     squeezes hold, 8 big-endian bytes each, in an array of one byte each
     below 256 cells, else four, and the number of agents in each cell.
 
-    With 256 or more cells every word takes `bisect_right`. Below that,
-    each squeeze's slice of the chosen bytes comes from its agents' top
-    bytes, by the carry rule when the top-byte table splits at least
-    _CARRY_SPLITS buckets, else by the table rule (`carry` forces either;
-    `rule` is the thresholds' `_rule`, when already built):
+    `rule` is the thresholds' `_rule`, which `_plan` builds below 256
+    cells, or None, which makes every word take `bisect_right`. With a
+    rule, each squeeze's slice of the chosen bytes comes from its agents'
+    top bytes, by the carry rule when the rule's carry flag is set, else
+    by the table rule:
 
     - the table rule translates the top bytes through the top-byte table,
       which marks the agents of a split bucket with _SPLIT;
@@ -176,15 +174,13 @@ def _choose(
     squeeze's words, which are built only for a squeeze with a mark."""
     cells = len(thresholds)
     cell_of = partial(bisect_right, thresholds)
-    if cells > _SPLIT:
+    if rule is None:
         chosen = array("I")
         for squeezed in squeezes:
             chosen.extend(map(cell_of, _words(squeezed)))
         tally = Counter(chosen)
         return chosen, [tally[j] for j in range(cells)]
-    tables, default, most = rule or _rule(thresholds)
-    if carry is None:
-        carry = default
+    tables, carry, most = rule
     chosen, at = bytearray(n_agents), 0
     for squeezed in squeezes:
         part = _squeeze_cells(squeezed, tables, carry, cell_of)
@@ -274,10 +270,13 @@ def simulate_panel(model: Model, n_agents: int, seed: int) -> PanelSample:
     Cell selection compares the agent's 64 uniform bits from the panel
     stream (see the module docstring), read as an exact rational in
     [0, 1), against exact cumulative cell weights, so exact-mode models
-    are sampled without float-boundary bias. Raises UndefinedUpdateError
-    when an objectively reachable signal has zero subjective probability,
-    and StructuralError unless n_agents and seed are integers (not
-    bools), 0 < n_agents <= MAX_AGENTS (10^7) and 0 <= seed < 2^64.
+    are sampled without float-boundary bias. The arguments are checked
+    before the model is read: raises StructuralError unless n_agents and
+    seed are integers (not bools), 0 < n_agents <= MAX_AGENTS (10^7) and
+    0 <= seed < 2^64, then UndefinedUpdateError when an objectively
+    reachable signal has zero subjective probability. The cells'
+    thresholds accumulate in the order `reachable_cells(model)` lists
+    them.
 
     Takes O(n_agents * cells) time beyond the model's cell table and
     its draw plan (see `_plan`), built once per model, where the work
@@ -292,36 +291,6 @@ def simulate_panel(model: Model, n_agents: int, seed: int) -> PanelSample:
     1 byte per agent below 256 reached cells, else 4. 10^7 agents take
     about 0.35-0.45 s on two cells and 0.8-1.05 s on 32.
     """
-    return _draw_panel(model, n_agents, seed)[0]
-
-
-def _plan(model: Model) -> tuple:
-    """What a panel draw needs of the model alone, built once per model
-    (see `rationalize._derived`) in O(cells * (n + log cells)) time:
-    the reached cells; the support of their posteriors, each cell's
-    index into it and the draws' (label, index) pairs; the cells'
-    thresholds; and below 256 cells their `_rule`, else None."""
-    cells = reachable_cells(model)
-    # Cells that induce the same posterior share an index into the support.
-    support, cell_post_index = group_beliefs([c.posterior for c in cells])
-    pairs = tuple([(c.label, i) for c, i in zip(cells, cell_post_index)])
-
-    # bits/2^64 < p/q  <=>  bits*q < p*2^64  <=>  bits < ceil(p*2^64/q) for
-    # integer bits, so the first cell whose threshold exceeds bits is drawn.
-    # The reached masses sum to exactly 1: the last threshold is 2^64.
-    thresholds, running, den = [], 0, model.pObj.den
-    for c in cells:
-        running += c.obj_parts.total
-        thresholds.append(-(-running * _SCALE // den))
-    rule = _rule(thresholds) if len(thresholds) <= _SPLIT else None
-    return (
-        tuple(cells), support, cell_post_index, pairs, thresholds, rule
-    )
-
-
-def _draw_panel(model: Model, n_agents: int, seed: int):
-    """`simulate_panel`'s panel and the reachable cells it was drawn from,
-    in the order of the cell indices behind its draws."""
     for name, value in (("n_agents", n_agents), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise StructuralError(
@@ -336,11 +305,9 @@ def _draw_panel(model: Model, n_agents: int, seed: int):
     if not 0 <= seed < _SCALE:
         raise StructuralError("seed must lie in [0, 2^64), got %d" % seed)
 
-    cells, support, cell_post_index, pairs, thresholds, rule = _derived(
-        model, _plan
-    )
+    support, cell_post_index, pairs, thresholds, rule = _derived(model, _plan)
     squeezes = _squeezes(seed, 0, n_agents)
-    chosen, cell_counts = _choose(squeezes, n_agents, thresholds, rule=rule)
+    chosen, cell_counts = _choose(squeezes, n_agents, thresholds, rule)
     counts = [0] * len(support)
     for index, count in zip(cell_post_index, cell_counts):
         counts[index] += count
@@ -348,7 +315,30 @@ def _draw_panel(model: Model, n_agents: int, seed: int):
     empirical = WeightedPosteriors._from_vector(
         [counts[i] for i in drawn], n_agents, 0, [support[i] for i in drawn]
     )
-    return PanelSample(n_agents, seed, Draws(pairs, chosen), empirical), cells
+    return PanelSample(n_agents, seed, Draws(pairs, chosen), empirical)
+
+
+def _plan(model: Model) -> tuple:
+    """What a panel draw needs of the model alone, built once per model
+    (see `rationalize._derived`) in O(cells * (n + log cells)) time, over
+    its reachable cells: the support of their posteriors, each cell's
+    index into it and the draws' (label, index) pairs; the cells'
+    thresholds; and the draw rule `_choose` takes, the thresholds'
+    `_rule` below 256 cells, else None."""
+    cells = reachable_cells(model)
+    # Cells that induce the same posterior share an index into the support.
+    support, cell_post_index = group_beliefs([c.posterior for c in cells])
+    pairs = tuple([(c.label, i) for c, i in zip(cells, cell_post_index)])
+
+    # bits/2^64 < p/q  <=>  bits*q < p*2^64  <=>  bits < ceil(p*2^64/q) for
+    # integer bits, so the first cell whose threshold exceeds bits is drawn.
+    # The reached masses sum to exactly 1: the last threshold is 2^64.
+    thresholds, running, den = [], 0, model.pObj.den
+    for c in cells:
+        running += c.obj_parts.total
+        thresholds.append(-(-running * _SCALE // den))
+    rule = _rule(thresholds) if len(thresholds) <= _SPLIT else None
+    return support, cell_post_index, pairs, thresholds, rule
 
 
 def tv_distance(p: WeightedPosteriors, q: WeightedPosteriors) -> Fraction:

@@ -37,13 +37,13 @@ from beliefcheck.errors import (
 from beliefcheck.io import load_model, load_observation, model_json, save_model
 from beliefcheck.known_omega import brute_force_known_omega, check_proposition1
 from beliefcheck.rationalize import (
-    _implied_posteriors,
     _projected,
     cell_table,
     check_condition1,
     construct_rationalization,
+    induced_observables,
 )
-from beliefcheck.simulate import _draw_panel, tv_distance
+from beliefcheck.simulate import simulate_panel, tv_distance
 
 
 def format_number(x: Fraction, tol: Fraction) -> str:
@@ -262,8 +262,8 @@ def cmd_simulate(args) -> int:
         )
     model, _ = load_model(args.model)
     # One cell table serves the panel and the implied distribution.
-    panel, cells = _draw_panel(model, args.n, args.seed)
-    tv = tv_distance(panel.empirical, _implied_posteriors(cells))
+    panel = simulate_panel(model, args.n, args.seed)
+    tv = tv_distance(panel.empirical, induced_observables(model)[1])
     tol = model.tol
     payload = {
         "n_agents": panel.n_agents,

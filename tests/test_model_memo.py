@@ -1,4 +1,5 @@
-"""A model builds its cell table, observables and panel plan once.
+"""A model builds its cell table, observables and panel plan once, and
+values pickle without what they keep.
 
 `reachable_cells`, `induced_observables` and `simulate_panel` read what a
 `Model` keeps of its own derived tables, built on first use; `cell_table`
@@ -15,6 +16,12 @@ memo to three promises:
 - an unchanged surface: equality, the repr and the pickled bytes do not
   depend on the memo, a pickle written before models kept one still
   loads, and the memo cannot be assigned from outside.
+
+The same rule covers the caches of other values: an observation's and
+a `check_condition1` report's pickled bytes do not change when
+`posteriors.weights` and every derivative's `f` are first read, both
+unpickle to equal values, and their pickles written while the caches
+were pickled too still load, both before and after the reads.
 
 Stdlib only. Run as a script, or under pytest:
 
@@ -44,6 +51,42 @@ OLD_PICKLE = base64.b64decode(
     "BEsAdJRSlE5LAHSUYi4="
 )
 
+#: `pickle.dumps(value, protocol=4)` of `worked_example()` and of its
+#: `check_condition1` report, before and after `posteriors.weights` and
+#: every derivative's `f` were read, written by the package while those
+#: caches were pickled too.
+OLD_CACHE_PICKLES = {
+    ("observation", "before"): (
+        "gASVpAAAAAAAAACMEGJlbGllZmNoZWNrLmRpc3SUjAtPYnNlcnZhdGlvbpSTlCmBlGgA"
+        "jAVfZGlzdJSTlCiMAUiUjAFMlIaUSwFLAYaUSwJLAHSUUpRoAIwSV2VpZ2h0ZWRQb3N0"
+        "ZXJpb3JzlJOUKYGUKGgFKGgISwRLAYaUSwVLAHSUUpRoBShoCEsBSwCGlEsBSwB0lFKU"
+        "hpRLAUsDhpRLBEsATnSUYksAh5RiLg=="
+    ),
+    ("observation", "after"): (
+        "gASV2AAAAAAAAACMEGJlbGllZmNoZWNrLmRpc3SUjAtPYnNlcnZhdGlvbpSTlCmBlGgA"
+        "jAVfZGlzdJSTlCiMAUiUjAFMlIaUSwFLAYaUSwJLAHSUUpRoAIwSV2VpZ2h0ZWRQb3N0"
+        "ZXJpb3JzlJOUKYGUKGgFKGgISwRLAYaUSwVLAHSUUpRoBShoCEsBSwCGlEsBSwB0lFKU"
+        "hpRLAUsDhpRLBEsAjAlmcmFjdGlvbnOUjAhGcmFjdGlvbpSTlEsBSwSGlFKUaBGGlGgZ"
+        "SwNLBIaUUpRoFIaUhpR0lGJLAIeUYi4="
+    ),
+    ("report", "before"): (
+        "gASV7QAAAAAAAACMEGJlbGllZmNoZWNrLmRpc3SUjAhSblJlcG9ydJSTlGgAjAdSbkVu"
+        "dHJ5lJOUSwBoAIwMUm5EZXJpdmF0aXZllJOUKYGUTn2UKIwGX3ByaW9ylGgAjAVfZGlz"
+        "dJSTlCiMAUiUjAFMlIaUSwFLAYaUSwJLAHSUUpSMB19iZWxpZWaUaAsoaA5LBEsBhpRL"
+        "BUsAdJRSlIwGYXJnbWF4lEsAjAJfZpROdYaUYimHlIGUaARLAWgGKYGUTn2UKGgJaBFo"
+        "EmgLKGgOSwFLAIaUSwFLAHSUUpRoFksAaBdOdYaUYimHlIGUhpSIhpSBlC4="
+    ),
+    ("report", "after"): (
+        "gASVOgEAAAAAAACMEGJlbGllZmNoZWNrLmRpc3SUjAhSblJlcG9ydJSTlGgAjAdSbkVu"
+        "dHJ5lJOUSwBoAIwMUm5EZXJpdmF0aXZllJOUKYGUTn2UKIwGX3ByaW9ylGgAjAVfZGlz"
+        "dJSTlCiMAUiUjAFMlIaUSwFLAYaUSwJLAHSUUpSMB19iZWxpZWaUaAsoaA5LBEsBhpRL"
+        "BUsAdJRSlIwGYXJnbWF4lEsAjAJfZpR9lChoDIwJZnJhY3Rpb25zlIwIRnJhY3Rpb26U"
+        "k5RLCEsFhpRSlGgNaBtLAksFhpRSlHV1hpRiKYeUgZRoBEsBaAYpgZROfZQoaAloEWgS"
+        "aAsoaA5LAUsAhpRLAUsAdJRSlGgWSwBoF32UKGgMaBtLAksBhpRSlGgNaBtLAEsBhpRS"
+        "lHV1hpRiKYeUgZSGlIiGlIGULg=="
+    ),
+}
+
 
 def two_state_model():
     from beliefcheck import Dist, Model
@@ -56,6 +99,23 @@ def two_state_model():
         signal_partition={"h": ("H",), "l": ("L",)},
         mu0=Dist(s, (F(1, 2), F(1, 2))),
         pObj=Dist(s, (F(1, 4), F(3, 4))),
+    )
+
+
+def worked_example():
+    """The two-state observation: prior 1/2-1/2, a quarter of the agents
+    at (4/5, 1/5) and three quarters at (1, 0)."""
+    from beliefcheck import Dist, Observation, WeightedPosteriors
+
+    s = ("H", "L")
+    return Observation(
+        Dist(s, (F(1, 2), F(1, 2))),
+        WeightedPosteriors(
+            (
+                (F(1, 4), Dist(s, (F(4, 5), F(1, 5)))),
+                (F(3, 4), Dist(s, (F(1), F(0)))),
+            )
+        ),
     )
 
 
@@ -288,10 +348,39 @@ def test_equality_repr_and_pickle_ignore_the_memo():
             raise AssertionError("the memo was assigned from outside")
 
 
+def test_values_pickle_without_their_read_caches():
+    from beliefcheck.rationalize import check_condition1
+
+    def read(name, value):
+        """Read what `value` builds when first read."""
+        if name == "observation":
+            value.posteriors.weights
+        else:
+            for entry in value.entries:
+                entry.derivative.f
+
+    for name, build in (
+        ("observation", worked_example),
+        ("report", lambda: check_condition1(worked_example())),
+    ):
+        value = build()
+        state = pickle.dumps(value)
+        read(name, value)
+        assert pickle.dumps(value) == state, name
+        again = pickle.loads(state)
+        assert again == value == build(), name
+        for when in ("before", "after"):
+            old = pickle.loads(base64.b64decode(OLD_CACHE_PICKLES[name, when]))
+            assert old == value, (name, when)
+            read(name, old)
+            assert pickle.dumps(old) == state, (name, when)
+
+
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(HERE, os.pardir, "src"))
     test_a_full_memo_gives_a_fresh_copys_results()
     test_an_unreachable_update_raises_on_every_call()
     test_one_model_builds_its_cell_table_once()
     test_equality_repr_and_pickle_ignore_the_memo()
+    test_values_pickle_without_their_read_caches()
     print("model memo checks hold on Python %s" % sys.version.split()[0])

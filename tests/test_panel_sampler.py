@@ -1,7 +1,8 @@
 """The panel sampler against a plain reference: one SHAKE-128 squeeze
 per agent and `bisect_right` on every agent's word. The sampler's table
 and carry rules must choose the same cell for every word, so every panel
-comes out the same."""
+comes out the same, and must leave to `bisect_right` only the words that
+their rule cannot settle from the top bytes."""
 
 import hashlib
 import random
@@ -31,6 +32,7 @@ from beliefcheck.simulate import (
     _agent_bits,
     _bucket_tables,
     _choose,
+    _rule,
     _squeezes,
 )
 from genobs import random_observation
@@ -120,20 +122,58 @@ def thresholds_and_words(draw):
     return thresholds, sorted(words)
 
 
+def forced_rule(thresholds, carry):
+    """The thresholds' `_rule` with its carry flag forced to `carry`, so
+    that `_choose` draws by the carry rule or by the table rule."""
+    tables, _, most = _rule(thresholds)
+    return tables, carry, most
+
+
 def choose(words, thresholds, carry, cuts=()):
     """`_choose` by the carry rule or the table rule on the words, 8
-    big-endian bytes each, cut into squeezes after the agents at `cuts`."""
+    big-endian bytes each, cut into squeezes after the agents at `cuts`:
+    the chosen cells, the counts and the words it bisected."""
     data = b"".join(w.to_bytes(8, "big") for w in words)
     bounds = [0] + list(cuts) + [len(words)]
     squeezes = [data[8 * a : 8 * b] for a, b in zip(bounds, bounds[1:])]
-    return _choose(squeezes, len(words), thresholds, carry)
+    rule = forced_rule(thresholds, carry)
+    bisected = []
+
+    def counting(thresholds, word):
+        bisected.append(word)
+        return bisect_right(thresholds, word)
+
+    simulate.bisect_right = counting
+    try:
+        chosen, counts = _choose(squeezes, len(words), thresholds, rule)
+    finally:
+        simulate.bisect_right = bisect_right
+    return chosen, counts, bisected
+
+
+def left_to_bisect(thresholds, words, carry):
+    """The words that the table rule leaves to `bisect_right`, those of a
+    top-byte bucket with a threshold inside; of those, the carry rule
+    leaves only the words of a bucket with two or more thresholds inside
+    and the words tied with their bucket's one threshold on the top two
+    bytes."""
+    left = set()
+    for w in words:
+        top = w >> 56
+        inside = [t for t in thresholds if top * TOP < t < (top + 1) * TOP]
+        if inside and (
+            not carry or len(inside) > 1 or w >> 48 == inside[0] >> 48
+        ):
+            left.add(w)
+    return left
 
 
 def assert_choice_equals_bisect(thresholds, words, carry, cuts=()):
-    chosen, counts = choose(words, thresholds, carry, cuts)
+    chosen, counts, bisected = choose(words, thresholds, carry, cuts)
     expected = [bisect_right(thresholds, w) for w in words]
     assert list(chosen) == expected
     assert counts == [expected.count(j) for j in range(len(thresholds))]
+    assert set(bisected) == left_to_bisect(thresholds, words, carry)
 
 
 class TestTopByteTable:
@@ -177,7 +217,7 @@ class TestTopByteTable:
         words += [lo, lo + 1, 2**64 - 1]
         expected = [bisect_right(thresholds, w) for w in words]
         for carry in (False, True):
-            codes, counts = choose(words, thresholds, carry)
+            codes, counts, _ = choose(words, thresholds, carry)
             assert list(codes) == expected
             assert counts == [
                 expected.count(j) for j in range(len(thresholds))
@@ -422,7 +462,8 @@ class TestCarryPass:
 
         monkeypatch.setattr(simulate, "bisect_right", refuse)
         for carry in (False, True):
-            chosen, counts = _choose(_squeezes(0, 0, n), n, thresholds, carry)
+            rule = forced_rule(thresholds, carry)
+            chosen, counts = _choose(_squeezes(0, 0, n), n, thresholds, rule)
             assert list(chosen) == expected
             assert counts == [
                 expected.count(j) for j in range(len(thresholds))

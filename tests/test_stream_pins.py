@@ -9,8 +9,10 @@ squeezed differently, or a sampler that cut chunks elsewhere, shows up
 here. A two-cell panel at both seeds checks the top bytes the sampler
 slices from the same squeezes, a 40-cell panel the carry rule that reads
 each word's second byte, and a 300-cell panel the words that the sampler
-reads from each squeeze to bisect every agent. The file needs only the
-standard library and also runs as a script, without site-packages:
+reads from each squeeze to bisect every agent. The panels are drawn by
+`simulate_panel`, and a draw's cell index is read as a position in
+`reachable_cells`. The file needs only the standard library and also
+runs as a script, without site-packages:
 
     python -S tests/test_stream_pins.py
 """
@@ -70,7 +72,8 @@ def test_two_cell_panel_reads_the_pinned_top_bits():
     from fractions import Fraction
 
     from beliefcheck import Dist, Model
-    from beliefcheck.simulate import _draw_panel
+    from beliefcheck.rationalize import reachable_cells
+    from beliefcheck.simulate import simulate_panel
 
     states = ("H", "L")
     half = Dist(states, (Fraction(1, 2), Fraction(1, 2)))
@@ -82,8 +85,9 @@ def test_two_cell_panel_reads_the_pinned_top_bits():
         mu0=half,
         pObj=half,
     )
+    cells = reachable_cells(model)
     for seed in (0, 2**64 - 1):
-        panel, cells = _draw_panel(model, 8194, seed)
+        panel = simulate_panel(model, 8194, seed)
         for (s, i), word in PINS.items():
             if s == seed:
                 assert panel.draws[i][0] == cells[word >> 63].label
@@ -141,12 +145,14 @@ def threshold_model(thresholds):
 def assert_panel_bisects_the_pinned_words(thresholds):
     from bisect import bisect_right
 
-    from beliefcheck.simulate import _draw_panel
+    from beliefcheck.rationalize import reachable_cells
+    from beliefcheck.simulate import simulate_panel
 
     model = threshold_model(thresholds)
+    cells = reachable_cells(model)
+    assert len(cells) == len(thresholds)
     for seed in (0, 2**64 - 1):
-        panel, cells = _draw_panel(model, 8194, seed)
-        assert len(cells) == len(thresholds)
+        panel = simulate_panel(model, 8194, seed)
         for (s, i), word in PINS.items():
             if s == seed:
                 cell = cells[bisect_right(thresholds, word)]
