@@ -27,13 +27,15 @@ integers are larger: a float's numerator has up to 53 bits over a power
 of two, and a float row's denominator is its exact total, so every lcm,
 gcd and product works on numbers of 55 bits or more where small exact
 data needs a few bits. Each float row is renormalised and thresholded
-(`_settle`, `_observed`). And beliefs under TOL are grouped by a projection and a sort
-where exact ones take one dict pass, and those that come within reach of
-another are swept (`_components`): when a model is verified against
-float-origin data, every reached cell's posterior comes within reach of
-the observed belief it reproduces. On the 84 shapes of the benchmark's
-`sweep` workload, in process on a shared 2-vCPU host, its five CLI calls
-took 20-30% longer on float files than on exact ones, `verify` 35-60%.
+(`_settle`, `_observed`). And beliefs under TOL are grouped by a
+projection and a sort where exact ones take one dict pass; only beliefs
+that come within reach of another are swept (`_components`). A model
+verified against float-origin data has its cells paired with the
+observed beliefs they reproduce without a sweep (`rationalize._matched`).
+On the 84 shapes of the benchmark's `sweep` workload, in process on a
+shared 2-vCPU host (Python 3.11.7), its five CLI calls took 12-21%
+longer on float files than on exact ones, `verify` 16-22%; on the eight
+shapes with n = 5-8 and k = 5-6, 21-25% and 22-25%.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from decimal import Context
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 from numbers import Rational
 from operator import floordiv, mul
@@ -124,13 +126,12 @@ def _vector(pairs: list) -> tuple:
 
 
 def _close(a: Sequence, da: int, b: Sequence, db: int, tol) -> bool:
-    """Whether a[i]/da equals b[i]/db within `tol` at every i (exactly
-    when tol is 0)."""
+    """Whether a[i]/da equals b[i]/db within `tol`, TOL or 0, at every i
+    (exactly when tol is 0)."""
     if not tol:
         return all(x * db == y * da for x, y in zip(a, b))
-    p, q = tol.as_integer_ratio()
-    bound = p * da * db
-    return all(abs(x * db - y * da) * q <= bound for x, y in zip(a, b))
+    bound = _TOL_P * da * db
+    return all(abs(x * db - y * da) * _TOL_Q <= bound for x, y in zip(a, b))
 
 
 def _same(d: "Dist", e: "Dist", tol) -> bool:
@@ -261,8 +262,8 @@ class Dist(_Frozen):
                 raise StructuralError(
                     "weights sum to %s, expected 1" % _shown(total, den, 0)
                 )
-            p, q = tol.as_integer_ratio()
-            if abs(total - den) * q > p * den:  # |total/den - 1| > p/q
+            # |total/den - 1| > TOL
+            if abs(total - den) * _TOL_Q > _TOL_P * den:
                 raise StructuralError(
                     "weights sum to %s, expected 1 within %g"
                     % (_shown(total, den, tol), tol)
@@ -330,14 +331,14 @@ class Dist(_Frozen):
 
     def mass(self, labels: Iterable) -> Fraction:
         """Total weight of a subset of the space."""
-        labels = set(labels)
-        unknown = self._unknown(labels)
-        if unknown:
+        labels, index = set(labels), self._index
+        if not index.keys() >= labels:
             raise StructuralError(
-                "subset contains labels outside the space: %s" % unknown
+                "subset contains labels outside the space: %s"
+                % self._unknown(labels)
             )
-        nums, index = self.nums, self._index
-        return Fraction(sum(nums[index[s]] for s in labels), self.den)
+        at = map(index.__getitem__, labels)
+        return Fraction(sum(map(self.nums.__getitem__, at)), self.den)
 
     def support(self) -> tuple:
         """Outcomes carrying positive weight."""
@@ -386,9 +387,9 @@ def _observed(d: Dist) -> Dist:
     if not d.tol:
         return d
     limit = _zero_limit(d.den, d.tol)
-    kept = [n if n > limit else 0 for n in d.nums]
-    if sum(kept) == d.den:
+    if min(filter(None, d.nums)) > limit:  # no weight in (0, TOL]
         return d
+    kept = [n if n > limit else 0 for n in d.nums]
     return _dist(d.space, kept, sum(kept), d.tol, d._index)
 
 
@@ -412,12 +413,29 @@ def _within(x: Sequence, lo: Sequence, hi: Sequence, bound: tuple) -> bool:
     return True
 
 
-def _components(reps: Sequence[Dist], tol: Fraction) -> tuple:
+def _projections(beliefs: Sequence[Dist], tol: Fraction) -> tuple:
+    """One linear projection of each belief, over a space of n outcomes,
+    and `reach`: two beliefs within tol in every coordinate project at
+    most reach apart, with room for rounding. Returns (projections,
+    reach)."""
+    # (i + 1) times the golden ratio, mod 1, in units of 2**-32: distinct
+    # beliefs rarely share a projection, and each projection is one
+    # correctly rounded division of integers.
+    n = len(beliefs[0].space)
+    coef = [(i + 1) * 0x9E3779B9 % 2**32 for i in range(n)]
+    proj = [sum(map(mul, coef, b.nums)) / b.den for b in beliefs]
+    p, q = tol.as_integer_ratio()
+    # twice the bound on a matching pair's distance, for rounding
+    return proj, 2 * sum(coef) * p / q
+
+
+def _components(reps: Sequence[Dist], tol: Fraction):
     """The distinct beliefs `reps` joined when within tol in every
     coordinate, and through such joins. Returns the connected components,
     as lists of indices in order of first appearance, and the first
     component of more than two members that spans more than tol (None
-    when there is none).
+    when there is none); or returns None when no two beliefs come within
+    reach, so each is a component of its own.
 
     The beliefs are sorted by one linear projection. One whose neighbours
     in that order both project beyond `reach` matches no other belief and
@@ -432,15 +450,11 @@ def _components(reps: Sequence[Dist], tol: Fraction) -> tuple:
     coordinate pairs and one box test per open component unless the input
     is refused or nearly so."""
     m, bound = len(reps), tol.as_integer_ratio()
-    # (i + 1) times the golden ratio, mod 1, in units of 2**-32: distinct
-    # beliefs rarely share a projection, and each projection is one
-    # correctly rounded division of integers.
-    coef = [(i + 1) * 0x9E3779B9 % 2**32 for i in range(len(reps[0].space))]
-    proj = [sum(map(mul, coef, r.nums)) / r.den for r in reps]
-    # twice the bound on a matching pair's distance, for rounding
-    reach = 2 * sum(coef) * bound[0] / bound[1]
+    proj, reach = _projections(reps, tol)
     order = sorted(range(m), key=proj.__getitem__)
     close = [proj[j] - proj[i] <= reach for i, j in zip(order, order[1:])]
+    if not any(close):
+        return None
     swept = [
         i
         for i, before, after in zip(order, [False, *close], [*close, False])
@@ -523,9 +537,10 @@ def group_beliefs(beliefs: Sequence[Dist], tol: Fraction = 0) -> tuple:
     is refused.
 
     Takes one dict pass over the beliefs. With tol > 0 and two or more
-    distinct beliefs, add one projection of each and one sort, and the
-    sweep of `_components` over those whose projections come within
-    reach of another's, if any."""
+    distinct beliefs, add one projection of each and one sort; only when
+    two projections come within reach of each other, the sweep of
+    `_components` over those that do, and the relabelling of the
+    groups."""
     reps, first, groups, index = [], [], [], {}
     for i, b in enumerate(beliefs):
         g = index.setdefault((b.den, b.nums), len(reps))
@@ -537,7 +552,10 @@ def group_beliefs(beliefs: Sequence[Dist], tol: Fraction = 0) -> tuple:
         return reps, groups
     if not isinstance(tol, Fraction):
         tol = Fraction(tol)
-    members, wide = _components(reps, tol)
+    found = _components(reps, tol)
+    if found is None:  # no two beliefs within reach: the groups stand
+        return reps, groups
+    members, wide = found
     if wide is not None:
         cols = zip(*(reps[i].weights for i in wide))
         for state, col in zip(reps[0].space, cols):
@@ -562,23 +580,32 @@ def pushforward(mu: Dist, proj: Mapping, space: Sequence) -> Dist:
 
     `proj` maps each outcome of mu's space into `space`. The weight of a
     target outcome is the total mu-weight of its preimage.
+
+    Takes O(|mu's space| + |space|) dict lookups, made in C, and one
+    Python addition per outcome of positive weight.
     """
     space = tuple(space)
     index = {s: i for i, s in enumerate(space)}
+    try:
+        at = list(map(index.__getitem__, map(proj.__getitem__, mu.space)))
+    except KeyError:  # name the first outcome that does not map
+        for label in mu.space:
+            try:
+                target = proj[label]
+            except KeyError:
+                raise StructuralError(
+                    "projection undefined at %r" % (label,)
+                ) from None
+            if target not in index:
+                raise StructuralError(
+                    "projection sends %r to %r, outside the declared space"
+                    % (label, target)
+                ) from None
+        raise
     acc = [0] * len(space)
-    for label, n in zip(mu.space, mu.nums):
-        try:
-            target = proj[label]
-        except KeyError:
-            raise StructuralError(
-                "projection undefined at %r" % (label,)
-            ) from None
-        if target not in index:
-            raise StructuralError(
-                "projection sends %r to %r, outside the declared space"
-                % (label, target)
-            )
-        acc[index[target]] += n
+    nums = mu.nums
+    for i, n in zip(compress(at, nums), compress(nums, nums)):
+        acc[i] += n
     return _dist(space, acc, mu.den, 0, _labels_checked(index, space))
 
 
@@ -588,16 +615,14 @@ def condition(mu: Dist, cell: Iterable) -> Dist:
     The result lives on the same space, with zero weight outside the cell.
     Raises ZeroProbabilityCell when the cell carries no mass.
     """
-    cell = frozenset(cell)
-    unknown = mu._unknown(cell)
-    if unknown:
+    cell, index = frozenset(cell), mu._index
+    if not index.keys() >= cell:
         raise StructuralError(
-            "cell contains labels outside the space: %s" % unknown
+            "cell contains labels outside the space: %s" % mu._unknown(cell)
         )
-    nums = [0] * len(mu.space)
-    for s in cell:
-        i = mu._index[s]
-        nums[i] = mu.nums[i]
+    nums, weights = [0] * len(mu.space), mu.nums
+    for i in map(index.__getitem__, cell):
+        nums[i] = weights[i]
     total = sum(nums)
     if not total:
         raise ZeroProbabilityCell(

@@ -11,6 +11,7 @@ sequence remains a martingale.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from math import gcd, lcm
 from operator import floordiv
@@ -21,11 +22,13 @@ from .dist import (
     RnEntry,
     RnReport,
     WeightedPosteriors,
+    _TOL,
     _close,
     _Frozen,
     _dist,
     _index_of,
     _joint_tol,
+    _projections,
     _same,
     _set,
     group_beliefs,
@@ -440,6 +443,51 @@ class VerifyReport(
         }
 
 
+def _matched(observed: WeightedPosteriors, posteriors: list):
+    """The groups `group_beliefs` gives the float-origin observed beliefs
+    followed by the cell posteriors `posteriors`, under TOL, when they
+    pair off without a sweep; else None.
+
+    The observed beliefs were grouped under TOL when `observed` was
+    built, so no two are within TOL: each is its own group. A posterior
+    equal to a belief joins its group. Another must be within TOL of
+    exactly one belief, tested by `_close` against those whose
+    `_projections` come within reach of its own, found by bisection, and
+    no two such posteriors may come within reach of each other. Then each
+    group holds one belief, the posteriors equal to it and at most one
+    other posterior within TOL of it, since two posteriors within TOL of
+    one belief are within reach, and no chain joins two groups.
+
+    Takes one dict lookup per posterior; for those that miss, one
+    projection each, two sorts and one bisection and `_close` test per
+    belief within reach."""
+    beliefs = observed.beliefs
+    exact = {(b.den, b.nums): i for i, b in enumerate(beliefs)}
+    hits = [exact.get((p.den, p.nums)) for p in posteriors]
+    missed = [j for j, i in enumerate(hits) if i is None]
+    if missed:
+        proj, reach = _projections(beliefs, _TOL)
+        order = sorted(range(len(beliefs)), key=proj.__getitem__)
+        keys = [proj[i] for i in order]
+        spots, _ = _projections([posteriors[j] for j in missed], _TOL)
+        ranked = sorted(spots)
+        if any(y - x <= reach for x, y in zip(ranked, ranked[1:])):
+            return None
+        for j, x in zip(missed, spots):
+            p = posteriors[j]
+            lo = bisect_left(keys, x - reach)
+            hi = bisect_right(keys, x + reach)
+            near = [
+                i
+                for i in order[lo:hi]
+                if _close(p.nums, p.den, beliefs[i].nums, beliefs[i].den, _TOL)
+            ]
+            if len(near) != 1:
+                return None
+            hits[j] = near[0]
+    return list(range(len(beliefs))) + hits
+
+
 def verify_model(model: Model, obs: Observation) -> VerifyReport:
     """Check, from scratch, whether the model reproduces the observation.
 
@@ -456,10 +504,14 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
 
     Takes O(|omega| + (k + cells) * n) time and memory for k observed
     posteriors over n states: the cell table (see cell_table), one
-    grouping of the k observed beliefs with the reached cells' posteriors
-    (one dict pass for exact data; see group_beliefs under a tolerance),
+    grouping of the k observed beliefs with the reached cells' posteriors,
     and the two induced priors as column sums of the cell rows, on
-    integers no larger than mu0's and pObj's denominators.
+    integers no larger than mu0's and pObj's denominators. The grouping
+    is one dict pass for exact data. Against float-origin beliefs, the
+    cells are paired with the beliefs they match (see _matched), a
+    projection and a bisection per cell that misses its belief's key,
+    unless a cell matches no belief or two, or two cells come within
+    reach of each other; then group_beliefs sweeps them under TOL.
     """
     if model.states != obs.space:
         raise StructuralError(
@@ -476,11 +528,12 @@ def verify_model(model: Model, obs: Observation) -> VerifyReport:
     reached = [c for c in cells if c.obj_parts.total]
     live = [c for c in reached if c.posterior is not None]
     observed = obs.posteriors
-    # A cell posterior joins an observed belief's group or opens a new one;
-    # under the model's tolerance, observed beliefs may share a group.
-    _, groups = group_beliefs(
-        list(observed.beliefs) + [c.posterior for c in live], tol
-    )
+    posteriors = [c.posterior for c in live]
+    groups = _matched(observed, posteriors) if observed.tol else None
+    if groups is None:
+        # A cell posterior joins an observed belief's group or opens a new
+        # one; under the model's tolerance, observed beliefs may share one.
+        _, groups = group_beliefs(list(observed.beliefs) + posteriors, tol)
     wanted = {}  # observed group -> summed observed weight, over its den
     for w, g in zip(observed.nums, groups):
         wanted[g] = wanted.get(g, 0) + w
