@@ -29,6 +29,7 @@ from .errors import (
     ZeroProbabilityCell,
 )
 from .io import (
+    _invalid_json,
     _model_file,
     _model_numbers,
     _number_texts,
@@ -174,9 +175,7 @@ def _resolve_lambda(spec: str, obs: Observation, mode: str):
     except OSError as err:
         raise FormatError("cannot read lambda file %s: %s" % (spec, err))
     except json.JSONDecodeError as err:
-        raise FormatError(
-            "%s: invalid JSON at line %d: %s" % (spec, err.lineno, err.msg)
-        )
+        raise _invalid_json(spec, err) from None
     if not isinstance(raw, dict):
         raise FormatError(
             "%s: lambda file must map posterior labels (nu0, nu1, ...) to "

@@ -36,6 +36,9 @@ too. They list each signal cell's indices in omega order, as the loader
 requires, so a model's bytes do not depend on the order in which a cell
 lists its outcomes, nor on whether it is a tuple, a list or a set.
 `rationalize --json` prints the same bytes as the file `--out` writes.
+A model file's fixed text, its states, omega entries, partition and
+keys, is kept with the layout of a constructed model's shape and filled
+with each model's numbers (see `_model_file`).
 Every file goes through `_write`, which overwrites an existing file in
 place and cuts it to the length written: truncating it to zero first, as
 open(path, "w") does, waits on ext4 for the flush of the file's last
@@ -56,7 +59,7 @@ from operator import itemgetter
 
 from .dist import _TOL, Dist, Observation, WeightedPosteriors, _shown, _vector
 from .errors import FormatError, StructuralError
-from .rationalize import Model
+from .rationalize import Model, _kept_layout
 
 MODES = ("rational", "float")
 
@@ -292,14 +295,20 @@ def read_json(path):
         raise FormatError("%s: unreadable JSON: %s" % (path, err)) from None
 
 
+def _invalid_json(path, err: json.JSONDecodeError) -> FormatError:
+    """The error of a file that is not JSON, located at its line and
+    column, as every file's is."""
+    return FormatError(
+        "%s: invalid JSON at line %d column %d: %s"
+        % (path, err.lineno, err.colno, err.msg)
+    )
+
+
 def _load_json(path) -> dict:
     try:
         data = read_json(path)
     except json.JSONDecodeError as err:
-        raise FormatError(
-            "%s: invalid JSON at line %d column %d: %s"
-            % (path, err.lineno, err.colno, err.msg)
-        ) from None
+        raise _invalid_json(path, err) from None
     if not isinstance(data, dict):
         raise FormatError("%s: top-level value must be an object" % path)
     return data
@@ -574,14 +583,17 @@ def _model_numbers(model: Model) -> list:
     return [_number_texts(d.nums, d.den, tol) for d in (model.mu0, model.pObj)]
 
 
-def _model_file(model: Model, mode: str) -> tuple:
-    """(text, numbers): a model file's text, and its numbers as
-    `_model_numbers` gives them, for a caller that prints them too and so
-    formats each once."""
-    numbers, lam = _model_numbers(model), model.lambda_mix
-    projected = [model.projection[w] for w in model.omega]
-    labels = (model.states, model.omega, projected, model.signal_partition)
-    _writable(mode, *labels, () if lam is None else lam.space)
+# Marks where a value written on each call goes in a model file's fixed
+# text: a NUL, which json escapes in every label, so no fixed text holds one.
+_SLOT = "\0"
+
+
+def _skeleton(model: Model, projected: list) -> tuple:
+    """The fixed text of `model`'s file, whose outcomes project onto
+    `projected`, as the pieces between which the mode, mu0's and pObj's
+    numbers and the lambda go, in that order (see _filled). The pieces
+    between two numbers, an outcome's key between the quotes, are shared
+    by mu0 and pObj. Takes O(|omega| + cells) string operations."""
     omega = list(map(_encode, model.omega))
     at = model.mu0._index
     signal_of, partition = [None] * len(omega), []
@@ -598,21 +610,58 @@ def _model_file(model: Model, mode: str) -> tuple:
         % (label, _encode(s), signal)
         for label, s, signal in zip(omega, projected, signal_of)
     ]
+    # The file split where the mode, mu0, pObj and the lambda go, and
+    # mu0's or pObj's object split where its numbers go.
+    to_mode, to_mu0, to_p_obj, to_mix, rest = _document(
+        [
+            ("mode", _SLOT),
+            ("states", _block(list(map(_encode, model.states)), 1, "[]")),
+            ("omega", _block(entries, 1, "[]")),
+            ("mu0", _SLOT),
+            ("pObj", _SLOT),
+            ("lambda", _SLOT),
+            ("partition", _block(partition, 1, "{}")),
+        ]
+    ).split(_SLOT)
+    numbers = _members(omega, [_SLOT] * len(omega), 1)
+    opening, *keys, closing = numbers.split(_SLOT)
+    return (
+        to_mode, to_mu0 + opening, *keys, closing + to_p_obj + opening,
+        *keys, closing + to_mix, rest,
+    )
+
+
+def _filled(pieces: tuple, values: list) -> str:
+    """A file's text from its fixed pieces and the values between them."""
+    text = [None] * (2 * len(pieces) - 1)
+    text[::2] = pieces
+    text[1::2] = values
+    return "".join(text)
+
+
+def _model_file(model: Model, mode: str) -> tuple:
+    """(text, numbers): a model file's text, and its numbers as
+    `_model_numbers` gives them, for a caller that prints them too and so
+    formats each once. The fixed text (see _skeleton) of a model
+    construct_rationalization built is kept on its shape's layout, while
+    the model's fields still equal the layout's (see
+    rationalize._kept_layout), and built on each call for any other."""
+    numbers, lam = _model_numbers(model), model.lambda_mix
+    projected = [model.projection[w] for w in model.omega]
+    labels = (model.states, model.omega, projected, model.signal_partition)
+    _writable(mode, *labels, () if lam is None else lam.space)
+    layout = _kept_layout(model)
+    if layout is None:
+        skeleton = _skeleton(model, projected)
+    else:
+        skeleton = layout.file
+        if skeleton is None:
+            skeleton = layout.file = _skeleton(model, projected)
     mix = "null"
     if lam is not None:
         mix = _dist_text(map(_encode, lam.space), lam, 1, model.tol)
-    text = _document(
-        [
-            ("mode", _encode(mode)),
-            ("states", _block(list(map(_encode, model.states)), 1, "[]")),
-            ("omega", _block(entries, 1, "[]")),
-            ("mu0", _members(omega, numbers[0], 1)),
-            ("pObj", _members(omega, numbers[1], 1)),
-            ("lambda", mix),
-            ("partition", _block(partition, 1, "{}")),
-        ]
-    )
-    return text, numbers
+    values = [_encode(mode), *numbers[0], *numbers[1], mix]
+    return _filled(skeleton, values), numbers
 
 
 def model_json(model: Model, mode: str) -> str:
@@ -624,8 +673,12 @@ def model_json(model: Model, mode: str) -> str:
 def save_model(model: Model, path, mode: str = "rational") -> None:
     """Write a model file. Takes time and memory linear in the file's
     size, plus one formatting per distinct numerator of each
-    distribution. An existing file is overwritten in place and cut to
-    length, not truncated first (see `_write`)."""
+    distribution. The file's fixed text, all but its mode, numbers and
+    lambda, is built once per shape for the models that
+    construct_rationalization builds (see `_model_file`); each call still
+    checks the mode and every label, and formats the numbers and the
+    lambda. An existing file is overwritten in place and cut to length,
+    not truncated first (see `_write`)."""
     _write(path, model_json(model, mode))
 
 

@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from math import gcd, lcm
 from operator import floordiv
+from threading import Lock
 
 from .dist import (
     Dist,
@@ -88,6 +89,13 @@ class Model(_Frozen):
     So its `projection` and `signal_partition` dicts must not be changed
     in place: build a new Model instead. Equality, the repr and the
     pickled state read the fields and `tol` only.
+
+    Models construct_rationalization builds for one shape, the same
+    state labels and posterior count, share their omega tuple, its label
+    strings, mu0's and pObj's label index and the cell tuples (see
+    `_Layout`), which no one changes. Each model's `projection` and
+    `signal_partition` dicts are its own, so a change made to one in
+    place reaches no other model.
     """
 
     _fields = (
@@ -197,6 +205,110 @@ def _signal_runs(signals, n: int) -> dict:
     }
 
 
+class _Layout:
+    """What construct_rationalization builds for one shape, k posteriors
+    over states labeled `heads`, before any number: omega, laid out as
+    _signal_runs says and labeled as omega_label labels it, its label
+    index, and `partition`, which maps the 2k signal labels, in order, to
+    their cells, tuples of omega's outcomes. `states` are the states it
+    was built for, and `projection` the dict a model over them starts
+    with. No model holds `projection` or `partition`: each model gets its
+    own copy, and `_kept_layout` compares a model with them before
+    `file`, the fixed text of its model file (see io._model_file), is
+    reused for it."""
+
+    __slots__ = ("omega", "index", "states", "projection", "partition", "file")
+
+    def __init__(self, states: tuple, heads: tuple, k: int):
+        signals = [
+            signal_label(i, sign) for sign in (PLUS, MINUS) for i in range(k)
+        ]
+        omega = tuple([head + signal for signal in signals for head in heads])
+        runs = _signal_runs(signals, len(heads))
+        self.omega, self.states = omega, states
+        self.index = dict(zip(omega, range(len(omega))))
+        self.projection = dict(zip(omega, states * len(signals)))
+        self.partition = {signal: omega[runs[signal]] for signal in signals}
+        self.file = None
+
+
+#: Most outcomes the kept layouts hold together: a budget of 8 MiB at 400
+#: bytes per outcome, the most a layout was measured to retain with its
+#: file's fixed text (tracemalloc, Python 3.11.7: 330 bytes per outcome
+#: at 12 states, up to 400 at 4 states and k up to 6), so 20971
+#: outcomes: 18 shapes of 12 states and 48 posteriors, or every shape of
+#: up to 8 states and 6 posteriors 14 times over. A shape with more
+#: outcomes is built on each call and not kept.
+_KEPT_OUTCOMES = 8 * 2**20 // 400
+
+
+class _Layouts(dict):
+    """The kept layouts by shape key, oldest first, `held` outcomes in
+    all, never more than _KEPT_OUTCOMES: keeping a shape drops the oldest
+    ones until it fits."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = 0
+        self.lock = Lock()
+
+    def keep(self, key, layout: _Layout) -> None:
+        size = len(layout.omega)
+        if size > _KEPT_OUTCOMES:
+            return
+        with self.lock:
+            if key in self:  # another thread kept it first
+                return
+            while self.held + size > _KEPT_OUTCOMES:
+                self.held -= len(self.pop(next(iter(self))).omega)
+            self[key] = layout
+            self.held += size
+
+    def clear(self) -> None:
+        with self.lock:
+            super().clear()
+            self.held = 0
+
+
+_LAYOUTS = _Layouts()
+
+
+def _shape(states, k: int) -> tuple:
+    """The key of k posteriors over `states` in _LAYOUTS: the states'
+    parts of the omega labels, not the states, since equal states such as
+    1 and 1.0 are labeled apart, and k."""
+    return tuple([_OMEGA_LABEL % (s, "") for s in states]), k
+
+
+def _layout(states: tuple, k: int) -> _Layout:
+    """The layout of k posteriors over `states`, kept in _LAYOUTS."""
+    key = _shape(states, k)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _Layout(states, key[0], k)
+        _LAYOUTS.keep(key, layout)
+    return layout
+
+
+def _kept_layout(model: Model) -> _Layout | None:
+    """The kept layout whose omega is `model.omega`, when the model's
+    states, projection and partition, in order, still equal the layout's:
+    what derives from those fields alone may then be kept on the layout.
+    None for a loaded or hand-built model, a changed one, or a shape no
+    longer kept."""
+    partition = model.signal_partition
+    layout = _LAYOUTS.get(_shape(model.states, len(partition) // 2))
+    if (
+        layout is not None
+        and model.omega is layout.omega
+        and model.states == layout.states
+        and list(partition.items()) == list(layout.partition.items())
+        and model.projection == layout.projection
+    ):
+        return layout
+    return None
+
+
 def construct_rationalization(
     obs: Observation, lambda_mix: Dist | None = None
 ) -> Model:
@@ -216,9 +328,12 @@ def construct_rationalization(
     B[s*] * Dp * Dl; the "+" rows of pObj are P * W[i] over Dp * Dw.
 
     Takes O(k n) time and memory for k posteriors over n states, besides
-    the screen: 2k signal labels, one label per (signal, state) outcome
-    of omega, one slice of omega per cell, and Model's checks, O(k n) set
-    operations. The integers are those of the rows above, each row's L and
+    the screen: the rows, the model's own projection and partition dicts,
+    and Model's checks, O(k n) set operations. Omega, its 2k signal
+    labels, its label index and its cells are built once per shape and
+    kept (see `_Layout`): a later model of the same state labels and k
+    takes them from the table, n string formats to find them. The
+    integers are those of the rows above, each row's L and
     B[s*] first divided by their gcd: a common denominator grows with the
     lcm of the k reduced B[s*], so up to about k times a belief's
     denominator in bits under the uniform mix, where every L is 1, and
@@ -272,34 +387,26 @@ def construct_rationalization(
         )
     p_obj = [p * w for w in obs.posteriors.nums for p in prior]
 
-    # Omega is laid out as _signal_runs says, each outcome labeled as
-    # omega_label labels it: each state's part of the label is formatted
-    # once.
-    signals = [
-        signal_label(i, sign) for sign in (PLUS, MINUS) for i in range(k)
-    ]
-    heads = [_OMEGA_LABEL % (s, "") for s in states]
-    omega = tuple([head + signal for signal in signals for head in heads])
-    index = dict(zip(omega, range(len(omega))))
-    runs = _signal_runs(signals, len(states))
+    layout = _layout(states, k)
+    omega = layout.omega
     return Model(
         states=states,
         omega=omega,
-        projection=dict(zip(omega, states * len(signals))),
-        signal_partition={signal: omega[runs[signal]] for signal in signals},
+        projection=dict(zip(omega, states * len(layout.partition))),
+        signal_partition=layout.partition.copy(),
         mu0=_dist(
             omega,
             plus + minus,
             top * obs.prior.den * lambda_mix.den,
             obs.tol,
-            index,
+            layout.index,
         ),
         pObj=_dist(
             omega,
             p_obj + [0] * len(minus),
             obs.prior.den * obs.posteriors.den,
             obs.tol,
-            index,
+            layout.index,
         ),
         lambda_mix=lambda_mix,
     )

@@ -441,6 +441,18 @@ class TestCliMalformedInput:
         assert proc.returncode == code
         assert proc.stderr == "error: %s: %s\n" % (lam, message)
 
+    def test_invalid_lambda_json_is_located_like_every_file(self, tmp_path):
+        obs = write_json(tmp_path / "o.json", WORKED_RAW)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{\n  "nu0": "1/2",\n  "nu1": }\n')
+        lam = run_cli("rationalize", obs, "--lambda", str(bad))
+        check = run_cli("check", str(bad))
+        assert lam.returncode == check.returncode == 1
+        assert lam.stderr == check.stderr == (
+            "error: %s: invalid JSON at line 3 column 10: Expecting value\n"
+            % bad
+        )
+
     def test_workers_flag_is_refused(self, tmp_path):
         obs = write_json(tmp_path / "o.json", WORKED_RAW)
         model = str(tmp_path / "m.json")
